@@ -1,39 +1,18 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Sequential velocity-profile passes of the planner.
 
-The squared-exponential Gram block and the sequential velocity-profile
-passes are the inner loops of the package. Numba-compiled versions are
-used by default when numba imports cleanly; set ``FRICTIONFUSION_NO_NUMBA=1``
-to select the pure numpy/python implementations instead. Both variants stay
-importable so ``benchmarks/bench_kernels.py`` can compare them.
+Each pass walks the horizon one grid segment at a time and every step
+depends on the previous speed, so the loops stay scalar Python. They live in
+their own module so ``planner`` can call them as ``_kernels.backward_pass``
+and ``_kernels.forward_pass``: ``perfbench/tracer.py`` wraps those names to
+time the passes apart from the rest of planning.
 """
 
 import math
-import os
 
 import numpy as np
 
 
-def gram_numpy(xs_a, xs_b, sigma_f, length_scale):
-    """Squared-exponential Gram block via broadcasting."""
-    inv = 0.5 / (length_scale * length_scale)
-    diff = np.subtract.outer(xs_a, xs_b)
-    return (sigma_f * sigma_f) * np.exp(-(diff * diff) * inv)
-
-
-def _gram_loops(xs_a, xs_b, sigma_f, length_scale):
-    na = xs_a.shape[0]
-    nb = xs_b.shape[0]
-    out = np.empty((na, nb))
-    s2 = sigma_f * sigma_f
-    inv = 0.5 / (length_scale * length_scale)
-    for i in range(na):
-        for j in range(nb):
-            d = xs_a[i] - xs_b[j]
-            out[i, j] = s2 * math.exp(-d * d * inv)
-    return out
-
-
-def backward_pass_numpy(v_cap, kappa_abs, mu_g, ds):
+def backward_pass(v_cap, kappa_abs, mu_g, ds):
     """Deceleration-limited speed envelope, swept from the horizon end.
 
     Braking capacity at each segment is the friction-circle leftover after
@@ -54,7 +33,7 @@ PREBRAKE_LATERAL_SHARE = 0.98
 CAP_VIOLATION_TOL = 0.1
 
 
-def forward_pass_numpy(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_lat, f_brake):
+def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_lat, f_brake):
     """Integrate the speed profile forward from the current speed.
 
     Three regimes per segment: commanded violation braking (``brake_mask``)
@@ -94,32 +73,3 @@ def forward_pass_numpy(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_la
             accel = math.sqrt(left2) if left2 > 0.0 else 0.0
             v[i + 1] = min(v_bound[i + 1], math.sqrt(vi2 + 2.0 * accel * ds))
     return v
-
-
-def _env_disables_numba():
-    return os.environ.get("FRICTIONFUSION_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-    gram_numba = njit(cache=True)(_gram_loops)
-    backward_pass_numba = njit(cache=True)(backward_pass_numpy)
-    forward_pass_numba = njit(cache=True)(forward_pass_numpy)
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-    gram_numba = _gram_loops
-    backward_pass_numba = backward_pass_numpy
-    forward_pass_numba = forward_pass_numpy
-
-USE_NUMBA = HAVE_NUMBA and not _env_disables_numba()
-
-if USE_NUMBA:
-    gram = gram_numba
-    backward_pass = backward_pass_numba
-    forward_pass = forward_pass_numba
-else:
-    gram = gram_numpy
-    backward_pass = backward_pass_numpy
-    forward_pass = forward_pass_numpy

@@ -3,12 +3,11 @@
 Single runs select one scenario/configuration/error combination and emit
 ``trace.csv``/``trace.json``, ``metrics.json`` and optional per-replan
 estimate dumps; ``--matrix`` executes every selected combination
-concurrently and aggregates one ``summary.csv`` row per run. Outputs are
+sequentially and aggregates one ``summary.csv`` row per run. Outputs are
 byte-identical for identical inputs.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -20,37 +19,53 @@ import numpy as np
 from .estimators import Configuration, resolve_error
 from .fusion import SGrid
 from .gp import GpPrior, SquaredExponentialKernel
-from .simulator import collision_scenario, run, turn_scenario
+from .simulator import collision_scenario, replan_substeps, run, turn_scenario
 
 SCENARIO_NAMES = ("turn", "collision")
 CONFIG_NAMES = ("gt", "l", "p", "f")
 DEFAULT_ERRORS = ("worst-over", "worst-under")
+# Single-run selection field -> what ``--matrix`` runs unless its plural flag is given.
+SELECTIONS = {"scenario": SCENARIO_NAMES, "config": CONFIG_NAMES, "error": DEFAULT_ERRORS}
 
 
 class UsageError(ValueError):
     """Invalid command line; message names the offending flag and constraint."""
 
 
+def _param(default, help_text, **flag):
+    """A RunConfig field: its default, plus the help and argparse keywords of its flag."""
+    return dataclasses.field(default=default, metadata={"help": help_text, **flag})
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 @dataclass
 class RunConfig:
-    """Validated run request: selection, overrides, output options."""
+    """Validated run request: selection, overrides, output options.
 
-    scenario: str = "turn"
-    config: str = "gt"
-    error: str = "worst-over"
-    out: str = None
-    format: str = "both"
-    dump_estimates: bool = False
-    ds: float = 1.0
-    s_f: float = 50.0
-    l: float = 10.0
-    sigma_f: float = 0.45 / 1.96
-    eta: float = 0.55
-    s_l: float = 5.0
-    replan_dt: float = 0.1
-    sim_dt: float = 0.01
-    lane_half_width: float = 1.75
-    turn_radius: float = 20.0
+    Each field is the one definition of the flag named after it (``s_f`` is
+    ``--s-f``): its default here is the flag's default.
+    """
+
+    scenario: str = _param("turn", "scenario to run", choices=SCENARIO_NAMES)
+    config: str = _param("gt", "estimator configuration", choices=CONFIG_NAMES)
+    error: str = _param("worst-over", "worst-over, worst-under, or fixed=<v>")
+    out: str = _param(None, "output directory")
+    format: str = _param("both", "trace file format", choices=("csv", "json", "both"))
+    dump_estimates: bool = _param(False, "write one estimate_<i>.csv per replan",
+                                  action="store_true")
+    ds: float = _param(1.0, "grid spacing (m)")
+    s_f: float = _param(50.0, "horizon length (m)")
+    l: float = _param(10.0, "kernel length scale (m)")
+    sigma_f: float = _param(0.45 / 1.96, "prior signal standard deviation")
+    eta: float = _param(0.55, "prior mean")
+    s_l: float = _param(5.0, "local estimate influence threshold (m)")
+    replan_dt: float = _param(0.1, "replanning interval (s)")
+    sim_dt: float = _param(0.01, "plant integration step (s), at most 0.05")
+    lane_half_width: float = _param(1.75, "lane half width (m)")
+    turn_radius: float = _param(20.0, "turn scenario radius (m)")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -81,83 +96,70 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    p = _Parser(prog="frictionfusion", description=__doc__)
-    p.add_argument("--scenario", choices=SCENARIO_NAMES, default="turn")
-    p.add_argument("--config", choices=CONFIG_NAMES, default="gt")
-    p.add_argument("--error", default="worst-over",
-                   help="worst-over, worst-under, or fixed=<v>")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--dump-estimates", action="store_true",
-                   help="write one estimate_<t>.csv per replan")
-    p.add_argument("--ds", type=float, default=1.0, help="grid spacing (m)")
-    p.add_argument("--s-f", type=float, default=50.0, help="horizon length (m)")
-    p.add_argument("--l", type=float, default=10.0, help="kernel length scale (m)")
-    p.add_argument("--sigma-f", type=float, default=0.45 / 1.96,
-                   help="prior signal standard deviation")
-    p.add_argument("--eta", type=float, default=0.55, help="prior mean")
-    p.add_argument("--s-l", type=float, default=5.0,
-                   help="local estimate influence threshold (m)")
-    p.add_argument("--replan-dt", type=float, default=0.1)
-    p.add_argument("--sim-dt", type=float, default=0.01)
-    p.add_argument("--lane-half-width", type=float, default=1.75)
-    p.add_argument("--turn-radius", type=float, default=20.0)
+    """Parser whose namespace holds only the flags actually given."""
+    p = _Parser(prog="frictionfusion", description=__doc__,
+                argument_default=argparse.SUPPRESS)
+    for f in dataclasses.fields(RunConfig):
+        kwargs = dict(f.metadata)
+        if "action" not in kwargs:
+            kwargs["type"] = f.type
+        p.add_argument(_flag(f.name), dest=f.name, **kwargs)
     p.add_argument("--matrix", action="store_true",
                    help="run every selected combination and write summary.csv")
     p.add_argument("--scenarios", nargs="+", choices=SCENARIO_NAMES,
-                   default=list(SCENARIO_NAMES), help="matrix scenario selection")
+                   help="matrix scenario selection (default: all)")
     p.add_argument("--configs", nargs="+", choices=CONFIG_NAMES,
-                   default=list(CONFIG_NAMES), help="matrix configuration selection")
-    p.add_argument("--errors", nargs="+", default=list(DEFAULT_ERRORS),
-                   help="matrix error-mode selection")
+                   help="matrix configuration selection (default: all)")
+    p.add_argument("--errors", nargs="+",
+                   help=f"matrix error-mode selection (default: {' '.join(DEFAULT_ERRORS)})")
     return p
 
 
-def _validate(rc):
-    if rc.ds <= 0.0:
-        raise UsageError("--ds must be > 0")
-    if rc.s_f <= 0.0:
-        raise UsageError("--s-f must be > 0")
-    ratio = rc.s_f / rc.ds
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise UsageError("--s-f must be an exact multiple of --ds")
-    if rc.l <= 0.0:
-        raise UsageError("--l must be > 0")
-    if rc.sigma_f <= 0.0:
-        raise UsageError("--sigma-f must be > 0")
-    if not 0.0 < rc.eta < 2.0:
-        raise UsageError("--eta must lie in (0, 2)")
-    if rc.s_l < 0.0:
-        raise UsageError("--s-l must be >= 0")
-    if rc.sim_dt <= 0.0 or rc.sim_dt > 0.05:
-        raise UsageError("--sim-dt must lie in (0, 0.05]")
-    if rc.replan_dt <= 0.0:
-        raise UsageError("--replan-dt must be > 0")
-    steps = rc.replan_dt / rc.sim_dt
-    if abs(steps - round(steps)) > 1e-9:
-        raise UsageError("--replan-dt must be a multiple of --sim-dt")
-    if rc.lane_half_width <= 0.0:
-        raise UsageError("--lane-half-width must be > 0")
-    if rc.turn_radius <= 0.0:
-        raise UsageError("--turn-radius must be > 0")
+def _check(names, build, *args):
+    """Call ``build(*args)``; a ValueError becomes a UsageError naming the flags."""
     try:
-        resolve_error(rc.error)
+        build(*args)
     except ValueError as exc:
-        raise UsageError(f"--error: {exc}") from None
-    return rc
+        raise UsageError(f"{'/'.join(_flag(n) for n in names)}: {exc}") from None
+
+
+def _parse(argv):
+    """Parse and check a command line.
+
+    Returns the RunConfig and, under ``--matrix``, the (scenarios, configs,
+    errors) selection, else None. Every value is checked by building the
+    objects a run builds from it.
+    """
+    given = vars(_build_parser().parse_args(argv))
+    matrix = given.pop("matrix", False)
+    picked = {name: given.pop(name + "s") for name in SELECTIONS if name + "s" in given}
+    if picked and not matrix:
+        raise UsageError(f"{_flag(next(iter(picked)) + 's')} requires --matrix")
+    rc = RunConfig(**given)
+    if matrix:
+        for name in SELECTIONS:
+            if name in given:
+                raise UsageError(f"{_flag(name)} cannot be combined with --matrix; "
+                                 f"use {_flag(name + 's')}")
+        scenarios, configs, errors = (picked.get(name, SELECTIONS[name]) for name in SELECTIONS)
+    else:
+        scenarios, configs, errors = [rc.scenario], [rc.config], [rc.error]
+    if "turn_radius" in given and "turn" not in scenarios:
+        raise UsageError("--turn-radius applies only to the turn scenario")
+
+    _check(("ds", "s_f"), rc.grid)
+    _check(("sigma_f", "l", "eta"), rc.prior)
+    _check(("s_l",), rc.configuration)
+    _check(("lane_half_width", "turn_radius"), rc.scenario_instance)
+    _check(("replan_dt", "sim_dt"), replan_substeps, rc.replan_dt, rc.sim_dt)
+    for error in errors:
+        _check(("errors" if matrix else "error",), resolve_error, error)
+    return rc, ((scenarios, configs, errors) if matrix else None)
 
 
 def parse_args(argv):
-    """Parse and validate a command line into a RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    rc = RunConfig(
-        scenario=ns.scenario, config=ns.config, error=ns.error, out=ns.out,
-        format=ns.format, dump_estimates=ns.dump_estimates, ds=ns.ds, s_f=ns.s_f,
-        l=ns.l, sigma_f=ns.sigma_f, eta=ns.eta, s_l=ns.s_l,
-        replan_dt=ns.replan_dt, sim_dt=ns.sim_dt,
-        lane_half_width=ns.lane_half_width, turn_radius=ns.turn_radius,
-    )
-    return _validate(rc)
+    """Parse and check a command line into the RunConfig of its run(s)."""
+    return _parse(argv)[0]
 
 
 def _fmt(x):
@@ -249,7 +251,8 @@ def emit_traces(result, rc):
 
     if rc.dump_estimates:
         grid_pts = rc.grid().points
-        for rec in result.replans:
+        width = len(str(len(result.replans) - 1))
+        for index, rec in enumerate(result.replans):
             if rec.series is not None:
                 mu_prime = rec.series.mu_prime
                 margin = rec.series.margin
@@ -266,7 +269,7 @@ def emit_traces(result, rc):
                     _fmt(s), _fmt(mu_prime[i]), _fmt(margin[i]), _fmt(post_mean[i]),
                     _fmt(post_std[i]), _fmt(rec.mu_hat[i]), _fmt(rec.mu_gt[i]),
                 ]))
-            path = out_dir / f"estimate_{rec.t:.2f}.csv"
+            path = out_dir / f"estimate_{index:0{width}d}.csv"
             _write_text(path, "\n".join(lines) + "\n")
             written.append(path)
     return written
@@ -287,16 +290,18 @@ def _matrix_cell(rc):
             _fmt(m.min_clearance), _fmt(m.impact_velocity), _fmt(m.mean_utilization),
         ])
     except Exception as exc:  # single-run failure must not sink the matrix
+        print(f"{rc.scenario},{rc.config},{rc.error}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return ",".join([rc.scenario, rc.config, rc.error,
                          f"failed: {type(exc).__name__}", "", "", "", ""])
 
 
 def run_matrix(scenarios, configs, error_modes, base=None):
-    """Run every combination (concurrently) and return summary.csv text.
+    """Run every combination in selection order and return summary.csv text.
 
     Per-run outputs land in ``<out>/<scenario>_<config>_<error>/`` when the
-    base config has an output directory; rows keep the selection order
-    regardless of completion order.
+    base config has an output directory. A failed run is reported on stderr
+    and gets a ``failed: <Type>`` row.
     """
     if not scenarios or not configs or not error_modes:
         raise ValueError("scenario, configuration and error selections must be non-empty")
@@ -311,8 +316,7 @@ def run_matrix(scenarios, configs, error_modes, base=None):
                     sub = Path(base.out) / f"{scenario}_{config}_{error.replace('=', '_')}"
                     rc = dataclasses.replace(rc, out=str(sub))
                 cells.append(rc)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        rows = list(pool.map(_matrix_cell, cells))
+    rows = [_matrix_cell(rc) for rc in cells]
     text = SUMMARY_HEADER + "\n" + "\n".join(rows) + "\n"
     if base.out is not None:
         out_dir = Path(base.out)
@@ -324,28 +328,14 @@ def run_matrix(scenarios, configs, error_modes, base=None):
 def main(argv=None):
     argv = argv if argv is not None else sys.argv[1:]
     try:
-        ns = _build_parser().parse_args(argv)
-        if ns.matrix:
-            base = _validate(RunConfig(
-                out=ns.out, format=ns.format, dump_estimates=ns.dump_estimates,
-                ds=ns.ds, s_f=ns.s_f, l=ns.l, sigma_f=ns.sigma_f, eta=ns.eta,
-                s_l=ns.s_l, replan_dt=ns.replan_dt, sim_dt=ns.sim_dt,
-                lane_half_width=ns.lane_half_width, turn_radius=ns.turn_radius,
-            ))
-            for error in ns.errors:
-                resolve_error(error)
-            text = run_matrix(ns.scenarios, ns.configs, ns.errors, base=base)
-            sys.stdout.write(text)
-            if any(",failed:" in row for row in text.splitlines()):
-                return 2
-            return 0
-        rc = parse_args(argv)
+        rc, selection = _parse(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    if selection is not None:
+        text = run_matrix(*selection, base=rc)
+        sys.stdout.write(text)
+        return 2 if any(",failed:" in row for row in text.splitlines()) else 0
     try:
         result = execute(rc)
         if rc.out is not None:

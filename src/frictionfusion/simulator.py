@@ -57,6 +57,10 @@ class Scenario:
     maneuver_window: tuple
     obstacle: tuple = None
 
+    def __post_init__(self):
+        if not self.lane_half_width > 0.0:
+            raise ValueError(f"lane_half_width must be > 0, got {self.lane_half_width}")
+
     def curvature_at(self, s):
         starts = [seg[0] for seg in self.path]
         idx = bisect.bisect_right(starts, s) - 1
@@ -75,6 +79,8 @@ def turn_scenario(turn_radius=TURN_RADIUS, lane_half_width=LANE_HALF_WIDTH,
     turn begins ``turn_start`` meters ahead, so foresighted configurations
     have room to shed speed.
     """
+    if not turn_radius > 0.0:
+        raise ValueError(f"turn_radius must be > 0, got {turn_radius}")
     arc_len = 0.5 * math.pi * turn_radius
     turn_end = turn_start + arc_len
     return Scenario(
@@ -110,6 +116,27 @@ def collision_scenario(v0=20.0, obstacle_s=OBSTACLE_DISTANCE,
 
 SCENARIOS = {"turn": turn_scenario, "collision": collision_scenario}
 
+MAX_SIM_DT = 0.05
+
+
+def _check_sim_dt(sim_dt):
+    if not 0.0 < sim_dt <= MAX_SIM_DT:
+        raise ValueError(f"sim_dt must lie in (0, {MAX_SIM_DT}], got {sim_dt}")
+
+
+def replan_substeps(replan_dt, sim_dt):
+    """Plant steps per replan interval.
+
+    Raises ValueError unless ``sim_dt`` lies in (0, 0.05] and ``replan_dt``
+    is a positive whole multiple of it.
+    """
+    _check_sim_dt(sim_dt)
+    substeps = round(replan_dt / sim_dt)
+    if substeps < 1 or abs(substeps * sim_dt - replan_dt) > 1e-9:
+        raise ValueError(
+            f"replan_dt must be a positive multiple of sim_dt, got {replan_dt} and {sim_dt}")
+    return substeps
+
 
 def step(state, trajectory, profile, dt):
     """Advance the plant one Euler step under friction-circle saturation.
@@ -120,8 +147,7 @@ def step(state, trajectory, profile, dt):
     shortfall slows the speed change. Returns the new state and the tire
     force utilization of the demand.
     """
-    if not 0.0 < dt <= 0.05:
-        raise ValueError("dt must lie in (0, 0.05]")
+    _check_sim_dt(dt)
     i = trajectory.index_at(state.s)
     a_long_dem, a_lat_dem = trajectory.demand_at(state.s, state.v)
     mu_gt = profile.mu_at(state.s)
@@ -193,11 +219,7 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
     estimator is seeded with the class mean of the surface just behind the
     start, standing in for the last estimate of the approach road.
     """
-    if sim_dt <= 0.0 or replan_dt <= 0.0:
-        raise ValueError("time steps must be positive")
-    substeps = round(replan_dt / sim_dt)
-    if abs(substeps * sim_dt - replan_dt) > 1e-9:
-        raise ValueError("replan_dt must be a multiple of sim_dt")
+    substeps = replan_substeps(replan_dt, sim_dt)
     grid = grid if grid is not None else SGrid()
 
     estimator = LocalEstimator(e_l=local_error)

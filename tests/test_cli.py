@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +44,15 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["--frobnicate", "1"])
 
+    def test_no_flags_give_the_config_defaults(self):
+        assert parse_args([]) == RunConfig()
+
+    def test_each_field_is_exactly_one_flag(self):
+        actions = cli._build_parser()._actions
+        for field in dataclasses.fields(RunConfig):
+            flags = [a.option_strings for a in actions if a.dest == field.name]
+            assert flags == [["--" + field.name.replace("_", "-")]]
+
 
 class TestRunConfigRoundTrip:
     def test_json_round_trip(self):
@@ -75,7 +86,8 @@ class TestEmitTraces:
         rc = parse_args(["--scenario", "turn", "--config", "f", "--error",
                          "worst-over", "--out", str(tmp_path), "--dump-estimates"])
         emit_traces(execute(rc), rc)
-        lines = (tmp_path / "estimate_0.50.csv").read_text().splitlines()
+        at_half_second = sorted(tmp_path.glob("estimate_*.csv"))[5]
+        lines = at_half_second.read_text().splitlines()
         assert lines[0] == "s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt"
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
@@ -83,6 +95,16 @@ class TestEmitTraces:
         mu_gt_at_zero = float(first[6])
         assert mu_gt_at_zero == pytest.approx(0.4)
         assert abs(mu_hat_at_zero - mu_gt_at_zero) <= 0.05
+
+    def test_one_estimate_file_per_replan_in_replan_order(self, tmp_path):
+        rc = parse_args(["--scenario", "collision", "--replan-dt", "0.005", "--sim-dt",
+                         "0.005", "--out", str(tmp_path), "--dump-estimates"])
+        result = execute(rc)
+        emit_traces(result, rc)
+        names = sorted(p.name for p in tmp_path.glob("estimate_*.csv"))
+        assert len(names) == len(result.replans)
+        assert [int(n[len("estimate_"):-len(".csv")]) for n in names] == \
+            list(range(len(result.replans)))
 
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",
@@ -120,7 +142,7 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix([], ["gt"], ["worst-over"])
 
-    def test_single_failure_does_not_sink_matrix(self, monkeypatch):
+    def test_single_failure_does_not_sink_matrix(self, monkeypatch, capsys):
         calls = {"n": 0}
         real = cli.execute
 
@@ -135,6 +157,7 @@ class TestRunMatrix:
         lines = text.strip().splitlines()[1:]
         assert any("failed: RuntimeError" in line for line in lines)
         assert any(",ok," in line for line in lines)
+        assert "turn,l,worst-over: RuntimeError: boom" in capsys.readouterr().err
 
     def test_byte_identical_across_repeats(self, tmp_path):
         a = run_matrix(["collision"], ["p", "f"], ["worst-under"])
@@ -152,3 +175,35 @@ class TestMain:
                          "--error", "worst-under", "--out", str(tmp_path)])
         assert code == 0
         assert "collision" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--ds", "0"], ["--s-f", "-1"], ["--l", "0"], ["--sigma-f", "0"], ["--eta", "2"],
+        ["--s-l", "-1"], ["--sim-dt", "0.06"], ["--replan-dt", "0"],
+        ["--lane-half-width", "0"], ["--turn-radius", "0"],
+    ])
+    def test_out_of_range_value_names_its_flag(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert re.search(re.escape(argv[0]) + r"(?![\w-])", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--matrix", "--scenario", "collision"], "--scenario"),
+        (["--matrix", "--config", "p"], "--config"),
+        (["--matrix", "--error", "worst-under"], "--error"),
+        (["--scenarios", "turn"], "--scenarios"),
+        (["--configs", "gt"], "--configs"),
+        (["--errors", "worst-over"], "--errors"),
+        (["--scenario", "collision", "--turn-radius", "15"], "--turn-radius"),
+        (["--matrix", "--scenarios", "collision", "--turn-radius", "15"], "--turn-radius"),
+        (["--matrix", "--errors", "worst-over", "sometimes"], "--errors"),
+    ])
+    def test_flag_that_would_be_ignored_is_usage_error(self, argv, flag, capsys):
+        assert cli.main(argv) == 1
+        assert re.search(re.escape(flag) + r"(?![\w-])", capsys.readouterr().err)
+
+    def test_matrix_prints_its_summary(self, tmp_path, capsys):
+        code = cli.main(["--matrix", "--out", str(tmp_path), "--scenarios", "collision",
+                         "--configs", "p", "f", "--errors", "worst-under"])
+        assert code == 0
+        summary = (tmp_path / "summary.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == summary
+        assert len(summary.splitlines()) == 3

@@ -197,6 +197,10 @@ class TestBuildEstimate:
         with pytest.raises(ValueError):
             Configuration("x")
 
+    def test_negative_local_reach_rejected(self):
+        with pytest.raises(ValueError, match="local_reach"):
+            Configuration("f", local_reach=-1.0)
+
 
 class TestConservatism:
     def test_gt_exactness_random_profiles(self):

@@ -96,11 +96,27 @@ class TestScenarioDefinitions:
         assert scen.obstacle == (20.0, 1.0)
         assert scen.curvature_at(5.0) == 0.0
 
+    def test_nonpositive_lane_half_width_rejected(self):
+        with pytest.raises(ValueError, match="lane_half_width"):
+            collision_scenario(lane_half_width=0.0)
+
+    def test_nonpositive_turn_radius_rejected(self):
+        with pytest.raises(ValueError, match="turn_radius"):
+            turn_scenario(turn_radius=0.0)
+
 
 class TestRunValidation:
     def test_replan_must_be_multiple_of_sim_dt(self):
         with pytest.raises(ValueError):
             run(turn_scenario(), Configuration("gt"), replan_dt=0.1, sim_dt=0.03)
+
+    def test_sim_dt_checked_before_running(self):
+        with pytest.raises(ValueError, match="sim_dt"):
+            run(turn_scenario(), Configuration("gt"), replan_dt=0.06, sim_dt=0.06)
+
+    def test_replan_shorter_than_one_step_rejected(self):
+        with pytest.raises(ValueError, match="replan_dt"):
+            run(turn_scenario(), Configuration("gt"), replan_dt=1e-10, sim_dt=0.01)
 
 
 class TestTurnRuns:
