@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimators import Configuration, resolve_error
 from .fusion import SGrid
-from .gp import GpPrior, SquaredExponentialKernel
+from .gp import FactorizationError, GpPrior, SquaredExponentialKernel
 from .simulator import collision_scenario, replan_substeps, run, turn_scenario
 
 SCENARIO_NAMES = ("turn", "collision")
@@ -146,6 +146,9 @@ def _parse(argv):
         scenarios, configs, errors = [rc.scenario], [rc.config], [rc.error]
     if "turn_radius" in given and "turn" not in scenarios:
         raise UsageError("--turn-radius applies only to the turn scenario")
+    for name in ("format", "dump_estimates"):
+        if name in given and rc.out is None:
+            raise UsageError(f"{_flag(name)} requires --out")
 
     _check(("ds", "s_f"), rc.grid)
     _check(("sigma_f", "l", "eta"), rc.prior)
@@ -289,7 +292,7 @@ def _matrix_cell(rc):
             rc.scenario, rc.config, rc.error, m.outcome, _fmt(m.max_abs_d),
             _fmt(m.min_clearance), _fmt(m.impact_velocity), _fmt(m.mean_utilization),
         ])
-    except Exception as exc:  # single-run failure must not sink the matrix
+    except (ValueError, FactorizationError, OSError) as exc:  # anything else is a bug
         print(f"{rc.scenario},{rc.config},{rc.error}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return ",".join([rc.scenario, rc.config, rc.error,
@@ -300,8 +303,9 @@ def run_matrix(scenarios, configs, error_modes, base=None):
     """Run every combination in selection order and return summary.csv text.
 
     Per-run outputs land in ``<out>/<scenario>_<config>_<error>/`` when the
-    base config has an output directory. A failed run is reported on stderr
-    and gets a ``failed: <Type>`` row.
+    base config has an output directory. A run that fails with a ValueError,
+    FactorizationError or OSError is reported on stderr and gets a
+    ``failed: <Type>`` row; any other exception propagates.
     """
     if not scenarios or not configs or not error_modes:
         raise ValueError("scenario, configuration and error selections must be non-empty")

@@ -49,17 +49,28 @@ class FrictionProfile:
             if not 0.05 <= mu <= 1.2:
                 raise ValueError(f"mu values must lie in [0.05, 1.2], got {mu}")
         object.__setattr__(self, "segments", segs)
+        # Lookup tables, built once: not dataclass fields, so equality,
+        # hashing and repr still see only ``segments``.
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_start_array", np.array(starts, dtype=np.float64))
+        object.__setattr__(self, "_mu_array",
+                           np.array([mu for _, mu in segs], dtype=np.float64))
 
     def mu_at(self, s):
         """Friction of the segment containing s."""
-        starts = [seg[0] for seg in self.segments]
-        if s < starts[0]:
-            raise ValueError(f"profile undefined below s={starts[0]}")
-        idx = bisect.bisect_right(starts, s) - 1
-        return self.segments[idx][1]
+        if s < self._starts[0]:
+            raise ValueError(f"profile undefined below s={self._starts[0]}")
+        return self.segments[bisect.bisect_right(self._starts, s) - 1][1]
+
+    def segment_index(self, positions):
+        """Index of the segment containing each position (``mu_at`` over an array)."""
+        arr = np.asarray(positions, dtype=np.float64).reshape(-1)
+        if arr.size and arr.min() < self._starts[0]:
+            raise ValueError(f"profile undefined below s={self._starts[0]}")
+        return np.searchsorted(self._start_array, arr, side="right") - 1
 
     def mu_on(self, positions):
-        return np.array([self.mu_at(s) for s in np.asarray(positions).reshape(-1)])
+        return self._mu_array[self.segment_index(positions)]
 
     def shifted(self, offset):
         """Profile expressed in a frame displaced by ``offset`` meters."""
@@ -101,6 +112,19 @@ def classify(mu_gt_value):
     if mu_gt_value >= 0.4:
         return WET
     return SNOW_ICE
+
+
+def _class_stats(profile, positions, *names):
+    """Per-position surface class statistics, one ``classify`` per segment in view.
+
+    Returns one array per attribute name in ``names``, e.g. ``"mu_min"``.
+    """
+    idx = profile.segment_index(positions)
+    table = np.zeros((len(names), len(profile.segments)))
+    for i in sorted(set(idx.tolist())):
+        cls = classify(profile.segments[i][1])
+        table[:, i] = [getattr(cls, name) for name in names]
+    return tuple(table[:, idx])
 
 
 class LocalEstimator:
@@ -180,10 +204,11 @@ class EstimateReport:
     fused: object = None
 
 
-def emulate(config, profile, grid, lambda_t, estimator):
+def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     """Produce the horizon estimate for one configuration, with diagnostics.
 
     The profile is expected in the grid's frame (s=0 under the vehicle).
+    ``memo`` is the fused-estimate memo handed to ``fuse`` (fused config only).
     """
     pts = grid.points
     loc = local_estimate(profile, lambda_t, estimator)
@@ -203,18 +228,18 @@ def emulate(config, profile, grid, lambda_t, estimator):
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
     if config.kind == "p":
-        mu_hat = np.array([classify(profile.mu_at(s)).mu_min for s in pts])
+        (mu_hat,) = _class_stats(profile, pts, "mu_min")
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
-    classes = [classify(profile.mu_at(s)) for s in pts]
+    mean, margin = _class_stats(profile, pts, "mean", "margin")
     series = assemble_input(
         grid,
-        predictive_mu=np.array([c.mean for c in classes]),
-        predictive_margin=np.array([c.margin for c in classes]),
+        predictive_mu=mean,
+        predictive_margin=margin,
         local=loc,
         local_reach=config.local_reach,
     )
-    fused = fuse(config.prior, series)
+    fused = fuse(config.prior, series, memo=memo)
     return EstimateReport(
         mu_hat=fused.mu_hat, local_available=available, series=series, fused=fused
     )

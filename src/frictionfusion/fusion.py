@@ -117,13 +117,22 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     return EstimateSeries(grid=grid, mu_prime=mu, margin=mg)
 
 
-def fuse(prior, series):
+def fuse(prior, series, memo=None):
     """Run GP regression on the series and take the lower 95% confidence bound.
 
     Observations sit at every grid point with noise std = margin/1.96;
     test locations are the same grid. The bound is reported as-is, with no
     clamping, since downstream planners treat it as a constraint level.
+
+    ``memo`` is an optional dict owned by the caller (``simulator.run`` keeps
+    one per run). A series whose prior, grid and exact (mu', m') bytes were
+    fused before returns the stored estimate without a new posterior; the
+    arrays of a stored estimate are read-only, since every caller shares them.
     """
+    if memo is not None:
+        key = (prior, series.grid, series.mu_prime.tobytes(), series.margin.tobytes())
+        if key in memo:
+            return memo[key]
     pts = series.grid.points
     obs = ObservationSet(
         locations=pts,
@@ -132,4 +141,10 @@ def fuse(prior, series):
     )
     summary = posterior(prior, obs, pts)
     mu_hat = summary.mean - Z_95 * summary.std
-    return FusedEstimate(grid=series.grid, mu_hat=mu_hat, posterior=summary)
+    fused = FusedEstimate(grid=series.grid, mu_hat=mu_hat, posterior=summary)
+    if memo is not None:
+        for arr in (mu_hat, summary.test_locations, summary.mean, summary.covariance,
+                    summary.std):
+            arr.flags.writeable = False
+        memo[key] = fused
+    return fused

@@ -60,15 +60,20 @@ class Scenario:
     def __post_init__(self):
         if not self.lane_half_width > 0.0:
             raise ValueError(f"lane_half_width must be > 0, got {self.lane_half_width}")
+        # Lookup tables over ``path``, built once (not dataclass fields).
+        object.__setattr__(self, "_path_starts", tuple(seg[0] for seg in self.path))
+        object.__setattr__(self, "_start_array", np.array(self._path_starts, dtype=np.float64))
+        object.__setattr__(self, "_kappa_array",
+                           np.array([seg[1] for seg in self.path], dtype=np.float64))
 
     def curvature_at(self, s):
-        starts = [seg[0] for seg in self.path]
-        idx = bisect.bisect_right(starts, s) - 1
+        idx = bisect.bisect_right(self._path_starts, s) - 1
         return self.path[max(idx, 0)][1]
 
     def curvature_on(self, positions):
         arr = np.asarray(positions, dtype=np.float64).reshape(-1)
-        return np.array([self.curvature_at(s) for s in arr])
+        idx = np.searchsorted(self._start_array, arr, side="right") - 1
+        return self._kappa_array[np.maximum(idx, 0)]
 
 
 def turn_scenario(turn_radius=TURN_RADIUS, lane_half_width=LANE_HALF_WIDTH,
@@ -225,6 +230,7 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
     estimator = LocalEstimator(e_l=local_error)
     estimator.seed(classify(scenario.profile.mu_at(scenario.initial.s - 1e-6)).mean)
     memory = PlannerMemory()
+    fused_memo = {}
 
     state = scenario.initial
     lam = 0.0
@@ -243,7 +249,7 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
 
     while not finished:
         relative_profile = scenario.profile.shifted(-state.s)
-        report = emulate(config, relative_profile, grid, lam, estimator)
+        report = emulate(config, relative_profile, grid, lam, estimator, memo=fused_memo)
         trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
         mu_gt0 = scenario.profile.mu_at(state.s)
         replans.append(ReplanRecord(

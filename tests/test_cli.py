@@ -6,7 +6,40 @@ import numpy as np
 import pytest
 
 from frictionfusion import cli
-from frictionfusion.cli import RunConfig, UsageError, emit_traces, execute, parse_args, run_matrix
+from frictionfusion.cli import (
+    CONFIG_NAMES,
+    DEFAULT_ERRORS,
+    SCENARIO_NAMES,
+    RunConfig,
+    UsageError,
+    emit_traces,
+    execute,
+    parse_args,
+    run_matrix,
+)
+from frictionfusion.gp import FactorizationError
+
+# The default 16-run matrix, pinned byte for byte: a change meant to alter
+# only speed must leave every digit of it alone.
+GOLDEN_SUMMARY = """\
+scenario,config,error_mode,outcome,max_abs_d,min_clearance,impact_velocity,mean_utilization
+turn,gt,worst-over,ok,0.17383469,,0,1
+turn,gt,worst-under,ok,0.17383469,,0,1
+turn,l,worst-over,lane_departure,9.78600889,,0,1
+turn,l,worst-under,lane_departure,15.771938,,0,0.875
+turn,p,worst-over,ok,0.17383469,,0,1
+turn,p,worst-under,ok,0.17383469,,0,1
+turn,f,worst-over,ok,0.253553801,,0,1.0082689
+turn,f,worst-under,ok,1.65035481,,0,0.879120839
+collision,gt,worst-over,ok,1.4812875,0.4812875,0,1
+collision,gt,worst-under,ok,1.4812875,0.4812875,0,1
+collision,l,worst-over,ok,1.38589102,0.382600774,0,0.979545455
+collision,l,worst-under,ok,1.38615318,0.382885387,0,0.934090909
+collision,p,worst-over,collision,0.891273835,-0.109108882,16.1580445,0.6
+collision,p,worst-under,collision,0.891273835,-0.109108882,16.1580445,0.6
+collision,f,worst-over,ok,1.46641487,0.451545516,0,0.884394928
+collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
+"""
 
 
 class TestParseArgs:
@@ -149,15 +182,26 @@ class TestRunMatrix:
         def flaky(rc):
             calls["n"] += 1
             if rc.config == "l":
-                raise RuntimeError("boom")
+                raise FactorizationError("boom")
             return real(rc)
 
         monkeypatch.setattr(cli, "execute", flaky)
         text = run_matrix(["turn"], ["gt", "l"], ["worst-over"])
         lines = text.strip().splitlines()[1:]
-        assert any("failed: RuntimeError" in line for line in lines)
+        assert any("failed: FactorizationError" in line for line in lines)
         assert any(",ok," in line for line in lines)
-        assert "turn,l,worst-over: RuntimeError: boom" in capsys.readouterr().err
+        assert "turn,l,worst-over: FactorizationError: boom" in capsys.readouterr().err
+
+    def test_programming_error_escapes_matrix(self, monkeypatch):
+        def broken(rc):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "execute", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_matrix(["collision"], ["p"], ["worst-under"])
+
+    def test_default_matrix_is_golden(self):
+        assert run_matrix(SCENARIO_NAMES, CONFIG_NAMES, DEFAULT_ERRORS) == GOLDEN_SUMMARY
 
     def test_byte_identical_across_repeats(self, tmp_path):
         a = run_matrix(["collision"], ["p", "f"], ["worst-under"])
@@ -195,6 +239,10 @@ class TestMain:
         (["--scenario", "collision", "--turn-radius", "15"], "--turn-radius"),
         (["--matrix", "--scenarios", "collision", "--turn-radius", "15"], "--turn-radius"),
         (["--matrix", "--errors", "worst-over", "sometimes"], "--errors"),
+        (["--scenario", "collision", "--config", "p", "--format", "csv"], "--format"),
+        (["--scenario", "collision", "--config", "p", "--dump-estimates"], "--dump-estimates"),
+        (["--matrix", "--scenarios", "collision", "--format", "json"], "--format"),
+        (["--matrix", "--scenarios", "collision", "--dump-estimates"], "--dump-estimates"),
     ])
     def test_flag_that_would_be_ignored_is_usage_error(self, argv, flag, capsys):
         assert cli.main(argv) == 1

@@ -1,3 +1,7 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from frictionfusion.estimators import (
     local_estimate,
     resolve_error,
 )
-from frictionfusion.fusion import SGrid
+from frictionfusion.fusion import SGrid, assemble_input, fuse
 from helpers import random_profile
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
@@ -47,6 +51,79 @@ class TestFrictionProfile:
         shifted = TURN_PROFILE.shifted(-10.0)
         assert shifted.mu_at(-10.0) == 0.4
         assert shifted.mu_at(-10.001) == 0.8
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _around_starts(profile):
+    """Every segment start (but the first) and its nearest floats on either side."""
+    starts = np.array([s for s, _ in profile.segments[1:]])
+    return np.concatenate([np.nextafter(starts, -np.inf), starts,
+                           np.nextafter(starts, np.inf)])
+
+
+def _per_point_mu(profile, positions):
+    return np.array([profile.mu_at(s) for s in positions])
+
+
+class TestArrayLookups:
+    """The array lookups must agree exactly with the per-point ones."""
+
+    def test_mu_on_at_and_beside_segment_starts(self):
+        profile = FrictionProfile(((-1e6, 0.8), (0.0, 0.4), (7.3, 1.0), (7.30000001, 0.2)))
+        first = profile.segments[0][0]
+        pts = np.concatenate([_around_starts(profile),
+                              [first, np.nextafter(first, np.inf)]])
+        np.testing.assert_array_equal(profile.mu_on(pts), _per_point_mu(profile, pts))
+
+    def test_mu_on_matches_mu_at_on_patchy_roads(self):
+        workloads = _load_workloads()
+        rng = random.Random(11)
+        for _ in range(20):
+            profile = workloads.patchy_profile(rng, 120.0)
+            shifted = profile.shifted(-rng.uniform(0.0, 100.0))
+            for prof in (profile, shifted):
+                pts = np.concatenate([np.linspace(-30.0, 140.0, 1701),
+                                      _around_starts(prof)])
+                np.testing.assert_array_equal(prof.mu_on(pts), _per_point_mu(prof, pts))
+
+    def test_mu_on_rejects_positions_below_first_start(self):
+        with pytest.raises(ValueError, match="undefined below"):
+            TURN_PROFILE.mu_on([0.0, np.nextafter(-1e6, -np.inf)])
+
+    @pytest.mark.parametrize("kind", ["p", "f"])
+    def test_emulate_matches_per_point_classification(self, kind):
+        grid = SGrid(ds=0.5)
+        rng = random.Random(5)
+        workloads = _load_workloads()
+        # Class-edge values, a start on a grid point and a segment between two.
+        edges = FrictionProfile(((-1e6, 0.6), (0.0, 0.4), (10.0, 0.61), (20.2, 0.1),
+                                 (20.4, 0.39), (30.0, 1.2)))
+        profiles = [edges] + [workloads.patchy_profile(rng, 200.0).shifted(-rng.uniform(0, 150))
+                              for _ in range(10)]
+        config = Configuration(kind)
+        for profile in profiles:
+            report = emulate(config, profile, grid, 0.9, LocalEstimator(e_l=0.01))
+            classes = [classify(profile.mu_at(s)) for s in grid.points]
+            if kind == "p":
+                np.testing.assert_array_equal(report.mu_hat, [c.mu_min for c in classes])
+                continue
+            series = assemble_input(
+                grid,
+                predictive_mu=np.array([c.mean for c in classes]),
+                predictive_margin=np.array([c.margin for c in classes]),
+                local=(profile.mu_at(0.0) + 0.01, 0.025),
+                local_reach=config.local_reach,
+            )
+            np.testing.assert_array_equal(report.series.mu_prime, series.mu_prime)
+            np.testing.assert_array_equal(report.series.margin, series.margin)
+            np.testing.assert_array_equal(report.mu_hat, fuse(config.prior, series).mu_hat)
 
 
 class TestClassify:

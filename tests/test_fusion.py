@@ -182,3 +182,29 @@ class TestFuse:
         summary = posterior(prior, ObservationSet([], [], []), grid.points)
         lcb = summary.mean - Z_95 * summary.std
         np.testing.assert_allclose(lcb, 0.1, atol=1e-12)
+
+
+class TestFuseMemo:
+    def test_repeated_series_returns_the_stored_estimate(self):
+        grid = SGrid()
+        prior = calibrate_prior()
+        memo = {}
+        first = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), memo=memo)
+        again = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), memo=memo)
+        other = fuse(prior, assemble_input(grid, 0.8, 0.2), memo=memo)
+        assert again is first
+        assert other is not first
+        assert len(memo) == 2
+        plain = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)))
+        np.testing.assert_array_equal(first.mu_hat, plain.mu_hat)
+        assert plain.mu_hat.flags.writeable
+        assert not first.mu_hat.flags.writeable
+
+    def test_prior_is_part_of_the_key(self):
+        grid = SGrid()
+        series = assemble_input(grid, 0.8, 0.2)
+        memo = {}
+        a = fuse(calibrate_prior(10.0), series, memo=memo)
+        b = fuse(calibrate_prior(5.0), series, memo=memo)
+        assert a is not b
+        assert not np.array_equal(a.mu_hat, b.mu_hat)

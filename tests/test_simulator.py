@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from frictionfusion import fusion
 from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.planner import GRAVITY, PlannedTrajectory
 from frictionfusion.simulator import (
+    Scenario,
     VehicleState,
     collision_scenario,
     run,
@@ -103,6 +105,38 @@ class TestScenarioDefinitions:
     def test_nonpositive_turn_radius_rejected(self):
         with pytest.raises(ValueError, match="turn_radius"):
             turn_scenario(turn_radius=0.0)
+
+    def test_curvature_on_matches_curvature_at(self):
+        scenario = Scenario(
+            name="s-bend", path=((0.0, 0.0), (10.0, 0.05), (12.5, -0.1), (30.0, 0.0)),
+            profile=FrictionProfile(((-1e6, 0.8),)),
+            initial=VehicleState(s=0.0, d=0.0, v=10.0, t=0.0), lane_half_width=1.75,
+            objective="track_center", target_speed=10.0, end_s=50.0,
+            maneuver_window=(10.0, 30.0))
+        starts = np.array([s for s, _ in scenario.path])
+        pts = np.concatenate([np.linspace(-20.0, 60.0, 801), starts,
+                              np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf)])
+        np.testing.assert_array_equal(scenario.curvature_on(pts),
+                                      [scenario.curvature_at(s) for s in pts])
+
+
+class TestFusedMemo:
+    def test_posterior_once_per_distinct_series_and_per_run(self, monkeypatch):
+        calls = []
+        real = fusion.posterior
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fusion, "posterior", counting)
+        first = run(turn_scenario(), Configuration("f"), local_error=0.025)
+        distinct = {(r.series.mu_prime.tobytes(), r.series.margin.tobytes())
+                    for r in first.replans}
+        assert len(first.replans) > len(distinct) == 2
+        assert len(calls) == 2
+        run(turn_scenario(), Configuration("f"), local_error=0.025)
+        assert len(calls) == 4
 
 
 class TestRunValidation:
