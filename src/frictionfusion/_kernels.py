@@ -1,10 +1,19 @@
 """Sequential velocity-profile passes of the planner.
 
 Each pass walks the horizon one grid segment at a time and every step
-depends on the previous speed, so the loops stay scalar Python. They live in
-their own module so ``planner`` can call them as ``_kernels.backward_pass``
-and ``_kernels.forward_pass``: ``perfbench/tracer.py`` wraps those names to
-time the passes apart from the rest of planning.
+depends on the previous speed, so the loops stay scalar Python. They run on
+Python floats: each pass copies its arrays once with ``tolist()``, fills a
+list and returns one array. Indexing a numpy array element by element would
+make every product, ``sqrt`` and comparison a numpy-scalar operation, which
+costs several times the same IEEE-754 double arithmetic on floats and gives
+the same bits. For the same reason ``min``/``max`` of two values are written
+as ``b if b < a else a``/``b if b > a else a``, the exact equivalents of the
+builtins (including which operand a tie or a NaN returns).
+
+They live in their own module so ``planner`` can call them as
+``_kernels.backward_pass`` and ``_kernels.forward_pass``:
+``perfbench/tracer.py`` wraps those names to time the passes apart from the
+rest of planning.
 """
 
 import math
@@ -18,15 +27,25 @@ def backward_pass(v_cap, kappa_abs, mu_g, ds):
     Braking capacity at each segment is the friction-circle leftover after
     the lateral acceleration demanded at the downstream point.
     """
-    n = v_cap.shape[0]
-    v = np.empty(n)
-    v[n - 1] = v_cap[n - 1]
+    cap = v_cap.tolist()
+    kappa = kappa_abs.tolist()
+    mg = mu_g.tolist()
+    ds = float(ds)
+    n = len(cap)
+    v = [0.0] * n
+    vn = cap[n - 1]
+    v[n - 1] = vn
     for i in range(n - 2, -1, -1):
-        lat = v[i + 1] * v[i + 1] * kappa_abs[i + 1]
-        avail2 = mu_g[i + 1] * mu_g[i + 1] - lat * lat
+        vn2 = vn * vn
+        lat = vn2 * kappa[i + 1]
+        m = mg[i + 1]
+        avail2 = m * m - lat * lat
         avail = math.sqrt(avail2) if avail2 > 0.0 else 0.0
-        v[i] = min(v_cap[i], math.sqrt(v[i + 1] * v[i + 1] + 2.0 * avail * ds))
-    return v
+        reach = math.sqrt(vn2 + 2.0 * avail * ds)
+        c = cap[i]
+        vn = reach if reach < c else c
+        v[i] = vn
+    return np.array(v)
 
 
 PREBRAKE_LATERAL_SHARE = 0.98
@@ -44,32 +63,45 @@ def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_lat, f_b
     vanishes while riding the cap); otherwise the profile accelerates
     toward the envelope.
     """
-    n = v_bound.shape[0]
-    v = np.empty(n)
-    v[0] = v0
-    for i in range(n - 1):
-        vi2 = v[i] * v[i]
-        lat_demand = vi2 * kappa_abs[i]
-        if brake_mask[i] or v[i] > v_cap[i] + CAP_VIOLATION_TOL:
-            lat = min(lat_demand, f_lat * mu_g[i])
-            left2 = mu_g[i] * mu_g[i] - lat * lat
+    bound = v_bound.tolist()
+    cap = v_cap.tolist()
+    kappa = kappa_abs.tolist()
+    mg = mu_g.tolist()
+    mask = brake_mask.tolist()
+    ds = float(ds)
+    f_lat = float(f_lat)
+    f_brake = float(f_brake)
+    vi = float(v0)
+    v = [vi]
+    for i in range(len(bound) - 1):
+        vi2 = vi * vi
+        lat_demand = vi2 * kappa[i]
+        m = mg[i]
+        nxt = bound[i + 1]
+        if mask[i] or vi > cap[i] + CAP_VIOLATION_TOL:
+            share = f_lat * m
+            lat = share if share < lat_demand else lat_demand
+            left2 = m * m - lat * lat
             left = math.sqrt(left2) if left2 > 0.0 else 0.0
-            brake = min(f_brake * mu_g[i], left)
+            brake = f_brake * m
+            brake = left if left < brake else brake
             vn2 = vi2 - 2.0 * brake * ds
-            vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
-            if not brake_mask[i] and vn < v_bound[i + 1]:
-                vn = v_bound[i + 1]
-            v[i + 1] = vn
-        elif v[i] > v_bound[i + 1]:
-            lat = min(lat_demand, PREBRAKE_LATERAL_SHARE * mu_g[i])
-            left2 = mu_g[i] * mu_g[i] - lat * lat
+            vi = math.sqrt(vn2) if vn2 > 0.0 else 0.0
+            if not mask[i] and vi < nxt:
+                vi = nxt
+        elif vi > nxt:
+            share = PREBRAKE_LATERAL_SHARE * m
+            lat = share if share < lat_demand else lat_demand
+            left2 = m * m - lat * lat
             brake = math.sqrt(left2) if left2 > 0.0 else 0.0
             vn2 = vi2 - 2.0 * brake * ds
             vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
-            v[i + 1] = max(v_bound[i + 1], vn)
+            vi = vn if vn > nxt else nxt
         else:
-            lat = min(lat_demand, mu_g[i])
-            left2 = mu_g[i] * mu_g[i] - lat * lat
+            lat = m if m < lat_demand else lat_demand
+            left2 = m * m - lat * lat
             accel = math.sqrt(left2) if left2 > 0.0 else 0.0
-            v[i + 1] = min(v_bound[i + 1], math.sqrt(vi2 + 2.0 * accel * ds))
-    return v
+            vn = math.sqrt(vi2 + 2.0 * accel * ds)
+            vi = vn if vn < nxt else nxt
+        v.append(vi)
+    return np.array(v)

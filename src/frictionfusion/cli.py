@@ -10,6 +10,7 @@ byte-identical for identical inputs.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,10 +167,9 @@ def parse_args(argv):
 
 
 def _fmt(x):
+    """Nine significant digits; NaN, the one value unequal to itself, is empty."""
     if isinstance(x, (float, np.floating)):
-        if np.isnan(x):
-            return ""
-        return f"{x:.9g}"
+        return "" if x != x else f"{x:.9g}"
     return str(x)
 
 
@@ -182,7 +182,7 @@ def _write_text(path, text):
 
 def _json_value(x):
     if isinstance(x, (float, np.floating)):
-        return None if np.isnan(x) else float(x)
+        return None if x != x else float(x)
     return x
 
 
@@ -208,28 +208,19 @@ def emit_traces(result, rc):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     tr = result.trace
-    n = len(tr["t"])
+    columns = {k: tr[k].tolist() for k in ("t", "s", "d", "v", "lambda")}
 
     if rc.format in ("csv", "both"):
         lines = ["t,s,d,v,lambda,outcome_so_far"]
-        for i in range(n):
-            lines.append(",".join([
-                _fmt(tr["t"][i]), _fmt(tr["s"][i]), _fmt(tr["d"][i]),
-                _fmt(tr["v"][i]), _fmt(tr["lambda"][i]), tr["outcome"][i],
-            ]))
+        for t, s, d, v, lam, outcome in zip(*columns.values(), tr["outcome"]):
+            lines.append(",".join([_fmt(t), _fmt(s), _fmt(d), _fmt(v), _fmt(lam), outcome]))
         path = out_dir / "trace.csv"
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     if rc.format in ("json", "both"):
-        payload = {
-            "t": [_json_value(x) for x in tr["t"]],
-            "s": [_json_value(x) for x in tr["s"]],
-            "d": [_json_value(x) for x in tr["d"]],
-            "v": [_json_value(x) for x in tr["v"]],
-            "lambda": [_json_value(x) for x in tr["lambda"]],
-            "outcome_so_far": list(tr["outcome"]),
-        }
+        payload = {k: [_json_value(x) for x in col] for k, col in columns.items()}
+        payload["outcome_so_far"] = list(tr["outcome"])
         path = out_dir / "trace.json"
         _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         written.append(path)
@@ -267,16 +258,18 @@ def emit_traces(result, rc):
                 post_mean = rec.mu_hat
                 post_std = np.zeros_like(rec.mu_hat)
             lines = ["s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt"]
-            for i, s in enumerate(grid_pts):
-                lines.append(",".join([
-                    _fmt(s), _fmt(mu_prime[i]), _fmt(margin[i]), _fmt(post_mean[i]),
-                    _fmt(post_std[i]), _fmt(rec.mu_hat[i]), _fmt(rec.mu_gt[i]),
-                ]))
+            cols = (grid_pts, mu_prime, margin, post_mean, post_std, rec.mu_hat, rec.mu_gt)
+            for row in zip(*(c.tolist() for c in cols)):
+                lines.append(",".join(_fmt(x) for x in row))
             path = out_dir / f"estimate_{index:0{width}d}.csv"
             _write_text(path, "\n".join(lines) + "\n")
             written.append(path)
     return written
 
+
+# How a run itself can fail: a bad value the library rejects, degenerate GP
+# inputs, or an output file that cannot be written.
+RUN_FAILURES = (ValueError, FactorizationError, OSError)
 
 SUMMARY_HEADER = ("scenario,config,error_mode,outcome,max_abs_d,min_clearance,"
                   "impact_velocity,mean_utilization")
@@ -292,7 +285,7 @@ def _matrix_cell(rc):
             rc.scenario, rc.config, rc.error, m.outcome, _fmt(m.max_abs_d),
             _fmt(m.min_clearance), _fmt(m.impact_velocity), _fmt(m.mean_utilization),
         ])
-    except (ValueError, FactorizationError, OSError) as exc:  # anything else is a bug
+    except RUN_FAILURES as exc:  # anything else is a bug
         print(f"{rc.scenario},{rc.config},{rc.error}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return ",".join([rc.scenario, rc.config, rc.error,
@@ -344,14 +337,14 @@ def main(argv=None):
         result = execute(rc)
         if rc.out is not None:
             emit_traces(result, rc)
-        m = result.metrics
-        clearance = "" if np.isnan(m.min_clearance) else f" min_clearance={m.min_clearance:.3f}"
-        print(f"{rc.scenario} {rc.config} {rc.error}: outcome={m.outcome} "
-              f"max|d|={m.max_abs_d:.3f}{clearance} "
-              f"impact_velocity={m.impact_velocity:.3f}")
-    except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except RUN_FAILURES as exc:  # anything else is a bug
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    m = result.metrics
+    clearance = "" if math.isnan(m.min_clearance) else f" min_clearance={m.min_clearance:.3f}"
+    print(f"{rc.scenario} {rc.config} {rc.error}: outcome={m.outcome} "
+          f"max|d|={m.max_abs_d:.3f}{clearance} "
+          f"impact_velocity={m.impact_velocity:.3f}")
     return 0
 
 

@@ -149,22 +149,22 @@ class PlannedTrajectory:
         idx = int(round((s - self.s_anchor) / self.ds))
         return min(max(idx, 0), len(self.positions) - 1)
 
-    def demand_at(self, s, v):
-        """Planar acceleration demand at position s when moving at speed v.
+    def demand_at(self, i, v):
+        """Planar acceleration demand at grid index i (see ``index_at``) at speed v.
 
         The lateral demand is the plan's effective-curvature tracking term
         at the actual speed, clipped to the circle share the plan reserved
         for it; executing the geometry speed-consistently avoids the drift
         a fixed acceleration profile accumulates when tracked off-speed.
+        Both values are Python floats.
         """
-        i = self.index_at(s)
-        lat = v * v * self.kappa_eff[i]
-        bound = self.lat_bound[i]
+        lat = v * v * self.kappa_eff.item(i)
+        bound = self.lat_bound.item(i)
         if lat > bound:
             lat = bound
         elif lat < -bound:
             lat = -bound
-        return self.a_long[i], lat
+        return self.a_long.item(i), lat
 
 
 def _dodge_reference(blend, s_obs):

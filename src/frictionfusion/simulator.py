@@ -154,7 +154,7 @@ def step(state, trajectory, profile, dt):
     """
     _check_sim_dt(dt)
     i = trajectory.index_at(state.s)
-    a_long_dem, a_lat_dem = trajectory.demand_at(state.s, state.v)
+    a_long_dem, a_lat_dem = trajectory.demand_at(i, state.v)
     mu_gt = profile.mu_at(state.s)
     limit = mu_gt * GRAVITY
     demand = math.hypot(a_long_dem, a_lat_dem)
@@ -162,7 +162,7 @@ def step(state, trajectory, profile, dt):
     scale = 1.0 if demand <= limit else limit / demand
     a_long = a_long_dem * scale
     a_lat = a_lat_dem * scale
-    drift_accel = a_lat - state.v**2 * trajectory.kappa_path[i]
+    drift_accel = a_lat - state.v**2 * trajectory.kappa_path.item(i)
     new_state = VehicleState(
         s=state.s + state.v * dt,
         d=state.d + state.d_rate * dt,
@@ -220,7 +220,9 @@ def _interp(prev, cur, frac):
 def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None):
     """Replanning loop: estimate, plan, step until the scenario window ends.
 
-    Deterministic: identical inputs give identical traces. The local
+    The outcome is ``collision``, ``lane_departure``, ``timeout`` (the
+    vehicle was still short of ``end_s`` after ``TIME_LIMIT`` seconds) or
+    ``ok``. Deterministic: identical inputs give identical traces. The local
     estimator is seeded with the class mean of the surface just behind the
     start, standing in for the last estimate of the approach road.
     """
@@ -285,12 +287,14 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
                 current_outcome = "collision"
             elif max_abs_d > scenario.lane_half_width:
                 current_outcome = "lane_departure"
+            elif state.t >= TIME_LIMIT and state.s < scenario.end_s:
+                current_outcome = "timeout"
             rows_t.append(state.t)
             rows_s.append(state.s)
             rows_d.append(state.d)
             rows_v.append(state.v)
             rows_lam.append(lam)
-            rows_dref.append(trajectory.d_ref[trajectory.index_at(state.s)])
+            rows_dref.append(trajectory.d_ref.item(trajectory.index_at(state.s)))
             outcome_so_far.append(current_outcome)
             if collided or state.s >= scenario.end_s or state.t >= TIME_LIMIT:
                 finished = True

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -40,6 +41,21 @@ collision,p,worst-under,collision,0.891273835,-0.109108882,16.1580445,0.6
 collision,f,worst-over,ok,1.46641487,0.451545516,0,0.884394928
 collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 """
+
+# sha256 of the files two matrix runs write, measured on the numpy-scalar
+# plant and trace writer: one lane departure (turn) and one collision.
+GOLDEN_TRACE_DIGESTS = {
+    ("turn", "l", "worst-under"): {
+        "trace.csv": "e0f6e123d9a3bd6e9ca53d419c55caba7610260c9c47d420d0724761686c0f26",
+        "trace.json": "632686ece8d065ea2ddd4794e6a89d7aee998ad77a44285e03f5126887f91b11",
+        "metrics.json": "2b15fc77ff4ef7c6493ae89ca8aae97ec8ff8a85e1e381a9d003c65dcb30ce5b",
+    },
+    ("collision", "p", "worst-over"): {
+        "trace.csv": "b9975d77c79482af261c66a341653c1454988fdf02181a7e4a9567d9b54af6e1",
+        "trace.json": "f05e212724d20a2862dddeb22feaaa07b128e4efd66c8abb168b67ced74521aa",
+        "metrics.json": "af21a7db396de8804a0956cbbbbf52d54eb2c8f4262baf7b7548c3ccb425730e",
+    },
+}
 
 
 class TestParseArgs:
@@ -139,6 +155,16 @@ class TestEmitTraces:
         assert [int(n[len("estimate_"):-len(".csv")]) for n in names] == \
             list(range(len(result.replans)))
 
+    @pytest.mark.parametrize("key", sorted(GOLDEN_TRACE_DIGESTS))
+    def test_written_files_are_golden(self, key, tmp_path):
+        scenario, config, error = key
+        rc = parse_args(["--scenario", scenario, "--config", config, "--error", error,
+                         "--out", str(tmp_path)])
+        emit_traces(execute(rc), rc)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_TRACE_DIGESTS[key]}
+        assert digests == GOLDEN_TRACE_DIGESTS[key]
+
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",
                          "--format", "csv", "--out", str(tmp_path)])
@@ -213,6 +239,22 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["--ds", "0"]) == 1
         assert "--ds" in capsys.readouterr().err
+
+    def test_run_failure_exits_2_with_its_type(self, monkeypatch, capsys):
+        def degenerate(rc):
+            raise FactorizationError("boom")
+
+        monkeypatch.setattr(cli, "execute", degenerate)
+        assert cli.main(["--scenario", "collision", "--config", "p"]) == 2
+        assert "run failed: FactorizationError: boom" in capsys.readouterr().err
+
+    def test_programming_error_escapes_single_run(self, monkeypatch):
+        def broken(rc):
+            raise TypeError("bug in the program")
+
+        monkeypatch.setattr(cli, "execute", broken)
+        with pytest.raises(TypeError, match="bug in the program"):
+            cli.main(["--scenario", "collision", "--config", "p"])
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = cli.main(["--scenario", "collision", "--config", "p",

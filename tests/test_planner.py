@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from frictionfusion import _kernels
 from frictionfusion.fusion import SGrid
 from frictionfusion.planner import (
+    CURVE_BRAKE_SHARE,
+    CURVE_LATERAL_SHARE,
+    DODGE_BRAKE_SHARE,
+    DODGE_LATERAL_SHARE,
     GRAVITY,
     PlannerMemory,
     QuinticBlend,
@@ -14,6 +22,7 @@ from frictionfusion.simulator import (
     Scenario,
     VehicleState,
     collision_scenario,
+    step,
     turn_scenario,
 )
 
@@ -180,3 +189,113 @@ class TestCircleInvariant:
         with pytest.raises(ValueError):
             plan(VehicleState(s=0.0, d=0.0, v=10.0, t=0.0), straight_scenario(),
                  np.full(10, 0.4), SGrid())
+
+
+# The velocity passes as they were written on numpy scalars (every element
+# read by indexing an array): the reference the float-list passes must match
+# bit for bit.
+def reference_backward_pass(v_cap, kappa_abs, mu_g, ds):
+    n = v_cap.shape[0]
+    v = np.empty(n)
+    v[n - 1] = v_cap[n - 1]
+    for i in range(n - 2, -1, -1):
+        lat = v[i + 1] * v[i + 1] * kappa_abs[i + 1]
+        avail2 = mu_g[i + 1] * mu_g[i + 1] - lat * lat
+        avail = math.sqrt(avail2) if avail2 > 0.0 else 0.0
+        v[i] = min(v_cap[i], math.sqrt(v[i + 1] * v[i + 1] + 2.0 * avail * ds))
+    return v
+
+
+def reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
+                           f_lat, f_brake):
+    n = v_bound.shape[0]
+    v = np.empty(n)
+    v[0] = v0
+    for i in range(n - 1):
+        vi2 = v[i] * v[i]
+        lat_demand = vi2 * kappa_abs[i]
+        if brake_mask[i] or v[i] > v_cap[i] + _kernels.CAP_VIOLATION_TOL:
+            lat = min(lat_demand, f_lat * mu_g[i])
+            left2 = mu_g[i] * mu_g[i] - lat * lat
+            left = math.sqrt(left2) if left2 > 0.0 else 0.0
+            brake = min(f_brake * mu_g[i], left)
+            vn2 = vi2 - 2.0 * brake * ds
+            vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
+            if not brake_mask[i] and vn < v_bound[i + 1]:
+                vn = v_bound[i + 1]
+            v[i + 1] = vn
+        elif v[i] > v_bound[i + 1]:
+            lat = min(lat_demand, _kernels.PREBRAKE_LATERAL_SHARE * mu_g[i])
+            left2 = mu_g[i] * mu_g[i] - lat * lat
+            brake = math.sqrt(left2) if left2 > 0.0 else 0.0
+            vn2 = vi2 - 2.0 * brake * ds
+            vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
+            v[i + 1] = max(v_bound[i + 1], vn)
+        else:
+            lat = min(lat_demand, mu_g[i])
+            left2 = mu_g[i] * mu_g[i] - lat * lat
+            accel = math.sqrt(left2) if left2 > 0.0 else 0.0
+            v[i + 1] = min(v_bound[i + 1], math.sqrt(vi2 + 2.0 * accel * ds))
+    return v
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pass_inputs(draw):
+    """Inputs as the planner builds them, including zero curvature and grip."""
+    n = draw(st.integers(2, 201))
+    kappa_abs = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), _floats(1e-6, 0.5))))
+    mu_g = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), _floats(1e-3, 1.2 * GRAVITY))))
+    v_cap = draw(hnp.arrays(np.float64, n, elements=_floats(0.0, 30.0)))
+    brake_mask = draw(hnp.arrays(np.bool_, n))
+    ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | _floats(0.01, 5.0))
+    # Start below, at or above the cap, and beyond the violation tolerance.
+    v0 = draw(st.one_of(_floats(0.0, 40.0),
+                        st.sampled_from([-1.0, -0.05, 0.0, 0.05, 0.1, 1.0]).map(
+                            lambda dv: max(v_cap[0] + dv, 0.0))))
+    shares = draw(st.sampled_from([(CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE),
+                                   (DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)]))
+    return kappa_abs, mu_g, v_cap, brake_mask, ds, v0, shares
+
+
+class TestVelocityPassesMatchNumpyScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(pass_inputs())
+    def test_backward_pass_is_bit_identical(self, inputs):
+        kappa_abs, mu_g, v_cap, _, ds, _, _ = inputs
+        got = _kernels.backward_pass(v_cap, kappa_abs, mu_g, ds)
+        want = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pass_inputs(), st.booleans())
+    def test_forward_pass_is_bit_identical(self, inputs, bound_is_envelope):
+        kappa_abs, mu_g, v_cap, brake_mask, ds, v0, (f_lat, f_brake) = inputs
+        if bound_is_envelope:  # as the planner calls it
+            v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
+        else:
+            v_bound = v_cap[::-1].copy()
+        got = _kernels.forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
+                                    f_lat, f_brake)
+        want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
+                                      f_lat, f_brake)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStepOnPlan:
+    def test_state_holds_python_floats(self):
+        scenario = turn_scenario()
+        state = VehicleState(s=14.3, d=0.1, v=11.0, t=1.2, d_rate=0.05)
+        traj = plan(state, scenario, np.full(51, 0.4), SGrid())
+        for _ in range(3):
+            state, lam = step(state, traj, scenario.profile, 0.01)
+            for name in ("s", "d", "v", "t", "d_rate"):
+                assert type(getattr(state, name)) is float, name
+            assert type(lam) is float

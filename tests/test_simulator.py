@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from frictionfusion import fusion
 from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.planner import GRAVITY, PlannedTrajectory
 from frictionfusion.simulator import (
+    TIME_LIMIT,
     Scenario,
     VehicleState,
     collision_scenario,
@@ -170,6 +173,15 @@ class TestTurnRuns:
         result = run(turn_scenario(), Configuration("l"), local_error=0.025)
         first = next(r for r in result.replans if r.local_available)
         assert 14.0 <= first.s <= 18.0
+
+    def test_vehicle_that_stops_short_times_out(self):
+        stopping = dataclasses.replace(turn_scenario(), target_speed=0.0)
+        result = run(stopping, Configuration("gt"))
+        assert result.metrics.outcome == "timeout"
+        assert result.trace["outcome"][-1] == "timeout"
+        assert "timeout" not in result.trace["outcome"][:-1]
+        assert result.metrics.duration >= TIME_LIMIT
+        assert result.trace["s"][-1] < stopping.end_s
 
 
 class TestCollisionRuns:
