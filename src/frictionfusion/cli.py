@@ -68,13 +68,6 @@ class RunConfig:
     lane_half_width: float = _param(1.75, "lane half width (m)")
     turn_radius: float = _param(20.0, "turn scenario radius (m)")
 
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
     def grid(self):
         return SGrid(ds=self.ds, s_f=self.s_f)
 
@@ -227,7 +220,7 @@ def emit_traces(result, rc):
 
     m = result.metrics
     metrics_payload = {
-        "scenario": result.scenario_name,
+        "scenario": result.scenario.name,
         "config": result.config_kind,
         "error": rc.error,
         "outcome": m.outcome,
@@ -244,21 +237,22 @@ def emit_traces(result, rc):
     written.append(path)
 
     if rc.dump_estimates:
-        grid_pts = rc.grid().points
+        grid_pts = result.grid.points
         width = len(str(len(result.replans) - 1))
         for index, rec in enumerate(result.replans):
-            if rec.series is not None:
+            mu_gt = result.scenario.profile.shifted(-rec.s).mu_on(grid_pts)
+            if rec.fused is not None:
                 mu_prime = rec.series.mu_prime
                 margin = rec.series.margin
-                post_mean = rec.posterior.mean
-                post_std = rec.posterior.std
+                post_mean = rec.fused.mean
+                post_std = rec.fused.std
             else:
                 mu_prime = rec.mu_hat
                 margin = np.zeros_like(rec.mu_hat)
                 post_mean = rec.mu_hat
                 post_std = np.zeros_like(rec.mu_hat)
             lines = ["s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt"]
-            cols = (grid_pts, mu_prime, margin, post_mean, post_std, rec.mu_hat, rec.mu_gt)
+            cols = (grid_pts, mu_prime, margin, post_mean, post_std, rec.mu_hat, mu_gt)
             for row in zip(*(c.tolist() for c in cols)):
                 lines.append(",".join(_fmt(x) for x in row))
             path = out_dir / f"estimate_{index:0{width}d}.csv"

@@ -31,7 +31,7 @@ class FrictionProfile:
 
     Segments are (s_start, mu) pairs with strictly increasing starts; the
     first segment must begin at negative s so the profile covers the road
-    behind the run start.
+    behind the run start. Every mu must be classifiable (see ``classify``).
     """
 
     segments: tuple
@@ -46,8 +46,8 @@ class FrictionProfile:
         if starts[0] >= 0.0:
             raise ValueError("first segment must start at negative s")
         for _, mu in segs:
-            if not 0.05 <= mu <= 1.2:
-                raise ValueError(f"mu values must lie in [0.05, 1.2], got {mu}")
+            if not SNOW_ICE.mu_min <= mu <= 1.2:
+                raise ValueError(f"mu values must lie in [{SNOW_ICE.mu_min}, 1.2], got {mu}")
         object.__setattr__(self, "segments", segs)
         # Lookup tables, built once: not dataclass fields, so equality,
         # hashing and repr still see only ``segments``.
@@ -103,10 +103,10 @@ def classify(mu_gt_value):
     """Surface class containing a true friction value.
 
     Dry requires mu strictly above 0.6, so both class boundaries (0.4, 0.6)
-    belong to wet. Values below 0.1 are outside the classifier's range.
+    belong to wet. Values below ``SNOW_ICE.mu_min`` are out of range.
     """
-    if mu_gt_value < 0.1:
-        raise ValueError(f"cannot classify friction below 0.1, got {mu_gt_value}")
+    if mu_gt_value < SNOW_ICE.mu_min:
+        raise ValueError(f"cannot classify friction below {SNOW_ICE.mu_min}, got {mu_gt_value}")
     if mu_gt_value > 0.6:
         return DRY
     if mu_gt_value >= 0.4:
@@ -117,14 +117,15 @@ def classify(mu_gt_value):
 def _class_stats(profile, positions, *names):
     """Per-position surface class statistics, one ``classify`` per segment in view.
 
-    Returns one array per attribute name in ``names``, e.g. ``"mu_min"``.
+    Returns one array per attribute name in ``names``, e.g. ``"mu_min"``;
+    each is its own 1-D array, not a row view of the per-segment table.
     """
     idx = profile.segment_index(positions)
     table = np.zeros((len(names), len(profile.segments)))
     for i in sorted(set(idx.tolist())):
         cls = classify(profile.segments[i][1])
         table[:, i] = [getattr(cls, name) for name in names]
-    return tuple(table[:, idx])
+    return tuple(row[idx] for row in table)
 
 
 class LocalEstimator:
@@ -133,20 +134,15 @@ class LocalEstimator:
     The estimate is available only while tire-force utilization exceeds the
     threshold; the deterministic per-run error e_l models adversarial or
     fixed estimation error within the +-0.025 accuracy bound.
+    ``initial_estimate`` is the fallback used before any sample has been
+    available.
     """
-
-    max_abs_error = MAX_LOCAL_ERROR
-    availability_threshold = AVAILABILITY_THRESHOLD
 
     def __init__(self, e_l=0.0, initial_estimate=None):
         if abs(e_l) > MAX_LOCAL_ERROR + 1e-12:
             raise ValueError(f"|e_l| must be <= {MAX_LOCAL_ERROR}, got {e_l}")
         self.e_l = float(e_l)
         self.last_available = initial_estimate
-
-    def seed(self, estimate):
-        """Set the fallback estimate used before any sample has been available."""
-        self.last_available = float(estimate)
 
 
 def resolve_error(mode):
@@ -222,7 +218,7 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
             base = loc[0]
         else:
             if estimator.last_available is None:
-                raise ValueError("no local estimate has ever been available and none was seeded")
+                raise ValueError("no local estimate has been available and none was given")
             base = estimator.last_available
         mu_hat = np.full(grid.n_points, base - MAX_LOCAL_ERROR)
         return EstimateReport(mu_hat=mu_hat, local_available=available)

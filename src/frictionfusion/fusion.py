@@ -38,14 +38,15 @@ class SGrid:
         ratio = self.s_f / self.ds
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"s_f ({self.s_f}) must be an exact multiple of ds ({self.ds})")
+        # Built once and read-only: not a dataclass field, so equality,
+        # hashing and repr still see only ``ds`` and ``s_f``.
+        points = np.arange(self.n_points) * self.ds
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @property
     def n_points(self):
         return int(round(self.s_f / self.ds)) + 1
-
-    @property
-    def points(self):
-        return np.arange(self.n_points) * self.ds
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,11 @@ class EstimateSeries:
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Fused conservative estimate with the posterior kept for diagnostics."""
+    """Lower 95% bound ``mu_hat`` = ``mean`` - 1.96 ``std`` of the posterior marginals."""
 
-    grid: SGrid
     mu_hat: np.ndarray
-    posterior: "PosteriorSummary"
+    mean: np.ndarray
+    std: np.ndarray
 
 
 def calibrate_prior(length_scale=DEFAULT_LENGTH_SCALE):
@@ -140,11 +141,10 @@ def fuse(prior, series, memo=None):
         noise_std=margin_to_std(series.margin),
     )
     summary = posterior(prior, obs, pts)
-    mu_hat = summary.mean - Z_95 * summary.std
-    fused = FusedEstimate(grid=series.grid, mu_hat=mu_hat, posterior=summary)
+    fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
+                          mean=summary.mean, std=summary.std)
     if memo is not None:
-        for arr in (mu_hat, summary.test_locations, summary.mean, summary.covariance,
-                    summary.std):
+        for arr in (fused.mu_hat, fused.mean, fused.std):
             arr.flags.writeable = False
         memo[key] = fused
     return fused

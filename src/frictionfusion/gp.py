@@ -5,7 +5,7 @@ inference through a jitter-stabilized Cholesky factorization. All linear
 algebra is 64-bit; values are immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -89,7 +89,7 @@ class PosteriorSummary:
     test_locations: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
-    std: np.ndarray = field(default=None)
+    std: np.ndarray
 
 
 def kernel_eval(kernel, x_i, x_j):

@@ -138,7 +138,6 @@ class PlannedTrajectory:
     d_ref: np.ndarray
     v: np.ndarray
     a_long: np.ndarray
-    a_lat: np.ndarray
     kappa_eff: np.ndarray
     lat_bound: np.ndarray
     kappa_path: np.ndarray
@@ -344,7 +343,6 @@ def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,
         a_long[:] = 0.0
     a_long = np.clip(a_long, -mu_g, mu_g)
     lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
-    a_lat = np.clip(v * v * kappa_eff, -lat_bound, lat_bound)
     return PlannedTrajectory(
         s_anchor=state.s,
         ds=grid.ds,
@@ -352,7 +350,6 @@ def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,
         d_ref=d_ref,
         v=v,
         a_long=a_long,
-        a_lat=a_lat,
         kappa_eff=kappa_eff,
         lat_bound=lat_bound,
         kappa_path=kappa_path,

@@ -9,7 +9,7 @@ collision avoidance against a suddenly appearing obstacle.
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +175,10 @@ def step(state, trajectory, profile, dt):
 
 @dataclass
 class ReplanRecord:
-    """Per-replan snapshot: estimate, availability, plan feasibility."""
+    """Per-replan snapshot: estimate, availability, plan feasibility.
+
+    ``series`` and ``fused`` are set for the fused configuration only.
+    """
 
     t: float
     s: float
@@ -184,9 +187,8 @@ class ReplanRecord:
     feasible: bool
     utilization: float
     mu_hat: np.ndarray
-    mu_gt: np.ndarray
     series: object = None
-    posterior: object = None
+    fused: object = None
 
 
 @dataclass
@@ -203,9 +205,10 @@ class RunMetrics:
 
 @dataclass
 class ScenarioResult:
-    """Full trace of one configuration running one scenario."""
+    """Full trace of one configuration running one scenario on one grid."""
 
-    scenario_name: str
+    scenario: Scenario
+    grid: SGrid
     config_kind: str
     local_error: float
     trace: dict
@@ -229,8 +232,8 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
     substeps = replan_substeps(replan_dt, sim_dt)
     grid = grid if grid is not None else SGrid()
 
-    estimator = LocalEstimator(e_l=local_error)
-    estimator.seed(classify(scenario.profile.mu_at(scenario.initial.s - 1e-6)).mean)
+    approach = classify(scenario.profile.mu_at(scenario.initial.s - 1e-6))
+    estimator = LocalEstimator(e_l=local_error, initial_estimate=approach.mean)
     memory = PlannerMemory()
     fused_memo = {}
 
@@ -262,9 +265,8 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
             feasible=trajectory.feasible,
             utilization=report.mu_hat[0] / mu_gt0,
             mu_hat=report.mu_hat,
-            mu_gt=relative_profile.mu_on(grid.points),
             series=report.series,
-            posterior=report.fused.posterior if report.fused is not None else None,
+            fused=report.fused,
         ))
         replan_idx += 1
 
@@ -322,7 +324,8 @@ def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None
         "outcome": outcome_so_far,
     }
     return ScenarioResult(
-        scenario_name=scenario.name,
+        scenario=scenario,
+        grid=grid,
         config_kind=config.kind,
         local_error=local_error,
         trace=trace,

@@ -18,7 +18,10 @@ from frictionfusion.cli import (
     parse_args,
     run_matrix,
 )
+from frictionfusion.estimators import Configuration, FrictionProfile
+from frictionfusion.fusion import SGrid
 from frictionfusion.gp import FactorizationError
+from frictionfusion.simulator import run, turn_scenario
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone.
@@ -42,18 +45,30 @@ collision,f,worst-over,ok,1.46641487,0.451545516,0,0.884394928
 collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 """
 
-# sha256 of the files two matrix runs write, measured on the numpy-scalar
-# plant and trace writer: one lane departure (turn) and one collision.
-GOLDEN_TRACE_DIGESTS = {
-    ("turn", "l", "worst-under"): {
+# sha256 of the files three runs write, keyed by their command line without
+# ``--out``: one lane departure (turn), one collision, and a fused turn on a
+# finer grid. Each digest was measured before the code that writes the file
+# was rewritten. An estimate digest covers every estimate_<i>.csv,
+# concatenated in name order.
+GOLDEN_FILE_DIGESTS = {
+    ("--scenario", "collision", "--config", "p", "--error", "worst-over",
+     "--dump-estimates"): {
+        "trace.csv": "b9975d77c79482af261c66a341653c1454988fdf02181a7e4a9567d9b54af6e1",
+        "trace.json": "f05e212724d20a2862dddeb22feaaa07b128e4efd66c8abb168b67ced74521aa",
+        "metrics.json": "af21a7db396de8804a0956cbbbbf52d54eb2c8f4262baf7b7548c3ccb425730e",
+        "estimate_*.csv": "997bb262c927f6bf7aee92acf940397b4335baee0f9fdb44a36f88f529c6fdf2",
+    },
+    ("--scenario", "turn", "--config", "l", "--error", "worst-under"): {
         "trace.csv": "e0f6e123d9a3bd6e9ca53d419c55caba7610260c9c47d420d0724761686c0f26",
         "trace.json": "632686ece8d065ea2ddd4794e6a89d7aee998ad77a44285e03f5126887f91b11",
         "metrics.json": "2b15fc77ff4ef7c6493ae89ca8aae97ec8ff8a85e1e381a9d003c65dcb30ce5b",
     },
-    ("collision", "p", "worst-over"): {
-        "trace.csv": "b9975d77c79482af261c66a341653c1454988fdf02181a7e4a9567d9b54af6e1",
-        "trace.json": "f05e212724d20a2862dddeb22feaaa07b128e4efd66c8abb168b67ced74521aa",
-        "metrics.json": "af21a7db396de8804a0956cbbbbf52d54eb2c8f4262baf7b7548c3ccb425730e",
+    ("--scenario", "turn", "--config", "f", "--error", "worst-under", "--ds", "0.5",
+     "--dump-estimates"): {
+        "trace.csv": "419a45a8a52c619a92c3b794d142b5b804d0326a0219d4c24b7882702b71ef97",
+        "trace.json": "b6c3f866fed57ba9d1dfe9bea9029b29b4ee528ac5e6305007044f9d9894b46d",
+        "metrics.json": "fd988aa584e27f2c5502dd57c62a73244e65c935e66ab0009081eaa8e2b4b65e",
+        "estimate_*.csv": "32a33e27c1516c0e153b05163dde8eb1389fa383ede51a7f86305217743d9019",
     },
 }
 
@@ -103,13 +118,6 @@ class TestParseArgs:
             assert flags == [["--" + field.name.replace("_", "-")]]
 
 
-class TestRunConfigRoundTrip:
-    def test_json_round_trip(self):
-        rc = parse_args(["--scenario", "collision", "--config", "f",
-                         "--error", "fixed=0.01", "--l", "12", "--eta", "0.6"])
-        assert RunConfig.from_json(rc.to_json()) == rc
-
-
 class TestEmitTraces:
     def test_metrics_schema(self, tmp_path):
         rc = parse_args(["--scenario", "collision", "--config", "p",
@@ -145,6 +153,18 @@ class TestEmitTraces:
         assert mu_gt_at_zero == pytest.approx(0.4)
         assert abs(mu_hat_at_zero - mu_gt_at_zero) <= 0.05
 
+    def test_estimate_dump_follows_the_run_not_the_command_line(self, tmp_path):
+        # A library run on its own road and grid, written with a RunConfig
+        # that names neither.
+        road = FrictionProfile(((-1e6, 0.8), (12.0, 0.3)))
+        scenario = dataclasses.replace(turn_scenario(), profile=road)
+        result = run(scenario, Configuration("gt"), grid=SGrid(ds=2.0, s_f=40.0))
+        emit_traces(result, RunConfig(out=str(tmp_path), dump_estimates=True))
+        first = sorted(tmp_path.glob("estimate_*.csv"))[0]
+        rows = np.loadtxt(first, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(21) * 2.0)
+        np.testing.assert_array_equal(rows[:, 6], road.mu_on(rows[:, 0]))
+
     def test_one_estimate_file_per_replan_in_replan_order(self, tmp_path):
         rc = parse_args(["--scenario", "collision", "--replan-dt", "0.005", "--sim-dt",
                          "0.005", "--out", str(tmp_path), "--dump-estimates"])
@@ -155,15 +175,17 @@ class TestEmitTraces:
         assert [int(n[len("estimate_"):-len(".csv")]) for n in names] == \
             list(range(len(result.replans)))
 
-    @pytest.mark.parametrize("key", sorted(GOLDEN_TRACE_DIGESTS))
+    @pytest.mark.parametrize("key", list(GOLDEN_FILE_DIGESTS))
     def test_written_files_are_golden(self, key, tmp_path):
-        scenario, config, error = key
-        rc = parse_args(["--scenario", scenario, "--config", config, "--error", error,
-                         "--out", str(tmp_path)])
+        rc = parse_args([*key, "--out", str(tmp_path)])
         emit_traces(execute(rc), rc)
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in GOLDEN_TRACE_DIGESTS[key]}
-        assert digests == GOLDEN_TRACE_DIGESTS[key]
+        digests = {}
+        for pattern in GOLDEN_FILE_DIGESTS[key]:
+            paths = sorted(tmp_path.glob(pattern))
+            assert paths, pattern
+            data = b"".join(p.read_bytes() for p in paths)
+            digests[pattern] = hashlib.sha256(data).hexdigest()
+        assert digests == GOLDEN_FILE_DIGESTS[key]
 
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",

@@ -46,6 +46,9 @@ class TestFrictionProfile:
     def test_mu_bounds(self):
         with pytest.raises(ValueError):
             FrictionProfile(((-10.0, 1.3),))
+        # Below the snow/ice class minimum: no configuration could classify it.
+        with pytest.raises(ValueError, match="0.1"):
+            FrictionProfile(((-10.0, 0.8), (30.0, 0.07)))
 
     def test_shift(self):
         shifted = TURN_PROFILE.shifted(-10.0)

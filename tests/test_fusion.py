@@ -22,6 +22,15 @@ class TestSGrid:
         assert grid.points[-1] == 50.0
         assert np.allclose(np.diff(grid.points), 1.0)
 
+    def test_points_built_once_outside_equality(self):
+        grid = SGrid(ds=0.5, s_f=20.0)
+        assert grid.points is grid.points
+        assert not grid.points.flags.writeable
+        np.testing.assert_array_equal(grid.points, np.arange(41) * 0.5)
+        assert grid == SGrid(ds=0.5, s_f=20.0)
+        assert hash(grid) == hash(SGrid(ds=0.5, s_f=20.0))
+        assert repr(grid) == "SGrid(ds=0.5, s_f=20.0)"
+
     def test_rejects_non_multiple_horizon(self):
         with pytest.raises(ValueError):
             SGrid(ds=3.0, s_f=50.0)
@@ -136,13 +145,13 @@ class TestFuse:
     def test_lower_bound_identity(self):
         grid = SGrid()
         fused = fuse(calibrate_prior(), assemble_input(grid, 0.5, 0.1, local=(0.42, 0.025)))
-        reconstructed = fused.posterior.mean - Z_95 * fused.posterior.std
+        reconstructed = fused.mean - Z_95 * fused.std
         np.testing.assert_allclose(fused.mu_hat, reconstructed, atol=1e-12)
 
     def test_never_above_posterior_mean(self):
         grid = SGrid()
         fused = fuse(calibrate_prior(), assemble_input(grid, 0.25, 0.15))
-        assert (fused.mu_hat <= fused.posterior.mean).all()
+        assert (fused.mu_hat <= fused.mean).all()
 
     def test_matches_independent_oracle(self):
         grid = SGrid()

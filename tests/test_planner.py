@@ -42,6 +42,12 @@ def straight_scenario(v0=12.0):
     )
 
 
+def demand_on(traj, speeds):
+    """(a_long, a_lat) arrays of the plant's demand at every grid index."""
+    pairs = [traj.demand_at(i, v) for i, v in enumerate(np.asarray(speeds).tolist())]
+    return tuple(np.array(col) for col in zip(*pairs))
+
+
 def fine_step_corner_speed(mu, radius, ds=0.01):
     """Independent dense-grid check of the curvature-limited corner speed."""
     v_limit = math.sqrt(mu * GRAVITY * radius)
@@ -83,7 +89,7 @@ class TestPlanCruise:
         assert traj.feasible
         np.testing.assert_allclose(traj.v, 12.0, atol=1e-9)
         np.testing.assert_allclose(traj.a_long, 0.0, atol=1e-9)
-        np.testing.assert_allclose(traj.a_lat, 0.0, atol=1e-12)
+        np.testing.assert_allclose(demand_on(traj, traj.v)[1], 0.0, atol=1e-12)
         np.testing.assert_allclose(traj.d_ref, 0.0, atol=1e-12)
 
 
@@ -129,7 +135,7 @@ class TestPlanDodge:
         assert traj.dodge_scale < 1.0
         approach = traj.positions < 20.0
         assert (traj.a_long[approach] < 0.0).all()
-        total = np.hypot(traj.a_long, traj.a_lat)
+        total = np.hypot(*demand_on(traj, traj.v))
         assert total.max() <= 0.6 * GRAVITY * (1 + 1e-9)
         assert total.max() >= 0.6 * GRAVITY * 0.99
 
@@ -168,6 +174,7 @@ class TestPlanDodge:
 class TestCircleInvariant:
     def test_every_plan_respects_friction_circle(self):
         rng = np.random.RandomState(12)
+        speed_rng = np.random.RandomState(13)
         grid = SGrid()
         scenarios = [turn_scenario(), collision_scenario(), straight_scenario()]
         for _ in range(60):
@@ -182,8 +189,12 @@ class TestCircleInvariant:
             )
             traj = plan(state, scenario, mu_hat, grid)
             budget = np.maximum(mu_hat, 0.0) * GRAVITY
-            total_sq = traj.a_long**2 + traj.a_lat**2
-            assert (total_sq <= budget**2 * (1 + 1e-12) + 1e-15).all()
+            # The plant tracks the plan off-speed, so check the demand at
+            # the planned speed and at random speeds.
+            for speeds in (traj.v, speed_rng.uniform(0.0, 30.0, 51)):
+                a_long, a_lat = demand_on(traj, speeds)
+                total_sq = a_long**2 + a_lat**2
+                assert (total_sq <= budget**2 * (1 + 1e-12) + 1e-15).all()
 
     def test_mu_hat_length_checked(self):
         with pytest.raises(ValueError):

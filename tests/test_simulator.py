@@ -27,7 +27,6 @@ def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
         d_ref=np.zeros(n),
         v=arr,
         a_long=np.full(n, float(a_long)),
-        a_lat=np.full(n, v * v * kappa_eff),
         kappa_eff=np.full(n, float(kappa_eff)),
         lat_bound=np.full(n, float(lat_bound)),
         kappa_path=np.full(n, float(kappa_path)),
@@ -140,6 +139,36 @@ class TestFusedMemo:
         assert len(calls) == 2
         run(turn_scenario(), Configuration("f"), local_error=0.025)
         assert len(calls) == 4
+
+
+def _reachable_arrays(obj, seen):
+    """Every array reachable from ``obj`` through instance attributes,
+    containers and array bases."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        children = [obj.base]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = vars(obj).values()
+    else:
+        return
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+class TestRetainedMemory:
+    @pytest.mark.parametrize("kind", ["gt", "l", "p", "f"])
+    def test_replans_keep_no_matrix(self, kind):
+        result = run(turn_scenario(), Configuration(kind), local_error=0.025)
+        arrays = list(_reachable_arrays(result.replans, set()))
+        assert len(arrays) >= len(result.replans)
+        assert [a.shape for a in arrays if a.ndim != 1] == []
 
 
 class TestRunValidation:
