@@ -17,13 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import Configuration, resolve_error
+from . import fusion, simulator
+from .estimators import CONFIG_KINDS, Configuration, resolve_error
 from .fusion import SGrid
 from .gp import FactorizationError, GpPrior, SquaredExponentialKernel
 from .simulator import collision_scenario, replan_substeps, run, turn_scenario
 
-SCENARIO_NAMES = ("turn", "collision")
-CONFIG_NAMES = ("gt", "l", "p", "f")
+SCENARIO_NAMES = tuple(simulator.SCENARIOS)
+CONFIG_NAMES = CONFIG_KINDS
+# The library's default prior: the source of the --eta and --sigma-f defaults.
+_PRIOR = fusion.calibrate_prior()
 DEFAULT_ERRORS = ("worst-over", "worst-under")
 # Single-run selection field -> what ``--matrix`` runs unless its plural flag is given.
 SELECTIONS = {"scenario": SCENARIO_NAMES, "config": CONFIG_NAMES, "error": DEFAULT_ERRORS}
@@ -47,7 +50,8 @@ class RunConfig:
     """Validated run request: selection, overrides, output options.
 
     Each field is the one definition of the flag named after it (``s_f`` is
-    ``--s-f``): its default here is the flag's default.
+    ``--s-f``). A default that is a library value is read from the library
+    module that uses it, so the command line and library calls agree.
     """
 
     scenario: str = _param("turn", "scenario to run", choices=SCENARIO_NAMES)
@@ -57,16 +61,17 @@ class RunConfig:
     format: str = _param("both", "trace file format", choices=("csv", "json", "both"))
     dump_estimates: bool = _param(False, "write one estimate_<i>.csv per replan",
                                   action="store_true")
-    ds: float = _param(1.0, "grid spacing (m)")
-    s_f: float = _param(50.0, "horizon length (m)")
-    l: float = _param(10.0, "kernel length scale (m)")
-    sigma_f: float = _param(0.45 / 1.96, "prior signal standard deviation")
-    eta: float = _param(0.55, "prior mean")
-    s_l: float = _param(5.0, "local estimate influence threshold (m)")
-    replan_dt: float = _param(0.1, "replanning interval (s)")
-    sim_dt: float = _param(0.01, "plant integration step (s), at most 0.05")
-    lane_half_width: float = _param(1.75, "lane half width (m)")
-    turn_radius: float = _param(20.0, "turn scenario radius (m)")
+    ds: float = _param(fusion.DEFAULT_DS, "grid spacing (m)")
+    s_f: float = _param(fusion.DEFAULT_HORIZON, "horizon length (m)")
+    l: float = _param(fusion.DEFAULT_LENGTH_SCALE, "kernel length scale (m)")
+    sigma_f: float = _param(_PRIOR.kernel.sigma_f, "prior signal standard deviation")
+    eta: float = _param(_PRIOR.mean, "prior mean")
+    s_l: float = _param(fusion.DEFAULT_LOCAL_REACH, "local estimate influence threshold (m)")
+    replan_dt: float = _param(simulator.REPLAN_DT, "replanning interval (s)")
+    sim_dt: float = _param(simulator.SIM_DT,
+                           f"plant integration step (s), at most {simulator.MAX_SIM_DT}")
+    lane_half_width: float = _param(simulator.LANE_HALF_WIDTH, "lane half width (m)")
+    turn_radius: float = _param(simulator.TURN_RADIUS, "turn scenario radius (m)")
 
     def grid(self):
         return SGrid(ds=self.ds, s_f=self.s_f)

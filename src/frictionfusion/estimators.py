@@ -7,7 +7,6 @@ class means/margins with the local estimate through the GP pipeline.
 """
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,29 +86,27 @@ class SurfaceClass:
 
     name: str
     mu_min: float
-    mu_max: float
     mean: float
     margin: float
 
 
-DRY = SurfaceClass("dry", mu_min=0.6, mu_max=math.inf, mean=0.8, margin=0.2)
-WET = SurfaceClass("wet", mu_min=0.4, mu_max=0.6, mean=0.5, margin=0.1)
-SNOW_ICE = SurfaceClass("snow_ice", mu_min=0.1, mu_max=0.4, mean=0.25, margin=0.15)
-
-SURFACE_CLASSES = (DRY, WET, SNOW_ICE)
+DRY = SurfaceClass("dry", mu_min=0.6, mean=0.8, margin=0.2)
+WET = SurfaceClass("wet", mu_min=0.4, mean=0.5, margin=0.1)
+SNOW_ICE = SurfaceClass("snow_ice", mu_min=0.1, mean=0.25, margin=0.15)
 
 
 def classify(mu_gt_value):
     """Surface class containing a true friction value.
 
-    Dry requires mu strictly above 0.6, so both class boundaries (0.4, 0.6)
-    belong to wet. Values below ``SNOW_ICE.mu_min`` are out of range.
+    Each class spans from its ``mu_min`` up to the next class's. Dry requires
+    mu strictly above ``DRY.mu_min``, so both class boundaries belong to wet.
+    Values below ``SNOW_ICE.mu_min`` are out of range.
     """
     if mu_gt_value < SNOW_ICE.mu_min:
         raise ValueError(f"cannot classify friction below {SNOW_ICE.mu_min}, got {mu_gt_value}")
-    if mu_gt_value > 0.6:
+    if mu_gt_value > DRY.mu_min:
         return DRY
-    if mu_gt_value >= 0.4:
+    if mu_gt_value >= WET.mu_min:
         return WET
     return SNOW_ICE
 
@@ -139,10 +136,15 @@ class LocalEstimator:
     """
 
     def __init__(self, e_l=0.0, initial_estimate=None):
-        if abs(e_l) > MAX_LOCAL_ERROR + 1e-12:
-            raise ValueError(f"|e_l| must be <= {MAX_LOCAL_ERROR}, got {e_l}")
-        self.e_l = float(e_l)
+        self.e_l = float(_check_local_error(e_l))
         self.last_available = initial_estimate
+
+
+def _check_local_error(e_l):
+    """Return ``e_l`` if it lies within the local accuracy bound, else raise."""
+    if not abs(e_l) <= MAX_LOCAL_ERROR:
+        raise ValueError(f"|e_l| must be <= {MAX_LOCAL_ERROR}, got {e_l}")
+    return e_l
 
 
 def resolve_error(mode):
@@ -156,9 +158,7 @@ def resolve_error(mode):
             value = float(mode[len("fixed="):])
         except ValueError:
             raise ValueError(f"bad fixed error value in {mode!r}") from None
-        if abs(value) > MAX_LOCAL_ERROR:
-            raise ValueError(f"fixed error must satisfy |e_l| <= {MAX_LOCAL_ERROR}")
-        return value
+        return _check_local_error(value)
     raise ValueError(f"unknown error mode {mode!r}")
 
 

@@ -36,8 +36,9 @@ class SGrid:
         if not self.s_f > 0.0:
             raise ValueError(f"s_f must be > 0, got {self.s_f}")
         ratio = self.s_f / self.ds
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"s_f ({self.s_f}) must be an exact multiple of ds ({self.ds})")
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError(f"s_f ({self.s_f}) must be a positive whole multiple "
+                             f"of ds ({self.ds})")
         # Built once and read-only: not a dataclass field, so equality,
         # hashing and repr still see only ``ds`` and ``s_f``.
         points = np.arange(self.n_points) * self.ds

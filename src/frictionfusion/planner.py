@@ -48,7 +48,7 @@ class QuinticBlend:
     d1: float
 
     def eval(self, tau):
-        """Offset, slope and curvature contribution at normalized positions."""
+        """Offset and curvature contribution at normalized positions."""
         t2 = tau * tau
         t3 = t2 * tau
         t4 = t3 * tau
@@ -56,23 +56,19 @@ class QuinticBlend:
         h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
         h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
         h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        dh0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-        dh1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-        dh3 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
         ddh0 = -60.0 * tau + 180.0 * t2 - 120.0 * t3
         ddh1 = -36.0 * tau + 96.0 * t2 - 60.0 * t3
         ddh3 = 60.0 * tau - 180.0 * t2 + 120.0 * t3
         span = self.s1 - self.s0
         rate = self.slope0 * span
         d = self.d0 * h0 + rate * h1 + self.d1 * h3
-        slope = (self.d0 * dh0 + rate * dh1 + self.d1 * dh3) / span
         curv = (self.d0 * ddh0 + rate * ddh1 + self.d1 * ddh3) / (span * span)
-        return d, slope, curv
+        return d, curv
 
     def offset_at(self, s):
         tau = (s - self.s0) / (self.s1 - self.s0)
         tau = min(max(tau, 0.0), 1.0)
-        d, _, _ = self.eval(np.float64(tau))
+        d, _ = self.eval(np.float64(tau))
         return float(d)
 
 
@@ -86,14 +82,12 @@ class LateralReference:
     def eval(self, positions):
         s = np.asarray(positions, dtype=np.float64)
         d = np.full(s.shape, self.base_level)
-        slope = np.zeros(s.shape)
         curv = np.zeros(s.shape)
         if not self.blends:
-            return d, slope, curv
+            return d, curv
         first = self.blends[0]
         before = s < first.s0
         d[before] = first.d0 + first.slope0 * (s[before] - first.s0)
-        slope[before] = first.slope0
         level = None
         for blend in self.blends:
             if level is not None:
@@ -102,11 +96,11 @@ class LateralReference:
             inside = (s >= blend.s0) & (s < blend.s1)
             if inside.any():
                 tau = (s[inside] - blend.s0) / (blend.s1 - blend.s0)
-                d[inside], slope[inside], curv[inside] = blend.eval(tau)
+                d[inside], curv[inside] = blend.eval(tau)
             level = (blend.s1, blend.d1)
         after = s >= level[0]
         d[after] = level[1]
-        return d, slope, curv
+        return d, curv
 
 
 @dataclass
@@ -201,7 +195,7 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
         tau_from = (s_from - blend.s0) / (blend.s1 - blend.s0)
         tau_from = min(max(tau_from, 0.0), 1.0)
     taus = np.linspace(tau_from, 1.0, 101)
-    _, _, curv = blend.eval(taus)
+    _, curv = blend.eval(taus)
     s_fine = blend.s0 + taus * (blend.s1 - blend.s0)
     total = np.abs(curv + kappa_path_fn(s_fine))
     idx = int(np.argmax(total))
@@ -210,7 +204,7 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
 
 def _speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, brake_mask,
                    f_lat, f_brake):
-    d_ref, _, curv = ref.eval(positions)
+    d_ref, curv = ref.eval(positions)
     kappa_eff = kappa_path + curv
     kappa_abs = np.abs(kappa_eff)
     v_cap = _curvature_caps(mu_g, kappa_abs, v_des)
@@ -223,12 +217,13 @@ def _speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, brake_mas
 def plan(state, scenario, mu_hat, grid, memory=None):
     """Plan over the horizon grid anchored at the vehicle.
 
-    Builds the lateral reference for the scenario objective, converts it to
-    an effective curvature profile, and runs the circle-limited velocity
-    passes against the friction estimate. An unreachable dodge yields a
-    least-violating plan: the target is scaled down to what the lateral
-    share of the circle can reach and the rest of the budget brakes. The
-    optional ``memory`` keeps the dodge geometry committed across replans.
+    Builds the lateral reference (a dodge ahead of the scenario's obstacle,
+    if it has one, else lane keeping), converts it to an effective curvature
+    profile, and runs the circle-limited velocity passes against the
+    friction estimate. An unreachable dodge yields a least-violating plan:
+    the target is scaled down to what the lateral share of the circle can
+    reach and the rest of the budget brakes. The optional ``memory`` keeps
+    the dodge geometry committed across replans.
     """
     if state.v < 0.0:
         raise ValueError("state.v must be >= 0")
@@ -247,7 +242,6 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     slope_now = state.d_rate / state.v if state.v > 0.5 else 0.0
     dodging = (
         scenario.obstacle is not None
-        and scenario.objective == "avoid_obstacle"
         and state.s < scenario.obstacle[0] - MIN_DODGE_RUN
     )
 
@@ -336,11 +330,8 @@ def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,
     # recover that split with longitudinal priority so planned braking is
     # never zeroed out by a saturated lateral demand.
     a_long = np.empty_like(v)
-    if len(v) > 1:
-        a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * grid.ds)
-        a_long[-1] = a_long[-2]
-    else:
-        a_long[:] = 0.0
+    a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * grid.ds)
+    a_long[-1] = a_long[-2]
     a_long = np.clip(a_long, -mu_g, mu_g)
     lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
     return PlannedTrajectory(

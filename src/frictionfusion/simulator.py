@@ -18,6 +18,9 @@ from .fusion import SGrid
 from .planner import GRAVITY, PlannerMemory, plan
 
 TIME_LIMIT = 60.0
+REPLAN_DT = 0.1
+SIM_DT = 0.01
+MAX_SIM_DT = 0.05
 
 TURN_RADIUS = 20.0
 TURN_START = 15.0
@@ -44,14 +47,17 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Scenario definition: geometry, friction profile, objective, limits."""
+    """Scenario definition: geometry, friction profile, limits, optional obstacle.
+
+    A scenario with an ``obstacle`` (s, half width) is an avoidance maneuver;
+    without one, the planner tracks the lane center.
+    """
 
     name: str
     path: tuple
     profile: FrictionProfile
     initial: VehicleState
     lane_half_width: float
-    objective: str
     target_speed: float
     end_s: float
     maneuver_window: tuple
@@ -94,7 +100,6 @@ def turn_scenario(turn_radius=TURN_RADIUS, lane_half_width=LANE_HALF_WIDTH,
         profile=FrictionProfile(((-1e6, mu_before), (0.0, mu_turn))),
         initial=VehicleState(s=0.0, d=0.0, v=v0, t=0.0),
         lane_half_width=lane_half_width,
-        objective="track_center",
         target_speed=v0,
         end_s=turn_end + RUNOUT,
         maneuver_window=(turn_start, turn_end),
@@ -111,7 +116,6 @@ def collision_scenario(v0=20.0, obstacle_s=OBSTACLE_DISTANCE,
         profile=FrictionProfile(((-1e6, mu),)),
         initial=VehicleState(s=0.0, d=0.0, v=v0, t=0.0),
         lane_half_width=lane_half_width,
-        objective="avoid_obstacle",
         target_speed=v0,
         end_s=obstacle_s + RUNOUT,
         maneuver_window=(0.0, obstacle_s),
@@ -120,8 +124,6 @@ def collision_scenario(v0=20.0, obstacle_s=OBSTACLE_DISTANCE,
 
 
 SCENARIOS = {"turn": turn_scenario, "collision": collision_scenario}
-
-MAX_SIM_DT = 0.05
 
 
 def _check_sim_dt(sim_dt):
@@ -132,7 +134,7 @@ def _check_sim_dt(sim_dt):
 def replan_substeps(replan_dt, sim_dt):
     """Plant steps per replan interval.
 
-    Raises ValueError unless ``sim_dt`` lies in (0, 0.05] and ``replan_dt``
+    Raises ValueError unless ``sim_dt`` lies in (0, MAX_SIM_DT] and ``replan_dt``
     is a positive whole multiple of it.
     """
     _check_sim_dt(sim_dt)
@@ -220,7 +222,7 @@ def _interp(prev, cur, frac):
     return prev + frac * (cur - prev)
 
 
-def run(scenario, config, local_error=0.0, replan_dt=0.1, sim_dt=0.01, grid=None):
+def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, grid=None):
     """Replanning loop: estimate, plan, step until the scenario window ends.
 
     The outcome is ``collision``, ``lane_departure``, ``timeout`` (the

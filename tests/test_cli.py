@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 
@@ -19,9 +20,9 @@ from frictionfusion.cli import (
     run_matrix,
 )
 from frictionfusion.estimators import Configuration, FrictionProfile
-from frictionfusion.fusion import SGrid
+from frictionfusion.fusion import SGrid, calibrate_prior
 from frictionfusion.gp import FactorizationError
-from frictionfusion.simulator import run, turn_scenario
+from frictionfusion.simulator import collision_scenario, run, turn_scenario
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone.
@@ -116,6 +117,28 @@ class TestParseArgs:
         for field in dataclasses.fields(RunConfig):
             flags = [a.option_strings for a in actions if a.dest == field.name]
             assert flags == [["--" + field.name.replace("_", "-")]]
+
+
+class TestDefaultsComeFromTheLibrary:
+    """``RunConfig()`` builds what the library builds by default, so the
+    acceptance gate (library defaults) and ``summary.csv`` (command-line
+    defaults) run the same values; an edit to either side fails here."""
+
+    def test_grid_and_prior(self):
+        assert RunConfig().grid() == SGrid()
+        assert RunConfig().prior() == calibrate_prior()
+
+    def test_fused_configuration(self):
+        assert RunConfig(config="f").configuration() == Configuration("f")
+
+    def test_scenarios(self):
+        assert RunConfig(scenario="turn").scenario_instance() == turn_scenario()
+        assert RunConfig(scenario="collision").scenario_instance() == collision_scenario()
+
+    def test_time_steps(self):
+        params = inspect.signature(run).parameters
+        assert RunConfig().replan_dt == params["replan_dt"].default
+        assert RunConfig().sim_dt == params["sim_dt"].default
 
 
 class TestEmitTraces:
@@ -287,11 +310,13 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["--ds", "0"], ["--s-f", "-1"], ["--l", "0"], ["--sigma-f", "0"], ["--eta", "2"],
         ["--s-l", "-1"], ["--sim-dt", "0.06"], ["--replan-dt", "0"],
-        ["--lane-half-width", "0"], ["--turn-radius", "0"],
+        ["--lane-half-width", "0"], ["--turn-radius", "0"], ["--ds", "1e12", "--s-f", "1"],
     ])
     def test_out_of_range_value_names_its_flag(self, argv, capsys):
         assert cli.main(argv) == 1
-        assert re.search(re.escape(argv[0]) + r"(?![\w-])", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        for flag in argv[::2]:
+            assert re.search(re.escape(flag) + r"(?![\w-])", err)
 
     @pytest.mark.parametrize("argv, flag", [
         (["--matrix", "--scenario", "collision"], "--scenario"),

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -172,6 +173,25 @@ class TestResolveError:
             resolve_error("fixed=0.03")
         with pytest.raises(ValueError):
             resolve_error("sometimes")
+
+
+class TestLocalErrorBound:
+    """``resolve_error`` and ``LocalEstimator`` accept exactly |e_l| <= 0.025."""
+
+    EDGE = 0.025
+    OUTSIDE = (math.nextafter(EDGE, 1.0), -math.nextafter(EDGE, 1.0), math.nan)
+
+    @pytest.mark.parametrize("e_l", [EDGE, -EDGE])
+    def test_edge_accepted_by_both(self, e_l):
+        assert resolve_error(f"fixed={e_l!r}") == e_l
+        assert LocalEstimator(e_l=e_l).e_l == e_l
+
+    @pytest.mark.parametrize("e_l", OUTSIDE)
+    def test_next_float_out_rejected_by_both(self, e_l):
+        with pytest.raises(ValueError, match="e_l"):
+            resolve_error(f"fixed={e_l!r}")
+        with pytest.raises(ValueError, match="e_l"):
+            LocalEstimator(e_l=e_l)
 
 
 class TestLocalEstimate:

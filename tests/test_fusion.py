@@ -37,6 +37,17 @@ class TestSGrid:
         with pytest.raises(ValueError):
             SGrid(ds=0.0, s_f=50.0)
 
+    @pytest.mark.parametrize("ds, s_f", [(1e12, 1.0), (1.0, 1e-10)])
+    def test_rejects_horizon_shorter_than_one_step(self, ds, s_f):
+        # s_f/ds is within 1e-9 of 0: the grid would be the single point 0,
+        # which is not s_f.
+        with pytest.raises(ValueError):
+            SGrid(ds=ds, s_f=s_f)
+
+    def test_smallest_grid_ends_at_horizon(self):
+        grid = SGrid(ds=2.0, s_f=2.0)
+        np.testing.assert_array_equal(grid.points, [0.0, 2.0])
+
     def test_coarse_grid(self):
         grid = SGrid(ds=2.5, s_f=50.0)
         assert grid.n_points == 21

@@ -35,7 +35,6 @@ def straight_scenario(v0=12.0):
         profile=FrictionProfile(((-1e6, 0.4),)),
         initial=VehicleState(s=0.0, d=0.0, v=v0, t=0.0),
         lane_half_width=1.75,
-        objective="track_center",
         target_speed=v0,
         end_s=100.0,
         maneuver_window=(0.0, 100.0),
@@ -55,28 +54,33 @@ def fine_step_corner_speed(mu, radius, ds=0.01):
 
 
 class TestQuinticBlend:
+    @staticmethod
+    def fd_slope(blend, tau, h=1e-6):
+        """Central-difference slope dd/ds of the offset at normalized position tau."""
+        d_plus, _ = blend.eval(np.array(tau + h))
+        d_minus, _ = blend.eval(np.array(tau - h))
+        return (d_plus - d_minus) / (2 * h * (blend.s1 - blend.s0))
+
     def test_boundary_conditions(self):
         blend = QuinticBlend(s0=0.0, s1=20.0, d0=0.3, slope0=0.05, d1=1.5)
-        d0, sl0, c0 = blend.eval(np.array(0.0))
-        d1, sl1, c1 = blend.eval(np.array(1.0))
+        d0, c0 = blend.eval(np.array(0.0))
+        d1, c1 = blend.eval(np.array(1.0))
         assert d0 == pytest.approx(0.3, abs=1e-12)
-        assert sl0 == pytest.approx(0.05, abs=1e-12)
+        assert self.fd_slope(blend, 0.0) == pytest.approx(0.05, abs=1e-8)
         assert c0 == pytest.approx(0.0, abs=1e-12)
         assert d1 == pytest.approx(1.5, abs=1e-12)
-        assert sl1 == pytest.approx(0.0, abs=1e-12)
+        assert self.fd_slope(blend, 1.0) == pytest.approx(0.0, abs=1e-8)
         assert c1 == pytest.approx(0.0, abs=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         blend = QuinticBlend(s0=5.0, s1=25.0, d0=0.0, slope0=0.02, d1=1.2)
         taus = np.linspace(0.05, 0.95, 19)
         h = 1e-6
-        d, slope, curv = blend.eval(taus)
-        d_plus, _, _ = blend.eval(taus + h)
-        d_minus, _, _ = blend.eval(taus - h)
+        d, curv = blend.eval(taus)
+        d_plus, _ = blend.eval(taus + h)
+        d_minus, _ = blend.eval(taus - h)
         span = blend.s1 - blend.s0
-        fd_slope = (d_plus - d_minus) / (2 * h * span)
         fd_curv = (d_plus - 2 * d + d_minus) / (h * span) ** 2
-        np.testing.assert_allclose(slope, fd_slope, atol=1e-6)
         np.testing.assert_allclose(curv, fd_curv, atol=1e-3)
 
 

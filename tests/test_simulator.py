@@ -113,7 +113,7 @@ class TestScenarioDefinitions:
             name="s-bend", path=((0.0, 0.0), (10.0, 0.05), (12.5, -0.1), (30.0, 0.0)),
             profile=FrictionProfile(((-1e6, 0.8),)),
             initial=VehicleState(s=0.0, d=0.0, v=10.0, t=0.0), lane_half_width=1.75,
-            objective="track_center", target_speed=10.0, end_s=50.0,
+            target_speed=10.0, end_s=50.0,
             maneuver_window=(10.0, 30.0))
         starts = np.array([s for s, _ in scenario.path])
         pts = np.concatenate([np.linspace(-20.0, 60.0, 801), starts,
