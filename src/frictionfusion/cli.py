@@ -223,20 +223,10 @@ def emit_traces(result, rc):
         _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         written.append(path)
 
-    m = result.metrics
-    metrics_payload = {
-        "scenario": result.scenario.name,
-        "config": result.config_kind,
-        "error": rc.error,
-        "outcome": m.outcome,
-        "max_abs_d": _json_value(m.max_abs_d),
-        "min_clearance": _json_value(m.min_clearance),
-        "impact_velocity": _json_value(m.impact_velocity),
-        "mean_utilization": _json_value(m.mean_utilization),
-        "v_at_window_entry": _json_value(m.v_at_window_entry),
-        "duration": _json_value(m.duration),
-        "final_speed": _json_value(m.final_speed),
-    }
+    metrics_payload = {"scenario": result.scenario.name, "config": result.config_kind,
+                       "error": rc.error}
+    for name, value in dataclasses.asdict(result.metrics).items():
+        metrics_payload[name] = _json_value(value)
     path = out_dir / "metrics.json"
     _write_text(path, json.dumps(metrics_payload, sort_keys=True, indent=2) + "\n")
     written.append(path)
@@ -270,8 +260,10 @@ def emit_traces(result, rc):
 # inputs, or an output file that cannot be written.
 RUN_FAILURES = (ValueError, FactorizationError, OSError)
 
-SUMMARY_HEADER = ("scenario,config,error_mode,outcome,max_abs_d,min_clearance,"
-                  "impact_velocity,mean_utilization")
+# The metrics in a summary.csv row, after the run's selection columns.
+SUMMARY_METRICS = ("outcome", "max_abs_d", "min_clearance", "impact_velocity",
+                   "mean_utilization")
+SUMMARY_HEADER = ",".join(("scenario", "config", "error_mode") + SUMMARY_METRICS)
 
 
 def _matrix_cell(rc):
@@ -279,16 +271,12 @@ def _matrix_cell(rc):
         result = execute(rc)
         if rc.out is not None:
             emit_traces(result, rc)
-        m = result.metrics
-        return ",".join([
-            rc.scenario, rc.config, rc.error, m.outcome, _fmt(m.max_abs_d),
-            _fmt(m.min_clearance), _fmt(m.impact_velocity), _fmt(m.mean_utilization),
-        ])
+        values = [_fmt(getattr(result.metrics, name)) for name in SUMMARY_METRICS]
     except RUN_FAILURES as exc:  # anything else is a bug
         print(f"{rc.scenario},{rc.config},{rc.error}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        return ",".join([rc.scenario, rc.config, rc.error,
-                         f"failed: {type(exc).__name__}", "", "", "", ""])
+        values = [f"failed: {type(exc).__name__}"] + [""] * (len(SUMMARY_METRICS) - 1)
+    return ",".join([rc.scenario, rc.config, rc.error, *values])
 
 
 def run_matrix(scenarios, configs, error_modes, base=None):

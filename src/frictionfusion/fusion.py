@@ -6,6 +6,7 @@ grid ahead of the vehicle, and extracts the lower edge of the 95% confidence
 band as the fused estimate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class SGrid:
     def __post_init__(self):
         if not self.ds > 0.0:
             raise ValueError(f"ds must be > 0, got {self.ds}")
-        if not self.s_f > 0.0:
-            raise ValueError(f"s_f must be > 0, got {self.s_f}")
+        if not 0.0 < self.s_f < math.inf:
+            raise ValueError(f"s_f must be finite and > 0, got {self.s_f}")
         ratio = self.s_f / self.ds
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"s_f ({self.s_f}) must be a positive whole multiple "

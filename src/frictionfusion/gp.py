@@ -5,6 +5,7 @@ inference through a jitter-stabilized Cholesky factorization. All linear
 algebra is 64-bit; values are immutable after construction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class SquaredExponentialKernel:
     length_scale: float
 
     def __post_init__(self):
-        if not self.sigma_f > 0.0:
-            raise ValueError(f"sigma_f must be > 0, got {self.sigma_f}")
+        if not 0.0 < self.sigma_f < math.inf:
+            raise ValueError(f"sigma_f must be finite and > 0, got {self.sigma_f}")
         if not self.length_scale > 0.0:
             raise ValueError(f"length_scale must be > 0, got {self.length_scale}")
 

@@ -64,8 +64,9 @@ class Scenario:
     obstacle: tuple = None
 
     def __post_init__(self):
-        if not self.lane_half_width > 0.0:
-            raise ValueError(f"lane_half_width must be > 0, got {self.lane_half_width}")
+        if not 0.0 < self.lane_half_width < math.inf:
+            raise ValueError(f"lane_half_width must be finite and > 0, "
+                             f"got {self.lane_half_width}")
         # Lookup tables over ``path``, built once (not dataclass fields).
         object.__setattr__(self, "_path_starts", tuple(seg[0] for seg in self.path))
         object.__setattr__(self, "_start_array", np.array(self._path_starts, dtype=np.float64))
@@ -90,8 +91,8 @@ def turn_scenario(turn_radius=TURN_RADIUS, lane_half_width=LANE_HALF_WIDTH,
     turn begins ``turn_start`` meters ahead, so foresighted configurations
     have room to shed speed.
     """
-    if not turn_radius > 0.0:
-        raise ValueError(f"turn_radius must be > 0, got {turn_radius}")
+    if not 0.0 < turn_radius < math.inf:
+        raise ValueError(f"turn_radius must be finite and > 0, got {turn_radius}")
     arc_len = 0.5 * math.pi * turn_radius
     turn_end = turn_start + arc_len
     return Scenario(
@@ -135,9 +136,11 @@ def replan_substeps(replan_dt, sim_dt):
     """Plant steps per replan interval.
 
     Raises ValueError unless ``sim_dt`` lies in (0, MAX_SIM_DT] and ``replan_dt``
-    is a positive whole multiple of it.
+    is a finite, positive whole multiple of it.
     """
     _check_sim_dt(sim_dt)
+    if not 0.0 < replan_dt < math.inf:
+        raise ValueError(f"replan_dt must be finite and > 0, got {replan_dt}")
     substeps = round(replan_dt / sim_dt)
     if substeps < 1 or abs(substeps * sim_dt - replan_dt) > 1e-9:
         raise ValueError(
@@ -222,14 +225,17 @@ def _interp(prev, cur, frac):
     return prev + frac * (cur - prev)
 
 
+TRACE_COLUMNS = ("t", "s", "d", "v", "lambda", "d_ref")
+
+
 def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, grid=None):
     """Replanning loop: estimate, plan, step until the scenario window ends.
 
-    The outcome is ``collision``, ``lane_departure``, ``timeout`` (the
-    vehicle was still short of ``end_s`` after ``TIME_LIMIT`` seconds) or
-    ``ok``. Deterministic: identical inputs give identical traces. The local
-    estimator is seeded with the class mean of the surface just behind the
-    start, standing in for the last estimate of the approach road.
+    The run ends at ``end_s``, at a collision or at ``TIME_LIMIT``; the
+    outcome column and the metrics are scored from the finished trace (see
+    ``_score``). Deterministic: identical inputs give identical traces. The
+    local estimator is seeded with the class mean of the surface just behind
+    the start, standing in for the last estimate of the approach road.
     """
     substeps = replan_substeps(replan_dt, sim_dt)
     grid = grid if grid is not None else SGrid()
@@ -242,25 +248,18 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
     state = scenario.initial
     lam = 0.0
     replans = []
-    rows_t, rows_s, rows_d, rows_v, rows_lam = [], [], [], [], []
-    rows_dref = []
-    outcome_so_far = []
-    current_outcome = "ok"
-    collided = False
+    rows = []
     clearance = math.nan
     impact_velocity = 0.0
-    max_abs_d = abs(state.d)
-    v_entry = math.nan
-    finished = False
-    replan_idx = 0
+    running = True
 
-    while not finished:
+    while running:
         relative_profile = scenario.profile.shifted(-state.s)
         report = emulate(config, relative_profile, grid, lam, estimator, memo=fused_memo)
         trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
         mu_gt0 = scenario.profile.mu_at(state.s)
         replans.append(ReplanRecord(
-            t=replan_idx * replan_dt,
+            t=len(replans) * replan_dt,
             s=state.s,
             lambda_t=lam,
             local_available=report.local_available,
@@ -270,61 +269,26 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
             series=report.series,
             fused=report.fused,
         ))
-        replan_idx += 1
 
         for _ in range(substeps):
             prev = state
             state, lam = step(state, trajectory, scenario.profile, sim_dt)
-            max_abs_d = max(max_abs_d, abs(state.d))
-            if math.isnan(v_entry) and state.s >= scenario.maneuver_window[0]:
-                v_entry = state.v
-            if scenario.obstacle is not None and not collided and math.isnan(clearance):
+            rows += (state.t, state.s, state.d, state.v, lam,
+                     trajectory.d_ref.item(trajectory.index_at(state.s)))
+            # ``s`` never decreases, so the obstacle is crossed at most once.
+            if scenario.obstacle is not None and prev.s < scenario.obstacle[0] <= state.s:
                 s_obs, half_width = scenario.obstacle
-                if prev.s < s_obs <= state.s:
-                    frac = (s_obs - prev.s) / (state.s - prev.s)
-                    d_cross = _interp(prev.d, state.d, frac)
-                    clearance = abs(d_cross) - half_width
-                    if clearance <= 0.0:
-                        collided = True
-                        impact_velocity = _interp(prev.v, state.v, frac)
-            if collided:
-                current_outcome = "collision"
-            elif max_abs_d > scenario.lane_half_width:
-                current_outcome = "lane_departure"
-            elif state.t >= TIME_LIMIT and state.s < scenario.end_s:
-                current_outcome = "timeout"
-            rows_t.append(state.t)
-            rows_s.append(state.s)
-            rows_d.append(state.d)
-            rows_v.append(state.v)
-            rows_lam.append(lam)
-            rows_dref.append(trajectory.d_ref.item(trajectory.index_at(state.s)))
-            outcome_so_far.append(current_outcome)
-            if collided or state.s >= scenario.end_s or state.t >= TIME_LIMIT:
-                finished = True
+                frac = (s_obs - prev.s) / (state.s - prev.s)
+                clearance = abs(_interp(prev.d, state.d, frac)) - half_width
+                if clearance <= 0.0:
+                    impact_velocity = _interp(prev.v, state.v, frac)
+            if clearance <= 0.0 or state.s >= scenario.end_s or state.t >= TIME_LIMIT:
+                running = False
                 break
 
-    window = scenario.maneuver_window
-    in_window = [r.utilization for r in replans if window[0] <= r.s <= window[1]]
-    metrics = RunMetrics(
-        outcome=current_outcome,
-        max_abs_d=max_abs_d,
-        min_clearance=clearance,
-        impact_velocity=impact_velocity,
-        mean_utilization=float(np.mean(in_window)) if in_window else math.nan,
-        v_at_window_entry=v_entry,
-        duration=state.t,
-        final_speed=state.v,
-    )
-    trace = {
-        "t": np.array(rows_t),
-        "s": np.array(rows_s),
-        "d": np.array(rows_d),
-        "v": np.array(rows_v),
-        "lambda": np.array(rows_lam),
-        "d_ref": np.array(rows_dref),
-        "outcome": outcome_so_far,
-    }
+    # ``rows`` is flat, one TRACE_COLUMNS group per step: no object per step.
+    trace = dict(zip(TRACE_COLUMNS, np.array(rows).reshape(-1, len(TRACE_COLUMNS)).T.copy()))
+    trace["outcome"], metrics = _score(scenario, trace, replans, clearance, impact_velocity)
     return ScenarioResult(
         scenario=scenario,
         grid=grid,
@@ -334,3 +298,38 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
         replans=replans,
         metrics=metrics,
     )
+
+
+def _score(scenario, trace, replans, clearance, impact_velocity):
+    """Per-step outcome column and the run's metrics, from a finished run.
+
+    A step's outcome is ``collision``, else ``lane_departure`` once ``|d|``
+    has exceeded the lane half width, else ``timeout`` (the vehicle was
+    still short of ``end_s`` after ``TIME_LIMIT`` seconds), else ``ok``.
+    A collision and the time limit both end the run, so only the last step
+    can take either; the run's outcome is the last step's.
+    """
+    # Running max of |d|, seeded with the start's.
+    max_abs_d = np.maximum(np.maximum.accumulate(np.abs(trace["d"])), abs(scenario.initial.d))
+    outcomes = ["lane_departure" if out else "ok"
+                for out in (max_abs_d > scenario.lane_half_width).tolist()]
+    t_end, s_end = trace["t"][-1].item(), trace["s"][-1].item()
+    if clearance <= 0.0:
+        outcomes[-1] = "collision"
+    elif outcomes[-1] == "ok" and t_end >= TIME_LIMIT and s_end < scenario.end_s:
+        outcomes[-1] = "timeout"
+
+    window = scenario.maneuver_window
+    entry = np.searchsorted(trace["s"], window[0])  # first step at or past the entry
+    in_window = [r.utilization for r in replans if window[0] <= r.s <= window[1]]
+    metrics = RunMetrics(
+        outcome=outcomes[-1],
+        max_abs_d=max_abs_d[-1].item(),
+        min_clearance=clearance,
+        impact_velocity=impact_velocity,
+        mean_utilization=float(np.mean(in_window)) if in_window else math.nan,
+        v_at_window_entry=trace["v"][entry].item() if entry < len(outcomes) else math.nan,
+        duration=t_end,
+        final_speed=trace["v"][-1].item(),
+    )
+    return outcomes, metrics

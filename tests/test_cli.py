@@ -311,6 +311,8 @@ class TestMain:
         ["--ds", "0"], ["--s-f", "-1"], ["--l", "0"], ["--sigma-f", "0"], ["--eta", "2"],
         ["--s-l", "-1"], ["--sim-dt", "0.06"], ["--replan-dt", "0"],
         ["--lane-half-width", "0"], ["--turn-radius", "0"], ["--ds", "1e12", "--s-f", "1"],
+        ["--s-f", "inf"], ["--replan-dt", "inf"], ["--replan-dt", "nan"],
+        ["--turn-radius", "inf"], ["--lane-half-width", "inf"], ["--sigma-f", "inf"],
     ])
     def test_out_of_range_value_names_its_flag(self, argv, capsys):
         assert cli.main(argv) == 1

@@ -44,6 +44,11 @@ class TestSGrid:
         with pytest.raises(ValueError):
             SGrid(ds=ds, s_f=s_f)
 
+    @pytest.mark.parametrize("s_f", [float("inf"), float("nan")])
+    def test_rejects_non_finite_horizon(self, s_f):
+        with pytest.raises(ValueError, match=f"s_f must be finite and > 0, got {s_f}"):
+            SGrid(s_f=s_f)
+
     def test_smallest_grid_ends_at_horizon(self):
         grid = SGrid(ds=2.0, s_f=2.0)
         np.testing.assert_array_equal(grid.points, [0.0, 2.0])

@@ -26,6 +26,15 @@ class TestKernel:
         with pytest.raises(ValueError):
             SquaredExponentialKernel(0.2, -1.0)
 
+    @pytest.mark.parametrize("sigma_f", [math.inf, math.nan])
+    def test_signal_std_must_be_finite(self, sigma_f):
+        with pytest.raises(ValueError, match=f"sigma_f must be finite and > 0, got {sigma_f}"):
+            SquaredExponentialKernel(sigma_f, 10.0)
+
+    def test_infinite_length_scale_is_the_constant_kernel(self):
+        k = SquaredExponentialKernel(0.5, math.inf)
+        assert kernel_eval(k, 0.0, 50.0) == 0.25
+
     def test_diagonal_value(self):
         k = SquaredExponentialKernel(0.2296, 10.0)
         assert kernel_eval(k, 5.0, 5.0) == pytest.approx(0.2296**2, rel=1e-12)

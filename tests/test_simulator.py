@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from frictionfusion.simulator import (
     Scenario,
     VehicleState,
     collision_scenario,
+    replan_substeps,
     run,
     step,
     turn_scenario,
@@ -108,6 +110,16 @@ class TestScenarioDefinitions:
         with pytest.raises(ValueError, match="turn_radius"):
             turn_scenario(turn_radius=0.0)
 
+    @pytest.mark.parametrize("build, name, value", [
+        (turn_scenario, "turn_radius", np.inf),
+        (turn_scenario, "lane_half_width", np.inf),
+        (collision_scenario, "lane_half_width", np.inf),
+        (collision_scenario, "lane_half_width", np.nan),
+    ])
+    def test_non_finite_geometry_rejected(self, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            build(**{name: value})
+
     def test_curvature_on_matches_curvature_at(self):
         scenario = Scenario(
             name="s-bend", path=((0.0, 0.0), (10.0, 0.05), (12.5, -0.1), (30.0, 0.0)),
@@ -185,6 +197,12 @@ class TestRunValidation:
             run(turn_scenario(), Configuration("gt"), replan_dt=1e-10, sim_dt=0.01)
 
 
+    @pytest.mark.parametrize("replan_dt", [np.inf, np.nan])
+    def test_non_finite_replan_interval_rejected(self, replan_dt):
+        with pytest.raises(ValueError, match=f"replan_dt must be finite and > 0, got {replan_dt}"):
+            replan_substeps(replan_dt, 0.01)
+
+
 class TestTurnRuns:
     def test_ground_truth_stays_in_lane(self):
         result = run(turn_scenario(), Configuration("gt"), local_error=0.025)
@@ -224,9 +242,66 @@ class TestCollisionRuns:
         assert result.metrics.outcome == "ok"
         assert result.metrics.min_clearance > 0.0
 
+    def test_collision_outranks_an_earlier_lane_departure(self):
+        # On a narrow lane the predictive-only dodge leaves the lane before it
+        # reaches the obstacle: the column reads lane_departure from there on,
+        # and the collision, which ends the run, takes the last step.
+        result = run(collision_scenario(lane_half_width=0.8), Configuration("p"))
+        outcomes = result.trace["outcome"]
+        assert len(outcomes) == 111
+        assert outcomes[:86] == ["ok"] * 86
+        assert outcomes[86:110] == ["lane_departure"] * 24
+        assert outcomes[110] == "collision"
+        assert result.metrics.outcome == "collision"
+        assert result.metrics.max_abs_d > 0.8
+        assert result.metrics.min_clearance <= 0.0
+
     def test_predictive_never_saturates_the_plant(self):
         result = run(collision_scenario(), Configuration("p"), local_error=-0.025)
         assert result.trace["lambda"].max() <= 0.6 + 1e-9
+
+
+def per_step_score(scenario, trace, collided):
+    """Reference scorer: the outcome and metrics kept step by step in a loop.
+
+    ``collided`` says whether the run ended at the obstacle, which can only
+    happen on its last step.
+    """
+    max_abs_d, v_entry, current, outcomes = abs(scenario.initial.d), math.nan, "ok", []
+    last = len(trace["t"]) - 1
+    for i, (t, s, d, v) in enumerate(zip(*(trace[k].tolist() for k in ("t", "s", "d", "v")))):
+        max_abs_d = max(max_abs_d, abs(d))
+        if math.isnan(v_entry) and s >= scenario.maneuver_window[0]:
+            v_entry = v
+        if collided and i == last:
+            current = "collision"
+        elif max_abs_d > scenario.lane_half_width:
+            current = "lane_departure"
+        elif t >= TIME_LIMIT and s < scenario.end_s:
+            current = "timeout"
+        outcomes.append(current)
+    return outcomes, max_abs_d, v_entry
+
+
+class TestScore:
+    @pytest.mark.parametrize("scenario, kind, error", [
+        (turn_scenario(), "l", 0.025),
+        (turn_scenario(), "f", -0.025),
+        (collision_scenario(), "p", -0.025),
+        (collision_scenario(lane_half_width=0.8), "p", 0.0),
+        (collision_scenario(), "f", 0.025),
+        (dataclasses.replace(turn_scenario(), target_speed=0.0), "gt", 0.0),
+    ])
+    def test_matches_the_per_step_reference(self, scenario, kind, error):
+        result = run(scenario, Configuration(kind), local_error=error)
+        m = result.metrics
+        outcomes, max_abs_d, v_entry = per_step_score(
+            scenario, result.trace, collided=m.min_clearance <= 0.0)
+        assert result.trace["outcome"] == outcomes
+        assert m.outcome == outcomes[-1]
+        assert m.max_abs_d == max_abs_d
+        assert m.v_at_window_entry == v_entry
+        assert (m.duration, m.final_speed) == (result.trace["t"][-1], result.trace["v"][-1])
 
 
 class TestPlantConsistency:
