@@ -22,6 +22,9 @@ DEFAULT_DS = 1.0
 DEFAULT_HORIZON = 50.0
 DEFAULT_LENGTH_SCALE = 10.0
 DEFAULT_LOCAL_REACH = 5.0
+# Each fuse factorizes an n x n Gram, so n is bounded: 2001 points (ds = 0.025
+# on the default 50 m horizon) is a 32 MB Gram and a few copies of it per fuse.
+MAX_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,10 @@ class SGrid:
         if not 0.0 < self.s_f < math.inf:
             raise ValueError(f"s_f must be finite and > 0, got {self.s_f}")
         ratio = self.s_f / self.ds
+        # Below MAX_GRID_POINTS - 0.5, a whole ratio gives at most the limit.
+        if not ratio < MAX_GRID_POINTS - 0.5:
+            raise ValueError(f"s_f ({self.s_f}) over ds ({self.ds}) is {ratio + 1:.6g} "
+                             f"grid points, more than the limit of {MAX_GRID_POINTS}")
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"s_f ({self.s_f}) must be a positive whole multiple "
                              f"of ds ({self.ds})")

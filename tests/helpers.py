@@ -1,12 +1,16 @@
-"""Shared test oracles and generators.
+"""Shared test oracles, generators and the environment of fresh processes.
 
 The GP oracle here is intentionally naive: it forms the explicit inverse of
 the regularized Gram matrix with dense linear algebra, exercising none of
 the production code paths beyond the kernel definition itself.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import frictionfusion
 from frictionfusion.estimators import FrictionProfile
 
 ORACLE_JITTER = 1e-10
@@ -73,3 +77,13 @@ def random_profile(rng, first_transition_at_least=18.0, min_segment=15.0):
         segments.append((float(p), rng.uniform(0.1, 1.2)))
         last = p
     return FrictionProfile(tuple(segments))
+
+
+def fresh_process_env(drop=(), **variables):
+    """``os.environ`` without ``drop``, plus ``variables``, for a new
+    interpreter that imports the package these tests import."""
+    src = str(Path(frictionfusion.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

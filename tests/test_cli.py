@@ -3,6 +3,8 @@ import hashlib
 import inspect
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from frictionfusion.cli import (
     run_matrix,
 )
 from frictionfusion.estimators import Configuration, FrictionProfile
-from frictionfusion.fusion import SGrid, calibrate_prior
+from frictionfusion.fusion import MAX_GRID_POINTS, SGrid, calibrate_prior
 from frictionfusion.gp import FactorizationError
 from frictionfusion.simulator import collision_scenario, run, turn_scenario
+from helpers import fresh_process_env
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone.
@@ -51,6 +54,8 @@ collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 # finer grid. Each digest was measured before the code that writes the file
 # was rewritten. An estimate digest covers every estimate_<i>.csv,
 # concatenated in name order.
+FINE_GRID_KEY = ("--scenario", "turn", "--config", "f", "--error", "worst-under",
+                 "--ds", "0.5", "--dump-estimates")
 GOLDEN_FILE_DIGESTS = {
     ("--scenario", "collision", "--config", "p", "--error", "worst-over",
      "--dump-estimates"): {
@@ -64,8 +69,7 @@ GOLDEN_FILE_DIGESTS = {
         "trace.json": "632686ece8d065ea2ddd4794e6a89d7aee998ad77a44285e03f5126887f91b11",
         "metrics.json": "2b15fc77ff4ef7c6493ae89ca8aae97ec8ff8a85e1e381a9d003c65dcb30ce5b",
     },
-    ("--scenario", "turn", "--config", "f", "--error", "worst-under", "--ds", "0.5",
-     "--dump-estimates"): {
+    FINE_GRID_KEY: {
         "trace.csv": "419a45a8a52c619a92c3b794d142b5b804d0326a0219d4c24b7882702b71ef97",
         "trace.json": "b6c3f866fed57ba9d1dfe9bea9029b29b4ee528ac5e6305007044f9d9894b46d",
         "metrics.json": "fd988aa584e27f2c5502dd57c62a73244e65c935e66ab0009081eaa8e2b4b65e",
@@ -198,17 +202,29 @@ class TestEmitTraces:
         assert [int(n[len("estimate_"):-len(".csv")]) for n in names] == \
             list(range(len(result.replans)))
 
+    @staticmethod
+    def _digests(out_dir, key):
+        digests = {}
+        for pattern in GOLDEN_FILE_DIGESTS[key]:
+            paths = sorted(out_dir.glob(pattern))
+            assert paths, pattern
+            data = b"".join(p.read_bytes() for p in paths)
+            digests[pattern] = hashlib.sha256(data).hexdigest()
+        return digests
+
     @pytest.mark.parametrize("key", list(GOLDEN_FILE_DIGESTS))
     def test_written_files_are_golden(self, key, tmp_path):
         rc = parse_args([*key, "--out", str(tmp_path)])
         emit_traces(execute(rc), rc)
-        digests = {}
-        for pattern in GOLDEN_FILE_DIGESTS[key]:
-            paths = sorted(tmp_path.glob(pattern))
-            assert paths, pattern
-            data = b"".join(p.read_bytes() for p in paths)
-            digests[pattern] = hashlib.sha256(data).hexdigest()
-        assert digests == GOLDEN_FILE_DIGESTS[key]
+        assert self._digests(tmp_path, key) == GOLDEN_FILE_DIGESTS[key]
+
+    def test_written_files_are_golden_on_threaded_blas(self, tmp_path):
+        # The package loads scipy's BLAS on one thread unless a thread count
+        # is set; with two threads the fused fine-grid files are the same bytes.
+        subprocess.run([sys.executable, "-m", "frictionfusion.cli", *FINE_GRID_KEY,
+                        "--out", str(tmp_path)], check=True, capture_output=True,
+                       env=fresh_process_env(OPENBLAS_NUM_THREADS="2"))
+        assert self._digests(tmp_path, FINE_GRID_KEY) == GOLDEN_FILE_DIGESTS[FINE_GRID_KEY]
 
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",
@@ -319,6 +335,16 @@ class TestMain:
         err = capsys.readouterr().err
         for flag in argv[::2]:
             assert re.search(re.escape(flag) + r"(?![\w-])", err)
+
+    def test_grid_over_the_point_limit_starts_no_run(self, monkeypatch, capsys):
+        def must_not_run(rc):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "execute", must_not_run)
+        assert cli.main(["--config", "f", "--ds", "0.001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --ds/--s-f: ")
+        assert "50001 grid points" in err and f"limit of {MAX_GRID_POINTS}" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["--matrix", "--scenario", "collision"], "--scenario"),

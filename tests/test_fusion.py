@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frictionfusion.fusion import (
+    MAX_GRID_POINTS,
     EstimateSeries,
     SGrid,
     Z_95,
@@ -56,6 +57,16 @@ class TestSGrid:
     def test_coarse_grid(self):
         grid = SGrid(ds=2.5, s_f=50.0)
         assert grid.n_points == 21
+
+    @pytest.mark.parametrize("ds, s_f", [(1e-300, 50.0), (5e-324, 50.0), (0.001, 50.0),
+                                         (0.025, 50.025)])
+    def test_rejects_grid_over_the_point_limit(self, ds, s_f):
+        with pytest.raises(ValueError, match=rf"more than the limit of {MAX_GRID_POINTS}$"):
+            SGrid(ds=ds, s_f=s_f)
+
+    @pytest.mark.parametrize("ds, n_points", [(0.125, 401), (0.025, MAX_GRID_POINTS)])
+    def test_fine_grids_within_the_limit(self, ds, n_points):
+        assert SGrid(ds=ds).n_points == n_points
 
 
 class TestEstimateSeries:

@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from frictionfusion.gp import (
+    BLAS_THREAD_VARIABLES,
     FactorizationError,
     GpPrior,
     ObservationSet,
@@ -12,7 +17,7 @@ from frictionfusion.gp import (
     kernel_eval,
     posterior,
 )
-from helpers import naive_posterior, random_gp_case
+from helpers import fresh_process_env, naive_posterior, random_gp_case
 
 
 def make_prior(mean=0.55, sigma_f=0.45 / 1.96, length_scale=10.0):
@@ -230,3 +235,69 @@ class TestGpPrior:
         with pytest.raises(ValueError):
             GpPrior(mean=2.0, kernel=kernel)
         assert GpPrior(mean=0.55, kernel=kernel).mean == 0.55
+
+
+# Run in a fresh interpreter: imports numpy, then frictionfusion, and prints
+# whether os.environ came back unchanged and the thread count of each OpenBLAS
+# that importing frictionfusion loaded (scipy's), found and queried the way
+# perfbench/environment.py does.
+BLAS_PROBE = """
+import ctypes, json, os
+import numpy
+
+SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+def openblas_libraries():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            return {line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and line.rstrip().endswith(".so")}
+    except OSError:
+        return set()
+
+def threads(path):
+    lib = ctypes.CDLL(path)
+    for symbol in SYMBOLS:
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            return fn()
+    return None
+
+before = dict(os.environ)
+numpy_libraries = openblas_libraries()
+import frictionfusion
+print(json.dumps({"environ_unchanged": dict(os.environ) == before,
+                  "scipy_threads": [threads(path) for path in
+                                    sorted(openblas_libraries() - numpy_libraries)]}))
+"""
+
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _load_in_fresh_process(preset):
+    """Thread counts of scipy's OpenBLAS after ``import frictionfusion`` in a
+    fresh interpreter whose only BLAS thread variables are ``preset``."""
+    env = fresh_process_env(drop=BLAS_THREAD_VARIABLES, **preset)
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
+                          capture_output=True, text=True)
+    report = json.loads(done.stdout)
+    assert report["environ_unchanged"]
+    if not report["scipy_threads"] or None in report["scipy_threads"]:
+        pytest.skip("no queryable OpenBLAS loaded by scipy.linalg")
+    return report["scipy_threads"]
+
+
+class TestBlasThreadPolicy:
+    """``import frictionfusion`` loads scipy's OpenBLAS on one thread unless
+    a thread variable is set, and leaves ``os.environ`` as it found it."""
+
+    def test_scipy_pool_loads_on_one_thread(self):
+        assert _load_in_fresh_process({}) == [1]
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="OpenBLAS runs at most one thread per CPU")
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+    def test_a_preset_thread_count_is_kept(self, name):
+        assert _load_in_fresh_process({name: "2"}) == [2]
