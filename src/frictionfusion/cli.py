@@ -164,11 +164,12 @@ def parse_args(argv):
     return _parse(argv)[0]
 
 
-def _fmt(x):
-    """Nine significant digits; NaN, the one value unequal to itself, is empty."""
-    if isinstance(x, (float, np.floating)):
-        return "" if x != x else f"{x:.9g}"
-    return str(x)
+def _column(values, text=True):
+    """Cells of a column of floats, the one place the number rules live: NaN is an empty
+    CSV cell or a JSON null; other values are 9-significant-digit text, or kept for JSON."""
+    if text:
+        return ["" if x != x else f"{x:.9g}" for x in values]
+    return [None if x != x else x for x in values]
 
 
 def _write_text(path, text):
@@ -176,12 +177,6 @@ def _write_text(path, text):
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _json_value(x):
-    if isinstance(x, (float, np.floating)):
-        return None if x != x else float(x)
-    return x
 
 
 def execute(rc):
@@ -209,15 +204,14 @@ def emit_traces(result, rc):
     columns = {k: tr[k].tolist() for k in ("t", "s", "d", "v", "lambda")}
 
     if rc.format in ("csv", "both"):
-        lines = ["t,s,d,v,lambda,outcome_so_far"]
-        for t, s, d, v, lam, outcome in zip(*columns.values(), tr["outcome"]):
-            lines.append(",".join([_fmt(t), _fmt(s), _fmt(d), _fmt(v), _fmt(lam), outcome]))
+        cells = [_column(col) for col in columns.values()] + [tr["outcome"]]
+        lines = ["t,s,d,v,lambda,outcome_so_far", *map(",".join, zip(*cells))]
         path = out_dir / "trace.csv"
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     if rc.format in ("json", "both"):
-        payload = {k: [_json_value(x) for x in col] for k, col in columns.items()}
+        payload = {k: _column(col, text=False) for k, col in columns.items()}
         payload["outcome_so_far"] = list(tr["outcome"])
         path = out_dir / "trace.json"
         _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
@@ -226,7 +220,7 @@ def emit_traces(result, rc):
     metrics_payload = {"scenario": result.scenario.name, "config": result.config_kind,
                        "error": rc.error}
     for name, value in dataclasses.asdict(result.metrics).items():
-        metrics_payload[name] = _json_value(value)
+        metrics_payload[name] = _column((value,), text=False)[0]  # the outcome passes too
     path = out_dir / "metrics.json"
     _write_text(path, json.dumps(metrics_payload, sort_keys=True, indent=2) + "\n")
     written.append(path)
@@ -237,19 +231,14 @@ def emit_traces(result, rc):
         for index, rec in enumerate(result.replans):
             mu_gt = result.scenario.profile.shifted(-rec.s).mu_on(grid_pts)
             if rec.fused is not None:
-                mu_prime = rec.series.mu_prime
-                margin = rec.series.margin
-                post_mean = rec.fused.mean
-                post_std = rec.fused.std
-            else:
-                mu_prime = rec.mu_hat
-                margin = np.zeros_like(rec.mu_hat)
-                post_mean = rec.mu_hat
-                post_std = np.zeros_like(rec.mu_hat)
-            lines = ["s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt"]
-            cols = (grid_pts, mu_prime, margin, post_mean, post_std, rec.mu_hat, mu_gt)
-            for row in zip(*(c.tolist() for c in cols)):
-                lines.append(",".join(_fmt(x) for x in row))
+                gp_cols = (rec.series.mu_prime, rec.series.margin, rec.fused.mean, rec.fused.std)
+            else:  # no fusion: the estimate is its own input and mean, with no spread
+                zeros = np.zeros_like(rec.mu_hat)
+                gp_cols = (rec.mu_hat, zeros, rec.mu_hat, zeros)
+            cols = (grid_pts, *gp_cols, rec.mu_hat, mu_gt)
+            cells = [_column(c.tolist()) for c in cols]
+            lines = ["s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt",
+                     *map(",".join, zip(*cells))]
             path = out_dir / f"estimate_{index:0{width}d}.csv"
             _write_text(path, "\n".join(lines) + "\n")
             written.append(path)
@@ -260,7 +249,7 @@ def emit_traces(result, rc):
 # inputs, or an output file that cannot be written.
 RUN_FAILURES = (ValueError, FactorizationError, OSError)
 
-# The metrics in a summary.csv row, after the run's selection columns.
+# The metrics in a summary.csv row, after the run's selection columns; the outcome first.
 SUMMARY_METRICS = ("outcome", "max_abs_d", "min_clearance", "impact_velocity",
                    "mean_utilization")
 SUMMARY_HEADER = ",".join(("scenario", "config", "error_mode") + SUMMARY_METRICS)
@@ -271,7 +260,8 @@ def _matrix_cell(rc):
         result = execute(rc)
         if rc.out is not None:
             emit_traces(result, rc)
-        values = [_fmt(getattr(result.metrics, name)) for name in SUMMARY_METRICS]
+        m = result.metrics
+        values = [m.outcome, *_column([getattr(m, name) for name in SUMMARY_METRICS[1:]])]
     except RUN_FAILURES as exc:  # anything else is a bug
         print(f"{rc.scenario},{rc.config},{rc.error}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

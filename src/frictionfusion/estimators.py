@@ -7,6 +7,7 @@ class means/margins with the local estimate through the GP pipeline.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ CONFIG_KINDS = ("gt", "l", "p", "f")
 class FrictionProfile:
     """Piecewise-constant ground-truth friction over arc length.
 
-    Segments are (s_start, mu) pairs with strictly increasing starts; the
-    first segment must begin at negative s so the profile covers the road
+    Segments are (s_start, mu) pairs with finite, strictly increasing starts;
+    the first segment must begin at negative s so the profile covers the road
     behind the run start. Every mu must be classifiable (see ``classify``).
     """
 
@@ -39,21 +40,26 @@ class FrictionProfile:
         segs = tuple((float(s), float(mu)) for s, mu in segments)
         if not segs:
             raise ValueError("profile needs at least one segment")
-        starts = [s for s, _ in segs]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment starts must be strictly increasing")
-        if starts[0] >= 0.0:
-            raise ValueError("first segment must start at negative s")
         for _, mu in segs:
             if not SNOW_ICE.mu_min <= mu <= 1.2:
                 raise ValueError(f"mu values must lie in [{SNOW_ICE.mu_min}, 1.2], got {mu}")
-        object.__setattr__(self, "segments", segs)
+        self._set(*(np.array(column, dtype=np.float64) for column in zip(*segs)))
+
+    def _set(self, start_array, mu_array):
+        """Check the starts and set every field; the mu values are checked already."""
+        starts = tuple(start_array.tolist())
+        if not all(map(math.isfinite, starts)):
+            raise ValueError(f"segment starts must be finite, got {starts}")
+        if any(not b > a for a, b in zip(starts, starts[1:])):
+            raise ValueError("segment starts must be strictly increasing")
+        if starts[0] >= 0.0:
+            raise ValueError("first segment must start at negative s")
+        object.__setattr__(self, "segments", tuple(zip(starts, mu_array.tolist())))
         # Lookup tables, built once: not dataclass fields, so equality,
         # hashing and repr still see only ``segments``.
-        object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(self, "_start_array", np.array(starts, dtype=np.float64))
-        object.__setattr__(self, "_mu_array",
-                           np.array([mu for _, mu in segs], dtype=np.float64))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_start_array", start_array)
+        object.__setattr__(self, "_mu_array", mu_array)
 
     def mu_at(self, s):
         """Friction of the segment containing s."""
@@ -73,7 +79,9 @@ class FrictionProfile:
 
     def shifted(self, offset):
         """Profile expressed in a frame displaced by ``offset`` meters."""
-        return FrictionProfile(tuple((s + offset, mu) for s, mu in self.segments))
+        profile = object.__new__(FrictionProfile)
+        profile._set(self._start_array + offset, self._mu_array)  # same mu: no re-check
+        return profile
 
     @property
     def transition_points(self):

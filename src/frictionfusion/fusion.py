@@ -72,10 +72,10 @@ class EstimateSeries:
         n = grid.n_points
         if len(mu) != n or len(mg) != n:
             raise ValueError(f"mu_prime and margin must have {n} entries to match the grid")
-        if mg.min() < 0.0:
-            raise ValueError("margin entries must be >= 0")
-        if mu.min() <= 0.0 or mu.max() > 1.5:
-            raise ValueError("mu_prime entries must lie in (0, 1.5]")
+        if not (np.isfinite(mg).all() and mg.min() >= 0.0):
+            raise ValueError("margin entries must be finite and >= 0")
+        if not (mu.min() > 0.0 and mu.max() <= 1.5):
+            raise ValueError("mu_prime entries must be finite and lie in (0, 1.5]")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "mu_prime", mu)
         object.__setattr__(self, "margin", mg)

@@ -21,11 +21,11 @@ import numpy as np
 # Results are the same bits either way.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
 else:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        from scipy.linalg import solve_triangular
+        from scipy.linalg.lapack import dtrtrs
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
@@ -80,7 +80,8 @@ class ObservationSet:
     """Noisy samples y(x) with one noise standard deviation per sample.
 
     Locations need not be sorted or distinct; zero noise is permitted and
-    handled by jitter during inference.
+    handled by jitter during inference. Values and noise must be finite; a
+    non-finite location fails the Gram check of ``posterior``.
     """
 
     locations: np.ndarray
@@ -94,8 +95,10 @@ class ObservationSet:
         n = len(self.locations)
         if len(self.values) != n or len(self.noise_std) != n:
             raise ValueError("locations, values and noise_std must have equal length")
-        if n and self.noise_std.min() < 0.0:
-            raise ValueError("noise_std entries must be >= 0")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values entries must be finite")
+        if n and not (np.isfinite(self.noise_std).all() and self.noise_std.min() >= 0.0):
+            raise ValueError("noise_std entries must be finite and >= 0")
 
     def __len__(self):
         return len(self.locations)
@@ -127,16 +130,20 @@ def gram_matrix(kernel, xs_a, xs_b):
     return (kernel.sigma_f * kernel.sigma_f) * np.exp(-(diff * diff) * inv)
 
 
-def _factorize(gram):
-    """Cholesky with escalating jitter; raises FactorizationError when exhausted."""
+def _factorize(k_obs, noise_var):
+    """Lower Cholesky factor of one copy of ``k_obs`` whose diagonal holds ``(K_ii +
+    noise_var_i) + jitter``, with jitter escalated until it succeeds or is exhausted."""
+    n = k_obs.shape[0]
+    gram = k_obs.copy()
+    diag = gram.diagonal() + noise_var
+    gram.flat[::n + 1] = diag
     if not np.isfinite(gram).all():
         raise FactorizationError("regularized Gram matrix contains non-finite entries")
-    n = gram.shape[0]
-    eye = np.eye(n)
     jitter = JITTER_INITIAL
     while True:
+        gram.flat[::n + 1] = diag + jitter
         try:
-            chol = np.linalg.cholesky(gram + jitter * eye)
+            chol = np.linalg.cholesky(gram)
             if np.isfinite(chol).all():
                 return chol
             raise np.linalg.LinAlgError("non-finite factor")
@@ -157,8 +164,8 @@ def posterior(prior, obs, test_locations):
     Cholesky factor; no explicit inverse is formed.
     """
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
-    if x_star.size == 0:
-        raise ValueError("test_locations must be non-empty")
+    if x_star.size == 0 or not np.isfinite(x_star).all():
+        raise ValueError("test_locations must be non-empty and finite")
     kernel = prior.kernel
 
     if len(obs) == 0:
@@ -172,12 +179,14 @@ def posterior(prior, obs, test_locations):
     k_cross = k_obs if same_grid else gram_matrix(kernel, x_star, xs)
     k_star = k_obs if same_grid else gram_matrix(kernel, x_star, x_star)
 
-    chol = _factorize(k_obs + np.diag(obs.noise_std**2))
+    # dtrtrs as solve_triangular calls it for L (trans=1: L x = b, via the F-ordered L.T), minus
+    # wrappers and finiteness scans (inputs are finite); b is copied; info is 0 as diag(L) > 0.
+    upper = _factorize(k_obs, obs.noise_std**2).T
     resid = obs.values - prior.mean
-    alpha = solve_triangular(chol.T, solve_triangular(chol, resid, lower=True), lower=False)
+    alpha = dtrtrs(upper, dtrtrs(upper, resid, trans=1)[0])[0]
     mean = prior.mean + k_cross @ alpha
 
-    v = solve_triangular(chol, k_cross.T, lower=True)
+    v = dtrtrs(upper, k_cross.T, trans=1)[0]
     cov = k_star - v.T @ v
     cov = 0.5 * (cov + cov.T)
     return _summarize(x_star, mean, cov)

@@ -36,6 +36,14 @@ FEASIBILITY_TOL = 0.15
 
 _KAPPA_EPS = 1e-12
 
+# Columns h0, h1, h3, ddh0, ddh1, ddh3. Term k is _BASIS_COEF[k] * tau**_BASIS_POWER[k]; adding
+# them in k order, then -6 and -3 tau**5 to h0 and h1, gives each polynomial's own bits.
+_BASIS_POWER = np.array([[0, 1, 3, 1, 1, 1], [3, 3, 4, 2, 2, 2], [4, 4, 5, 3, 3, 3]])
+_BASIS_COEF = np.array([[1.0, 1.0, 10.0, -60.0, -36.0, 60.0],
+                        [-10.0, -6.0, -15.0, 180.0, 96.0, -180.0],
+                        [15.0, 8.0, 6.0, -120.0, -60.0, 120.0]])[:, :, None]
+_BASIS_T5_COEF = np.array([[-6.0], [-3.0]])
+
 
 @dataclass(frozen=True)
 class QuinticBlend:
@@ -49,21 +57,24 @@ class QuinticBlend:
 
     def eval(self, tau):
         """Offset and curvature contribution at normalized positions."""
-        t2 = tau * tau
-        t3 = t2 * tau
-        t4 = t3 * tau
-        t5 = t4 * tau
-        h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        ddh0 = -60.0 * tau + 180.0 * t2 - 120.0 * t3
-        ddh1 = -36.0 * tau + 96.0 * t2 - 60.0 * t3
-        ddh3 = 60.0 * tau - 180.0 * t2 + 120.0 * t3
+        tau = np.asarray(tau, dtype=np.float64)
+        powers = np.empty((6, tau.size))
+        powers[0] = 1.0
+        powers[1] = tau.reshape(-1)
+        for k in range(2, 6):
+            np.multiply(powers[k - 1], powers[1], out=powers[k])
+        terms = powers[_BASIS_POWER]
+        terms *= _BASIS_COEF
+        basis = terms[0] + terms[1]
+        basis += terms[2]
+        basis[:2] += _BASIS_T5_COEF * powers[5]
+        # d and curv sum d0 * h0 + rate * h1 + d1 * h3 over h and over ddh.
         span = self.s1 - self.s0
-        rate = self.slope0 * span
-        d = self.d0 * h0 + rate * h1 + self.d1 * h3
-        curv = (self.d0 * ddh0 + rate * ddh1 + self.d1 * ddh3) / (span * span)
-        return d, curv
+        parts = basis.reshape(2, 3, -1)
+        parts *= np.array([[self.d0], [self.slope0 * span], [self.d1]])
+        total = parts[:, 0] + parts[:, 1]
+        total += parts[:, 2]
+        return total[0].reshape(tau.shape), (total[1] / (span * span)).reshape(tau.shape)
 
     def offset_at(self, s):
         tau = (s - self.s0) / (self.s1 - self.s0)
@@ -74,32 +85,41 @@ class QuinticBlend:
 
 @dataclass(frozen=True)
 class LateralReference:
-    """Piecewise lateral offset profile: ordered blends joined by constant holds."""
+    """Piecewise lateral offset profile: blends in order, ``s0 < s1 <= next.s0``,
+    joined by constant holds."""
 
     blends: tuple
     base_level: float = 0.0
 
+    def __post_init__(self):
+        prev_s1 = -math.inf
+        for blend in self.blends:
+            if not prev_s1 <= blend.s0 < blend.s1:  # false for a NaN edge too
+                raise ValueError(f"blends must satisfy s0 < s1 <= next s0, got {self.blends}")
+            prev_s1 = blend.s1
+
     def eval(self, positions):
+        """Offset and curvature at ascending ``positions``; before the first blend the
+        offset extends along its start slope, after a blend it holds its end."""
         s = np.asarray(positions, dtype=np.float64)
+        # A pair that holds a NaN compares false; only a lone NaN needs its own test.
+        if not (s[1:] >= s[:-1]).all() or (s.size == 1 and np.isnan(s[0])):
+            raise ValueError("positions must be ascending, with no NaN")
         d = np.full(s.shape, self.base_level)
         curv = np.zeros(s.shape)
         if not self.blends:
             return d, curv
+        # cut[k] counts the positions below edge k (s0, s1, next s0, ...); blend k
+        # covers cut[2k]:cut[2k+1], and its end holds until the next blend.
         first = self.blends[0]
-        before = s < first.s0
-        d[before] = first.d0 + first.slope0 * (s[before] - first.s0)
-        level = None
-        for blend in self.blends:
-            if level is not None:
-                gap = (s >= level[0]) & (s < blend.s0)
-                d[gap] = level[1]
-            inside = (s >= blend.s0) & (s < blend.s1)
-            if inside.any():
-                tau = (s[inside] - blend.s0) / (blend.s1 - blend.s0)
-                d[inside], curv[inside] = blend.eval(tau)
-            level = (blend.s1, blend.d1)
-        after = s >= level[0]
-        d[after] = level[1]
+        cut = np.searchsorted(s, [e for b in self.blends for e in (b.s0, b.s1)]).tolist()
+        d[:cut[0]] = first.d0 + first.slope0 * (s[:cut[0]] - first.s0)
+        for k, blend in enumerate(self.blends):
+            lo, hi = cut[2 * k], cut[2 * k + 1]
+            if hi > lo:
+                tau = (s[lo:hi] - blend.s0) / (blend.s1 - blend.s0)
+                d[lo:hi], curv[lo:hi] = blend.eval(tau)
+            d[hi:] = blend.d1
         return d, curv
 
 
@@ -139,8 +159,8 @@ class PlannedTrajectory:
     dodge_scale: float = 1.0
 
     def index_at(self, s):
-        idx = int(round((s - self.s_anchor) / self.ds))
-        return min(max(idx, 0), len(self.positions) - 1)
+        idx, last = round((s - self.s_anchor) / self.ds), len(self.positions) - 1
+        return 0 if idx < 0 else last if idx > last else idx
 
     def demand_at(self, i, v):
         """Planar acceleration demand at grid index i (see ``index_at``) at speed v.
@@ -182,10 +202,10 @@ def _return_reference(s_now, d_now, slope_now):
 
 
 def _curvature_caps(mu_g, kappa_abs, v_des):
-    caps = np.full(kappa_abs.shape, v_des)
-    curved = kappa_abs > _KAPPA_EPS
-    caps[curved] = np.minimum(v_des, np.sqrt(mu_g[curved] / kappa_abs[curved]))
-    return caps
+    # Straight points keep an infinite ratio, so their cap is v_des itself.
+    ratio = np.divide(mu_g, kappa_abs, out=np.full(kappa_abs.shape, np.inf),
+                      where=kappa_abs > _KAPPA_EPS)
+    return np.minimum(v_des, np.sqrt(ratio))
 
 
 def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
@@ -332,7 +352,8 @@ def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,
     a_long = np.empty_like(v)
     a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * grid.ds)
     a_long[-1] = a_long[-2]
-    a_long = np.clip(a_long, -mu_g, mu_g)
+    # np.clip's semantics, signed zeros included, without its Python wrapper.
+    a_long = np.minimum(np.maximum(a_long, -mu_g), mu_g)
     lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
     return PlannedTrajectory(
         s_anchor=state.s,

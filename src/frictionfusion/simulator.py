@@ -30,7 +30,7 @@ OBSTACLE_HALF_WIDTH = 1.0
 RUNOUT = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     """Path-aligned state: arc length, lateral offset (positive left), speed."""
 
@@ -245,6 +245,7 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
     memory = PlannerMemory()
     fused_memo = {}
 
+    profile, end_s, obstacle = scenario.profile, scenario.end_s, scenario.obstacle
     state = scenario.initial
     lam = 0.0
     replans = []
@@ -254,10 +255,10 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
     running = True
 
     while running:
-        relative_profile = scenario.profile.shifted(-state.s)
+        relative_profile = profile.shifted(-state.s)
         report = emulate(config, relative_profile, grid, lam, estimator, memo=fused_memo)
         trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
-        mu_gt0 = scenario.profile.mu_at(state.s)
+        mu_gt0 = profile.mu_at(state.s)
         replans.append(ReplanRecord(
             t=len(replans) * replan_dt,
             s=state.s,
@@ -270,19 +271,20 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
             fused=report.fused,
         ))
 
+        d_ref = trajectory.d_ref.tolist()
         for _ in range(substeps):
             prev = state
-            state, lam = step(state, trajectory, scenario.profile, sim_dt)
+            state, lam = step(state, trajectory, profile, sim_dt)
             rows += (state.t, state.s, state.d, state.v, lam,
-                     trajectory.d_ref.item(trajectory.index_at(state.s)))
+                     d_ref[trajectory.index_at(state.s)])
             # ``s`` never decreases, so the obstacle is crossed at most once.
-            if scenario.obstacle is not None and prev.s < scenario.obstacle[0] <= state.s:
-                s_obs, half_width = scenario.obstacle
+            if obstacle is not None and prev.s < obstacle[0] <= state.s:
+                s_obs, half_width = obstacle
                 frac = (s_obs - prev.s) / (state.s - prev.s)
                 clearance = abs(_interp(prev.d, state.d, frac)) - half_width
                 if clearance <= 0.0:
                     impact_velocity = _interp(prev.v, state.v, frac)
-            if clearance <= 0.0 or state.s >= scenario.end_s or state.t >= TIME_LIMIT:
+            if clearance <= 0.0 or state.s >= end_s or state.t >= TIME_LIMIT:
                 running = False
                 break
 

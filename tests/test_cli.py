@@ -226,6 +226,26 @@ class TestEmitTraces:
                        env=fresh_process_env(OPENBLAS_NUM_THREADS="2"))
         assert self._digests(tmp_path, FINE_GRID_KEY) == GOLDEN_FILE_DIGESTS[FINE_GRID_KEY]
 
+    def test_nan_is_an_empty_csv_cell_and_a_json_null(self, tmp_path):
+        result = run(turn_scenario(), Configuration("gt"))
+        trace = dict(result.trace, d=result.trace["d"].copy())
+        trace["d"][2] = np.nan
+        mu_hat = result.replans[1].mu_hat.copy()
+        mu_hat[3] = np.nan
+        replans = [result.replans[0], dataclasses.replace(result.replans[1], mu_hat=mu_hat)]
+        nan_result = dataclasses.replace(result, trace=trace, replans=replans)
+        emit_traces(nan_result, RunConfig(out=str(tmp_path), dump_estimates=True))
+
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[3].split(",")[2] == ""
+        assert rows[2].split(",")[2] == f"{result.trace['d'][1]:.9g}"
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        assert payload["d"][2] is None and payload["d"][1] == result.trace["d"][1]
+        assert json.loads((tmp_path / "metrics.json").read_text())["min_clearance"] is None
+        estimate = (tmp_path / "estimate_1.csv").read_text().splitlines()
+        # mu_prime, post_mean and mu_hat all read the NaN on a ground-truth run.
+        assert [i for i, x in enumerate(estimate[4].split(",")) if x == ""] == [1, 3, 5]
+
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",
                          "--format", "csv", "--out", str(tmp_path)])

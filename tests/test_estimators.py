@@ -40,6 +40,18 @@ class TestFrictionProfile:
         with pytest.raises(ValueError):
             FrictionProfile(((-10.0, 0.8), (-10.0, 0.4)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_segment_starts_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FrictionProfile(((-1e6, 0.8), (bad, 0.4), (5.0, 0.3)))
+        with pytest.raises(ValueError, match="finite"):
+            FrictionProfile(((-1e6, 0.8), (5.0, 0.3), (bad, 0.4)))
+
+    def test_nan_start_cannot_split_the_lookups(self):
+        # Accepted, this profile read 0.4 from mu_at(3.0) and 0.8 from mu_on([3.0]).
+        with pytest.raises(ValueError):
+            FrictionProfile(((-1e6, 0.8), (math.nan, 0.4), (5.0, 0.3)))
+
     def test_first_segment_behind_origin(self):
         with pytest.raises(ValueError):
             FrictionProfile(((0.0, 0.8),))
@@ -55,6 +67,28 @@ class TestFrictionProfile:
         shifted = TURN_PROFILE.shifted(-10.0)
         assert shifted.mu_at(-10.0) == 0.4
         assert shifted.mu_at(-10.001) == 0.8
+
+    def test_shift_equals_the_profile_built_from_shifted_segments(self):
+        workloads = _load_workloads()
+        rng = random.Random(7)
+        for _ in range(20):
+            profile = workloads.patchy_profile(rng, 120.0)
+            offset = -rng.uniform(0.0, 100.0)
+            got = profile.shifted(np.float64(offset))
+            want = FrictionProfile(tuple((s + offset, mu) for s, mu in profile.segments))
+            assert got == want and repr(got) == repr(want)
+            for name in ("_starts", "_start_array", "_mu_array"):
+                assert np.asarray(getattr(got, name)).tobytes() == \
+                    np.asarray(getattr(want, name)).tobytes()
+
+    @pytest.mark.parametrize("offset, message", [
+        (2e6, "negative"), (-1e17, "strictly increasing"), (math.nan, "finite"),
+        (math.inf, "finite")])
+    def test_shift_checks_the_new_starts(self, offset, message):
+        # The two starts collapse into one float at -1e17.
+        profile = FrictionProfile(((-1e6, 0.8), (-1e6 + 1e-9, 0.4)))
+        with pytest.raises(ValueError, match=message):
+            profile.shifted(offset)
 
 
 def _load_workloads():

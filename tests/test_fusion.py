@@ -85,6 +85,24 @@ class TestEstimateSeries:
         with pytest.raises(ValueError):
             EstimateSeries(grid, np.full(51, 1.6), np.full(51, 0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_prime_rejected(self, bad):
+        mu = np.full(51, 0.5)
+        mu[7] = bad
+        with pytest.raises(ValueError, match="mu_prime entries must be finite"):
+            EstimateSeries(SGrid(), mu, np.full(51, 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        margin = np.full(51, 0.1)
+        margin[0] = bad
+        with pytest.raises(ValueError, match="margin entries must be finite"):
+            EstimateSeries(SGrid(), np.full(51, 0.5), margin)
+
+    def test_nan_local_estimate_rejected_before_fusion(self):
+        with pytest.raises(ValueError, match="mu_prime"):
+            assemble_input(SGrid(), 0.8, 0.2, local=(np.nan, 0.025))
+
 
 class TestCalibratePrior:
     def test_mean_is_band_midpoint(self):

@@ -6,9 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_triangular
 
 from frictionfusion.gp import (
     BLAS_THREAD_VARIABLES,
+    JITTER_INITIAL,
+    JITTER_MAX,
     FactorizationError,
     GpPrior,
     ObservationSet,
@@ -111,6 +117,16 @@ class TestObservationSet:
 
     def test_empty_is_valid(self):
         assert len(ObservationSet([], [], [])) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="values entries must be finite"):
+            ObservationSet([0.0, 1.0], [0.5, bad], [0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        with pytest.raises(ValueError, match="noise_std entries must be finite"):
+            ObservationSet([0.0, 1.0], [0.5, 0.5], [bad, 0.1])
 
 
 class TestPosterior:
@@ -219,12 +235,114 @@ class TestPosterior:
         with pytest.raises(FactorizationError):
             posterior(prior, obs, [0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_test_locations_rejected(self, bad):
+        for obs in (ObservationSet([], [], []), ObservationSet([0.0], [0.4], [0.1])):
+            with pytest.raises(ValueError, match="test_locations must be non-empty and finite"):
+                posterior(make_prior(), obs, [0.0, bad])
+
     def test_duplicate_zero_noise_observations_survive_via_jitter(self):
         prior = make_prior()
         obs = ObservationSet([5.0] * 6, [0.4] * 6, [0.0] * 6)
         summary = posterior(prior, obs, [5.0, 15.0])
         assert summary.mean[0] == pytest.approx(0.4, abs=1e-3)
         assert np.isfinite(summary.std).all()
+
+
+def reference_posterior(prior, obs, test_locations):
+    """``posterior`` as written on ``scipy.linalg.solve_triangular`` with
+    ``np.diag``/``np.eye`` temporaries: (mean, covariance, std)."""
+    x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
+    kernel = prior.kernel
+    xs = obs.locations
+    same_grid = xs is x_star or (xs.shape == x_star.shape and np.array_equal(xs, x_star))
+    k_obs = gram_matrix(kernel, xs, xs)
+    k_cross = k_obs if same_grid else gram_matrix(kernel, x_star, xs)
+    k_star = k_obs if same_grid else gram_matrix(kernel, x_star, x_star)
+    gram = k_obs + np.diag(obs.noise_std**2)
+    eye = np.eye(len(xs))
+    jitter = JITTER_INITIAL
+    while True:
+        try:
+            chol = np.linalg.cholesky(gram + jitter * eye)
+            if np.isfinite(chol).all():
+                break
+        except np.linalg.LinAlgError:
+            pass
+        if jitter >= JITTER_MAX:
+            raise FactorizationError("jitter exhausted")
+        jitter *= 10.0
+    resid = obs.values - prior.mean
+    alpha = solve_triangular(chol.T, solve_triangular(chol, resid, lower=True), lower=False)
+    mean = prior.mean + k_cross @ alpha
+    v = solve_triangular(chol, k_cross.T, lower=True)
+    cov = k_star - v.T @ v
+    cov = 0.5 * (cov + cov.T)
+    diag = np.diag(cov).copy()
+    np.clip(diag, 0.0, None, out=diag)
+    return mean, cov, np.sqrt(diag)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gp_cases(draw):
+    """Observations at n points, as ``fuse`` makes them (test grid = the
+    observation grid, the same array) or on scattered points with their own
+    test grid; zero noise and repeated locations included."""
+    n = draw(st.sampled_from([1, 2, 51, 101]))
+    prior = make_prior(draw(_floats(0.2, 1.0)), draw(_floats(0.05, 1.0)),
+                       draw(_floats(1.0, 50.0)))
+    noise = draw(hnp.arrays(np.float64, n, elements=st.just(0.0) | _floats(0.0, 0.3)))
+    values = draw(hnp.arrays(np.float64, n, elements=_floats(0.05, 1.5)))
+    if draw(st.booleans()):
+        xs = np.arange(n) * draw(st.sampled_from([0.5, 1.0]))
+        test = xs
+    else:
+        xs = draw(hnp.arrays(np.float64, n, elements=_floats(0.0, 50.0)))
+        test = draw(hnp.arrays(np.float64, st.integers(1, 60), elements=_floats(0.0, 50.0)))
+    return prior, ObservationSet(xs, values, noise), test
+
+
+def _assert_same_posterior(got, want):
+    for name, expected in zip(("mean", "covariance", "std"), want):
+        actual = getattr(got, name)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
+        assert actual.tobytes() == expected.tobytes(), name
+
+
+class TestPosteriorMatchesSolveTriangularReference:
+    @settings(max_examples=150, deadline=None)
+    @given(gp_cases())
+    def test_mean_covariance_and_std_are_bit_identical(self, case):
+        prior, obs, test = case
+        _assert_same_posterior(posterior(prior, obs, test), reference_posterior(prior, obs, test))
+
+    def test_bit_identical_where_jitter_escalates(self, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 51)
+        prior = make_prior(0.5, 1000.0, 50.0)
+        obs = ObservationSet(xs, np.full(51, 0.4), np.zeros(51))
+        want = reference_posterior(prior, obs, xs)
+        attempts = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: attempts.append(1) or cholesky(a))
+        got = posterior(prior, obs, xs)
+        assert len(attempts) > 1
+        _assert_same_posterior(got, want)
+
+    def test_solves_leave_the_gram_matrix_unchanged(self, monkeypatch):
+        from frictionfusion import gp
+        grams = []
+        original = gp.gram_matrix
+        monkeypatch.setattr(gp, "gram_matrix",
+                            lambda *args: grams.append(original(*args)) or grams[-1])
+        xs = np.arange(51) * 1.0
+        prior = make_prior()
+        posterior(prior, ObservationSet(xs, np.full(51, 0.4), np.full(51, 0.1)), xs)
+        assert len(grams) == 1
+        np.testing.assert_array_equal(grams[0], original(prior.kernel, xs, xs))
 
 
 class TestGpPrior:

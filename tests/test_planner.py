@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,12 @@ from frictionfusion.planner import (
     DODGE_BRAKE_SHARE,
     DODGE_LATERAL_SHARE,
     GRAVITY,
+    LateralReference,
     PlannerMemory,
     QuinticBlend,
+    _KAPPA_EPS,
+    _curvature_caps,
+    _finalize,
     plan,
 )
 from frictionfusion.simulator import (
@@ -314,3 +319,208 @@ class TestStepOnPlan:
             for name in ("s", "d", "v", "t", "d_rate"):
                 assert type(getattr(state, name)) is float, name
             assert type(lam) is float
+
+
+# The lateral reference and the plan's acceleration bounds as they were
+# written before their per-call overhead was cut: the references the current
+# code must match bit for bit.
+def reference_quintic_eval(blend, tau):
+    t2 = tau * tau
+    t3 = t2 * tau
+    t4 = t3 * tau
+    t5 = t4 * tau
+    h0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+    h1 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    h3 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+    ddh0 = -60.0 * tau + 180.0 * t2 - 120.0 * t3
+    ddh1 = -36.0 * tau + 96.0 * t2 - 60.0 * t3
+    ddh3 = 60.0 * tau - 180.0 * t2 + 120.0 * t3
+    span = blend.s1 - blend.s0
+    rate = blend.slope0 * span
+    d = blend.d0 * h0 + rate * h1 + blend.d1 * h3
+    curv = (blend.d0 * ddh0 + rate * ddh1 + blend.d1 * ddh3) / (span * span)
+    return d, curv
+
+
+def reference_lateral_eval(ref, positions):
+    """Boolean masks per region, in place of slices of ascending positions."""
+    s = np.asarray(positions, dtype=np.float64)
+    d = np.full(s.shape, ref.base_level)
+    curv = np.zeros(s.shape)
+    if not ref.blends:
+        return d, curv
+    first = ref.blends[0]
+    before = s < first.s0
+    d[before] = first.d0 + first.slope0 * (s[before] - first.s0)
+    level = None
+    for blend in ref.blends:
+        if level is not None:
+            gap = (s >= level[0]) & (s < blend.s0)
+            d[gap] = level[1]
+        inside = (s >= blend.s0) & (s < blend.s1)
+        if inside.any():
+            tau = (s[inside] - blend.s0) / (blend.s1 - blend.s0)
+            d[inside], curv[inside] = reference_quintic_eval(blend, tau)
+        level = (blend.s1, blend.d1)
+    after = s >= level[0]
+    d[after] = level[1]
+    return d, curv
+
+
+def reference_acceleration_bounds(v, mu_g, ds):
+    """``_finalize``'s a_long and lat_bound, clipped with ``np.clip``."""
+    a_long = np.empty_like(v)
+    a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * ds)
+    a_long[-1] = a_long[-2]
+    a_long = np.clip(a_long, -mu_g, mu_g)
+    lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
+    return a_long, lat_bound
+
+
+def reference_curvature_caps(mu_g, kappa_abs, v_des):
+    """``_curvature_caps`` with boolean masks, in place of a masked divide."""
+    caps = np.full(kappa_abs.shape, v_des)
+    curved = kappa_abs > _KAPPA_EPS
+    caps[curved] = np.minimum(v_des, np.sqrt(mu_g[curved] / kappa_abs[curved]))
+    return caps
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+@st.composite
+def blends(draw, s0=None):
+    s0 = draw(_floats(-60.0, 60.0)) if s0 is None else s0
+    span = draw(st.sampled_from([30.0, 1.5]) | _floats(1e-3, 60.0))
+    return QuinticBlend(s0=s0, s1=s0 + span, d0=draw(_floats(-3.0, 3.0)),
+                        slope0=draw(_floats(-0.5, 0.5)), d1=draw(_floats(-3.0, 3.0)))
+
+
+@st.composite
+def lateral_cases(draw):
+    """A reference with 0, 1 or 2 blends and the ascending positions a plan
+    samples it at: anchor + k * ds. Edges fall before, on, between and after
+    the positions, and the two blends may touch."""
+    n = draw(st.integers(1, 101))
+    ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    anchor = draw(_floats(-40.0, 40.0))
+    positions = anchor + np.arange(n) * ds
+    edge = st.sampled_from(positions.tolist()) | _floats(anchor - 20.0, anchor + n * ds + 20.0)
+    count = draw(st.integers(0, 2))
+    chain = []
+    for _ in range(count):
+        start = draw(edge)
+        if chain:
+            start = max(start, chain[-1].s1) if draw(st.booleans()) else chain[-1].s1
+        blend = draw(blends(s0=start))
+        if draw(st.booleans()):  # end on a position when one lies past the start
+            later = [p for p in positions.tolist() if p > start]
+            if later:
+                blend = dataclasses.replace(blend, s1=draw(st.sampled_from(later)))
+        chain.append(blend)
+    ref = LateralReference(blends=tuple(chain), base_level=draw(_floats(-2.0, 2.0)))
+    return ref, positions
+
+
+class TestLateralReferenceMatchesMaskReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lateral_cases())
+    def test_eval_is_bit_identical(self, case):
+        ref, positions = case
+        got, want = ref.eval(positions), reference_lateral_eval(ref, positions)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    def test_every_region_is_sampled(self):
+        first = QuinticBlend(s0=3.0, s1=10.0, d0=0.2, slope0=0.1, d1=1.0)
+        second = QuinticBlend(s0=20.0, s1=30.0, d0=1.0, slope0=0.0, d1=0.0)
+        ref = LateralReference(blends=(first, second))
+        positions = np.arange(41) * 1.0  # before, inside, gap, inside, after
+        got, want = ref.eval(positions), reference_lateral_eval(ref, positions)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert got[0][0] == 0.2 - 0.1 * 3.0 and got[0][15] == 1.0 and got[0][40] == 0.0
+
+
+class TestQuinticBlendMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(blends(), hnp.arrays(np.float64, st.integers(1, 101), elements=st.one_of(
+        st.just(0.0), st.just(1.0), _floats(0.0, 1.0))))
+    def test_eval_is_bit_identical(self, blend, tau):
+        got, want = blend.eval(tau), reference_quintic_eval(blend, tau)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    def test_zero_curvature_keeps_its_sign_at_both_ends(self):
+        blend = QuinticBlend(s0=0.0, s1=10.0, d0=0.0, slope0=0.0, d1=1.0)
+        for tau in (np.zeros(3), np.ones(3)):
+            got, want = blend.eval(tau)[1], reference_quintic_eval(blend, tau)[1]
+            assert _same_bits(got, want)
+
+
+@st.composite
+def speeds_and_grip(draw):
+    n = draw(st.integers(2, 201))
+    v = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.just(12.0), _floats(0.0, 40.0))))
+    mu_g = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), _floats(1e-3, 1.2 * GRAVITY))))
+    ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    return v, mu_g, ds
+
+
+class TestFinalizeMatchesClipReference:
+    @settings(max_examples=300, deadline=None)
+    @given(speeds_and_grip())
+    def test_acceleration_bounds_are_bit_identical(self, case):
+        v, mu_g, ds = case
+        grid = SGrid(ds=ds, s_f=ds * (len(v) - 1))
+        state = VehicleState(s=0.0, d=0.0, v=v.item(0), t=0.0)
+        traj = _finalize(state, grid, grid.points, v, v, v, v, mu_g, True, 1.0)
+        a_long, lat_bound = reference_acceleration_bounds(v, mu_g, ds)
+        assert _same_bits(traj.a_long, a_long) and _same_bits(traj.lat_bound, lat_bound)
+
+    def test_no_grip_clips_to_positive_zero(self):
+        v = np.array([10.0, 8.0, 8.0, 9.0])
+        mu_g = np.zeros(4)
+        traj = _finalize(VehicleState(s=0.0, d=0.0, v=10.0, t=0.0), SGrid(ds=1.0, s_f=3.0),
+                         np.arange(4.0), v, v, v, v, mu_g, True, 1.0)
+        a_long, _ = reference_acceleration_bounds(v, mu_g, 1.0)
+        assert _same_bits(traj.a_long, a_long)
+        assert not np.signbit(traj.a_long).any()
+
+
+class TestCurvatureCapsMatchMaskReference:
+    @settings(max_examples=200, deadline=None)
+    @given(pass_inputs(), st.sampled_from([0.0, 12.0, 20.0]) | _floats(0.0, 40.0))
+    def test_caps_are_bit_identical(self, inputs, v_des):
+        kappa_abs, mu_g = inputs[0], inputs[1]
+        kappa_abs = np.where(kappa_abs < 1e-4, kappa_abs * 1e-6, kappa_abs)  # around the eps
+        got = _curvature_caps(mu_g, kappa_abs, v_des)
+        assert _same_bits(got, reference_curvature_caps(mu_g, kappa_abs, v_des))
+
+
+class TestLateralReferenceContract:
+    FIRST = QuinticBlend(s0=0.0, s1=10.0, d0=0.0, slope0=0.0, d1=1.0)
+
+    @pytest.mark.parametrize("second", [
+        QuinticBlend(s0=-5.0, s1=-1.0, d0=1.0, slope0=0.0, d1=0.0),  # out of order
+        QuinticBlend(s0=9.0, s1=20.0, d0=1.0, slope0=0.0, d1=0.0),  # overlaps
+        QuinticBlend(s0=12.0, s1=12.0, d0=1.0, slope0=0.0, d1=0.0),  # empty
+        QuinticBlend(s0=15.0, s1=12.0, d0=1.0, slope0=0.0, d1=0.0),  # reversed
+        QuinticBlend(s0=math.nan, s1=20.0, d0=1.0, slope0=0.0, d1=0.0),
+    ])
+    def test_rejects_blends_out_of_order_or_overlapping(self, second):
+        with pytest.raises(ValueError, match="s0 < s1 <= next s0"):
+            LateralReference(blends=(self.FIRST, second))
+
+    def test_touching_blends_are_accepted(self):
+        second = QuinticBlend(s0=10.0, s1=20.0, d0=1.0, slope0=0.0, d1=0.0)
+        assert LateralReference(blends=(self.FIRST, second)).blends[1] is second
+
+    @pytest.mark.parametrize("blend_count", [0, 1])
+    @pytest.mark.parametrize("positions", [[0.0, 2.0, 1.0], [0.0, math.nan, 2.0],
+                                           [math.nan]])
+    def test_eval_rejects_positions_that_are_not_ascending(self, blend_count, positions):
+        ref = LateralReference(blends=(self.FIRST,)[:blend_count])
+        with pytest.raises(ValueError, match="ascending"):
+            ref.eval(np.array(positions))
