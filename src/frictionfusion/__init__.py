@@ -12,7 +12,6 @@ from .estimators import (
     FrictionProfile,
     LocalEstimator,
     SurfaceClass,
-    build_estimate,
     classify,
     local_estimate,
     resolve_error,
@@ -33,7 +32,6 @@ from .gp import (
     PosteriorSummary,
     SquaredExponentialKernel,
     gram_matrix,
-    kernel_eval,
     posterior,
 )
 from .planner import GRAVITY, PlannedTrajectory, plan
@@ -68,13 +66,11 @@ __all__ = [
     "SurfaceClass",
     "VehicleState",
     "assemble_input",
-    "build_estimate",
     "calibrate_prior",
     "classify",
     "collision_scenario",
     "fuse",
     "gram_matrix",
-    "kernel_eval",
     "local_estimate",
     "margin_to_std",
     "plan",

@@ -200,7 +200,7 @@ class Configuration:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """build_estimate output plus the diagnostics the simulator traces."""
+    """Horizon estimate plus the diagnostics the simulator traces."""
 
     mu_hat: np.ndarray
     local_available: bool
@@ -248,7 +248,3 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
         mu_hat=fused.mu_hat, local_available=available, series=series, fused=fused
     )
 
-
-def build_estimate(config, profile, grid, lambda_t, estimator):
-    """Horizon estimate vector for one configuration (see ``emulate``)."""
-    return emulate(config, profile, grid, lambda_t, estimator).mu_hat

@@ -7,27 +7,44 @@ algebra is 64-bit; values are immutable after construction.
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 # OpenBLAS reads its thread count once, when it loads, and scipy's wheels
-# bundle an OpenBLAS of their own that only this import loads. On a 2-vCPU
+# bundle an OpenBLAS of their own that only scipy.linalg loads. On a 2-vCPU
 # host its 2-thread triangular solve and numpy's 2-thread ``v.T @ v`` each
 # wait on the other pool's spinning worker: 3.5 ms and 3.9 ms per posterior at
 # n=101, against 0.23 ms and 0.09 ms with scipy's pool on one thread. So
 # scipy's pool loads with one thread, unless the user set a thread count;
 # numpy's pool, libraries loaded later and child processes keep theirs.
-# Results are the same bits either way.
+# Results are the same bits either way. Only a posterior with observations
+# needs scipy, and importing it takes longer than the 16-run matrix, so it
+# loads at the first such posterior instead of with the package.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
-    from scipy.linalg.lapack import dtrtrs
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        from scipy.linalg.lapack import dtrtrs
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+_dtrtrs = None
+_dtrtrs_lock = threading.Lock()
+
+
+def _load_dtrtrs():
+    """LAPACK ``dtrtrs`` from scipy, imported once under the thread policy
+    above; the lock keeps concurrent first calls from interleaving their
+    ``os.environ`` edits."""
+    global _dtrtrs
+    with _dtrtrs_lock:
+        if _dtrtrs is None:
+            if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+                from scipy.linalg.lapack import dtrtrs
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = "1"
+                try:
+                    from scipy.linalg.lapack import dtrtrs
+                finally:
+                    del os.environ["OPENBLAS_NUM_THREADS"]
+            _dtrtrs = dtrtrs
+    return _dtrtrs
+
 
 JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-6
@@ -114,13 +131,6 @@ class PosteriorSummary:
     std: np.ndarray
 
 
-def kernel_eval(kernel, x_i, x_j):
-    """Covariance between two arc-length positions."""
-    d = float(x_i) - float(x_j)
-    s2 = kernel.sigma_f * kernel.sigma_f
-    return s2 * float(np.exp(-0.5 * d * d / (kernel.length_scale * kernel.length_scale)))
-
-
 def gram_matrix(kernel, xs_a, xs_b):
     """Covariance block between two location lists; empty lists give 0-sized axes."""
     a = np.asarray(xs_a, dtype=np.float64).reshape(-1)
@@ -181,6 +191,7 @@ def posterior(prior, obs, test_locations):
 
     # dtrtrs as solve_triangular calls it for L (trans=1: L x = b, via the F-ordered L.T), minus
     # wrappers and finiteness scans (inputs are finite); b is copied; info is 0 as diag(L) > 0.
+    dtrtrs = _dtrtrs or _load_dtrtrs()
     upper = _factorize(k_obs, obs.noise_std**2).T
     resid = obs.values - prior.mean
     alpha = dtrtrs(upper, dtrtrs(upper, resid, trans=1)[0])[0]

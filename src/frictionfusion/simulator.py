@@ -41,8 +41,9 @@ class VehicleState:
     d_rate: float = 0.0
 
     def __post_init__(self):
-        if self.v < 0.0:
-            raise ValueError("speed must be >= 0")
+        if not (0.0 <= self.v < math.inf and math.isfinite(self.s) and math.isfinite(self.d)
+                and math.isfinite(self.t) and math.isfinite(self.d_rate)):
+            raise ValueError(f"state must be finite with speed >= 0, got {self}")
 
 
 @dataclass(frozen=True)

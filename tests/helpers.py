@@ -1,8 +1,9 @@
 """Shared test oracles, generators and the environment of fresh processes.
 
-The GP oracle here is intentionally naive: it forms the explicit inverse of
-the regularized Gram matrix with dense linear algebra, exercising none of
-the production code paths beyond the kernel definition itself.
+The GP oracles here are intentionally naive: a scalar kernel, and the
+explicit inverse of the regularized Gram matrix with dense linear algebra,
+exercising none of the production code paths beyond the kernel definition
+itself.
 """
 
 import os
@@ -11,9 +12,21 @@ from pathlib import Path
 import numpy as np
 
 import frictionfusion
-from frictionfusion.estimators import FrictionProfile
+from frictionfusion.estimators import FrictionProfile, emulate
 
 ORACLE_JITTER = 1e-10
+
+
+def kernel_eval(kernel, x_i, x_j):
+    """Covariance between two arc-length positions, one pair at a time."""
+    d = float(x_i) - float(x_j)
+    s2 = kernel.sigma_f * kernel.sigma_f
+    return s2 * float(np.exp(-0.5 * d * d / (kernel.length_scale * kernel.length_scale)))
+
+
+def build_estimate(config, profile, grid, lambda_t, estimator):
+    """Horizon estimate vector for one configuration (see ``emulate``)."""
+    return emulate(config, profile, grid, lambda_t, estimator).mu_hat
 
 
 def naive_gram(xs_a, xs_b, sigma_f, length_scale):

@@ -18,9 +18,9 @@ from frictionfusion import (
     turn_scenario,
 )
 from frictionfusion.cli import run_matrix
-from frictionfusion.estimators import LocalEstimator, build_estimate, classify
+from frictionfusion.estimators import LocalEstimator, classify
 from frictionfusion.fusion import Z_95, assemble_input
-from helpers import naive_posterior, random_gp_case, random_profile
+from helpers import build_estimate, naive_posterior, random_gp_case, random_profile
 
 GRID = SGrid()
 

@@ -219,8 +219,9 @@ class TestEmitTraces:
         assert self._digests(tmp_path, key) == GOLDEN_FILE_DIGESTS[key]
 
     def test_written_files_are_golden_on_threaded_blas(self, tmp_path):
-        # The package loads scipy's BLAS on one thread unless a thread count
-        # is set; with two threads the fused fine-grid files are the same bytes.
+        # The first fused posterior loads scipy's BLAS on one thread unless a
+        # thread count is set; with two threads the fused fine-grid files are
+        # the same bytes.
         subprocess.run([sys.executable, "-m", "frictionfusion.cli", *FINE_GRID_KEY,
                         "--out", str(tmp_path)], check=True, capture_output=True,
                        env=fresh_process_env(OPENBLAS_NUM_THREADS="2"))

@@ -13,14 +13,13 @@ from frictionfusion.estimators import (
     Configuration,
     FrictionProfile,
     LocalEstimator,
-    build_estimate,
     classify,
     emulate,
     local_estimate,
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, fuse
-from helpers import random_profile
+from helpers import build_estimate, random_profile
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
 HIGH_MU_PROFILE = FrictionProfile(((-1e6, 1.0),))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import solve_triangular
 
 from frictionfusion.gp import (
     BLAS_THREAD_VARIABLES,
@@ -20,10 +19,9 @@ from frictionfusion.gp import (
     ObservationSet,
     SquaredExponentialKernel,
     gram_matrix,
-    kernel_eval,
     posterior,
 )
-from helpers import fresh_process_env, naive_posterior, random_gp_case
+from helpers import fresh_process_env, kernel_eval, naive_posterior, random_gp_case
 
 
 def make_prior(mean=0.55, sigma_f=0.45 / 1.96, length_scale=10.0):
@@ -251,7 +249,13 @@ class TestPosterior:
 
 def reference_posterior(prior, obs, test_locations):
     """``posterior`` as written on ``scipy.linalg.solve_triangular`` with
-    ``np.diag``/``np.eye`` temporaries: (mean, covariance, std)."""
+    ``np.diag``/``np.eye`` temporaries: (mean, covariance, std).
+
+    scipy is imported here, not at collection, so that the first posterior of
+    the session loads scipy's BLAS under the package's thread policy and the
+    in-process golden-file tests run on it."""
+    from scipy.linalg import solve_triangular
+
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
     kernel = prior.kernel
     xs = obs.locations
@@ -355,24 +359,24 @@ class TestGpPrior:
         assert GpPrior(mean=0.55, kernel=kernel).mean == 0.55
 
 
-# Run in a fresh interpreter: imports numpy, then frictionfusion, and prints
-# whether os.environ came back unchanged and the thread count of each OpenBLAS
-# that importing frictionfusion loaded (scipy's), found and queried the way
+# Run in a fresh interpreter: imports numpy, then frictionfusion, then makes
+# the process's first posterior with observations from eight threads at once
+# (short switch interval), and prints whether scipy was loaded by the import,
+# whether os.environ came back unchanged after the import and after the
+# posteriors, what the threads got or raised, and the thread count of each
+# OpenBLAS that the posteriors loaded (scipy's), found and queried the way
 # perfbench/environment.py does.
 BLAS_PROBE = """
-import ctypes, json, os
+import ctypes, json, os, sys, threading
 import numpy
 
 SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
            "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 def openblas_libraries():
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            return {line.split()[-1] for line in fh
-                    if "openblas" in line.lower() and line.rstrip().endswith(".so")}
-    except OSError:
-        return set()
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return {line.split()[-1] for line in fh
+                if "openblas" in line.lower() and line.rstrip().endswith(".so")}
 
 def threads(path):
     lib = ctypes.CDLL(path)
@@ -385,10 +389,39 @@ def threads(path):
 
 before = dict(os.environ)
 numpy_libraries = openblas_libraries()
-import frictionfusion
-print(json.dumps({"environ_unchanged": dict(os.environ) == before,
-                  "scipy_threads": [threads(path) for path in
-                                    sorted(openblas_libraries() - numpy_libraries)]}))
+from frictionfusion.gp import GpPrior, ObservationSet, SquaredExponentialKernel, posterior
+report = {"scipy_at_import": "scipy" in sys.modules,
+          "environ_unchanged_after_import": dict(os.environ) == before}
+prior = GpPrior(0.55, SquaredExponentialKernel(0.23, 10.0))
+obs = ObservationSet([0.0, 5.0], [0.4, 0.5], [0.1, 0.1])
+barrier = threading.Barrier(8)
+means, errors = [], []
+
+def first_posterior():
+    barrier.wait()
+    try:
+        means.append(posterior(prior, obs, [0.0, 10.0]).mean.tolist())
+    except Exception as exc:
+        errors.append(repr(exc))
+
+workers = [threading.Thread(target=first_posterior) for _ in range(8)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(60)
+finally:
+    sys.setswitchinterval(interval)
+report["still_running"] = sum(worker.is_alive() for worker in workers)
+report["errors"] = errors
+report["means"] = len(means)
+report["distinct_means"] = len({repr(m) for m in means})
+report["environ_unchanged_after_posterior"] = dict(os.environ) == before
+report["scipy_threads"] = [threads(path) for path in
+                           sorted(openblas_libraries() - numpy_libraries)]
+print(json.dumps(report))
 """
 
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -396,21 +429,28 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _load_in_fresh_process(preset):
-    """Thread counts of scipy's OpenBLAS after ``import frictionfusion`` in a
-    fresh interpreter whose only BLAS thread variables are ``preset``."""
+    """Thread counts of scipy's OpenBLAS after ``import frictionfusion`` and
+    eight concurrent first posteriors in a fresh interpreter whose only BLAS
+    thread variables are ``preset``."""
     env = fresh_process_env(drop=BLAS_THREAD_VARIABLES, **preset)
     done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
                           capture_output=True, text=True)
     report = json.loads(done.stdout)
-    assert report["environ_unchanged"]
-    if not report["scipy_threads"] or None in report["scipy_threads"]:
-        pytest.skip("no queryable OpenBLAS loaded by scipy.linalg")
+    assert report == {"scipy_at_import": False, "environ_unchanged_after_import": True,
+                      "still_running": 0, "errors": [], "means": 8, "distinct_means": 1,
+                      "environ_unchanged_after_posterior": True,
+                      "scipy_threads": report["scipy_threads"]}
+    assert report["scipy_threads"] and None not in report["scipy_threads"]
     return report["scipy_threads"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="finds the loaded OpenBLAS through /proc/self/maps")
 class TestBlasThreadPolicy:
-    """``import frictionfusion`` loads scipy's OpenBLAS on one thread unless
-    a thread variable is set, and leaves ``os.environ`` as it found it."""
+    """``import frictionfusion`` loads no scipy; the first posterior with
+    observations loads scipy's OpenBLAS on one thread unless a thread
+    variable is set, once however many threads ask at the same time, and
+    leaves ``os.environ`` as it found it."""
 
     def test_scipy_pool_loads_on_one_thread(self):
         assert _load_in_fresh_process({}) == [1]
@@ -419,3 +459,36 @@ class TestBlasThreadPolicy:
     @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
     def test_a_preset_thread_count_is_kept(self, name):
         assert _load_in_fresh_process({name: "2"}) == [2]
+
+
+# Run in a fresh interpreter (earlier tests of the session load scipy):
+# prints whether scipy is loaded after the runs that never fuse, from the
+# library and from the command line, and after one fused run. Only the last line of
+# stdout is the report; cli.main prints the run's outcome before it.
+IMPORT_SURFACE_PROBE = """
+import json, sys
+from frictionfusion import Configuration, cli, collision_scenario, run, turn_scenario
+
+for kind in ("gt", "l", "p"):
+    for scenario in (turn_scenario(), collision_scenario()):
+        run(scenario, Configuration(kind))
+assert cli.main(["--config", "p"]) == 0
+unfused = "scipy" in sys.modules
+run(collision_scenario(), Configuration("f"))
+print(json.dumps({"after_unfused_runs": unfused, "after_fused_run": "scipy" in sys.modules}))
+"""
+
+
+def test_only_a_fused_run_loads_scipy():
+    done = subprocess.run([sys.executable, "-c", IMPORT_SURFACE_PROBE], check=True,
+                          env=fresh_process_env(), capture_output=True, text=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"after_unfused_runs": False, "after_fused_run": True}
+
+
+def test_posterior_without_observations_does_not_load_lapack(monkeypatch):
+    from frictionfusion import gp
+    monkeypatch.setattr(gp, "_dtrtrs", None)
+    monkeypatch.setattr(gp, "_load_dtrtrs", lambda: pytest.fail("loaded LAPACK"))
+    summary = posterior(make_prior(), ObservationSet([], [], []), [0.0, 10.0])
+    assert summary.mean.tolist() == [0.55, 0.55]

@@ -83,6 +83,26 @@ class TestVehicleState:
         with pytest.raises(ValueError):
             VehicleState(s=0.0, d=0.0, v=-1.0, t=0.0)
 
+    @pytest.mark.parametrize("field", ["s", "d", "t", "d_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_time_and_rate_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="state must be finite with speed >= 0"):
+            VehicleState(**{**dict(s=0.0, d=0.0, v=10.0, t=0.0, d_rate=0.0), field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, bad):
+        with pytest.raises(ValueError, match="state must be finite with speed >= 0"):
+            VehicleState(s=0.0, d=0.0, v=bad, t=0.0)
+
+    def test_zero_speed_and_negative_offsets_accepted(self):
+        state = VehicleState(s=-5.0, d=-1.0, v=0.0, t=0.0, d_rate=-0.5)
+        assert (state.s, state.d, state.v, state.d_rate) == (-5.0, -1.0, 0.0, -0.5)
+
+    def test_infinite_initial_offset_fails_before_the_run(self):
+        # It used to run 6001 steps and end with max_abs_d = inf.
+        with pytest.raises(ValueError, match="state must be finite"):
+            dataclasses.replace(turn_scenario().initial, d=math.inf)
+
 
 class TestScenarioDefinitions:
     def test_turn_geometry(self):
