@@ -5,45 +5,77 @@ inference through a jitter-stabilized Cholesky factorization. All linear
 algebra is 64-bit; values are immutable after construction.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 # OpenBLAS reads its thread count once, when it loads, and scipy's wheels
-# bundle an OpenBLAS of their own that only scipy.linalg loads. On a 2-vCPU
-# host its 2-thread triangular solve and numpy's 2-thread ``v.T @ v`` each
-# wait on the other pool's spinning worker: 3.5 ms and 3.9 ms per posterior at
-# n=101, against 0.23 ms and 0.09 ms with scipy's pool on one thread. So
-# scipy's pool loads with one thread, unless the user set a thread count;
-# numpy's pool, libraries loaded later and child processes keep theirs.
+# bundle an OpenBLAS of their own that scipy's LAPACK extension loads. On a
+# 2-vCPU host its 2-thread triangular solve and numpy's 2-thread ``v.T @ v``
+# each wait on the other pool's spinning worker: 3.5 ms and 3.9 ms per
+# posterior at n=101, against 0.23 ms and 0.09 ms with scipy's pool on one
+# thread. So scipy's pool loads with one thread, unless the user set a thread
+# count; numpy's pool, libraries loaded later and child processes keep theirs.
 # Results are the same bits either way. Only a posterior with observations
-# needs scipy, and importing it takes longer than the 16-run matrix, so it
-# loads at the first such posterior instead of with the package.
+# needs LAPACK, so it loads at the first such posterior, not with the package.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+FLAPACK = "scipy.linalg._flapack"
 _dtrtrs = None
 _dtrtrs_lock = threading.Lock()
 
 
 def _load_dtrtrs():
-    """LAPACK ``dtrtrs`` from scipy, imported once under the thread policy
+    """LAPACK ``dtrtrs`` from scipy, loaded once under the thread policy
     above; the lock keeps concurrent first calls from interleaving their
     ``os.environ`` edits."""
     global _dtrtrs
     with _dtrtrs_lock:
         if _dtrtrs is None:
             if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
-                from scipy.linalg.lapack import dtrtrs
+                _dtrtrs = _scipy_lapack().dtrtrs
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = "1"
                 try:
-                    from scipy.linalg.lapack import dtrtrs
+                    _dtrtrs = _scipy_lapack().dtrtrs
                 finally:
                     del os.environ["OPENBLAS_NUM_THREADS"]
-            _dtrtrs = dtrtrs
     return _dtrtrs
+
+
+def _scipy_lapack():
+    """scipy's f2py LAPACK module, which ``scipy.linalg.lapack`` re-exports.
+
+    Unless scipy.linalg is loaded already, the extension is loaded from its
+    file alone, in about 5 ms: the ``scipy`` and ``scipy.linalg`` package
+    inits import most of scipy, about 240 ms and 25 MB. The extension then
+    leaves ``sys.modules``, so a later ``import scipy.linalg`` builds its
+    package as usual and gets the same function objects. Where the extension
+    is not found, or cannot load without those inits (Windows wheels add
+    their DLL directory there), the package is imported.
+    """
+    scipy = None if FLAPACK in sys.modules else importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(FLAPACK)
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            sys.modules.pop(FLAPACK, None)
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 JITTER_INITIAL = 1e-10

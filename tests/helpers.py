@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import frictionfusion
-from frictionfusion.estimators import FrictionProfile, emulate
+from frictionfusion.estimators import FrictionProfile
 
 ORACLE_JITTER = 1e-10
 
@@ -22,11 +22,6 @@ def kernel_eval(kernel, x_i, x_j):
     d = float(x_i) - float(x_j)
     s2 = kernel.sigma_f * kernel.sigma_f
     return s2 * float(np.exp(-0.5 * d * d / (kernel.length_scale * kernel.length_scale)))
-
-
-def build_estimate(config, profile, grid, lambda_t, estimator):
-    """Horizon estimate vector for one configuration (see ``emulate``)."""
-    return emulate(config, profile, grid, lambda_t, estimator).mu_hat
 
 
 def naive_gram(xs_a, xs_b, sigma_f, length_scale):

@@ -18,9 +18,9 @@ from frictionfusion import (
     turn_scenario,
 )
 from frictionfusion.cli import run_matrix
-from frictionfusion.estimators import LocalEstimator, classify
+from frictionfusion.estimators import LocalEstimator, classify, emulate
 from frictionfusion.fusion import Z_95, assemble_input
-from helpers import build_estimate, naive_posterior, random_gp_case, random_profile
+from helpers import naive_posterior, random_gp_case, random_profile
 
 GRID = SGrid()
 
@@ -152,16 +152,16 @@ def test_criterion_7_conservatism_suite():
         for t in internal:
             interior &= np.abs(pts - t) >= TRANSITION_EXCLUSION
 
-        mu_p = build_estimate(Configuration("p"), profile, GRID, 0.0, LocalEstimator())
+        mu_p = emulate(Configuration("p"), profile, GRID, 0.0, LocalEstimator()).mu_hat
         assert (mu_p - truth).max() <= tol
 
         for e_l in (0.025, -0.025):
             est = LocalEstimator(e_l=e_l, initial_estimate=0.8)
-            mu_l = build_estimate(Configuration("l"), profile, GRID, 0.8, est)
+            mu_l = emulate(Configuration("l"), profile, GRID, 0.8, est).mu_hat
             assert (mu_l - profile.mu_at(0.0)).max() <= tol
 
             est = LocalEstimator(e_l=e_l, initial_estimate=0.8)
-            mu_f = build_estimate(Configuration("f"), profile, GRID, 0.8, est)
+            mu_f = emulate(Configuration("f"), profile, GRID, 0.8, est).mu_hat
             # The last grid point before the overlay boundary blends with
             # the predictive class data, so the local allowance applies
             # where the local samples dominate.
@@ -173,7 +173,7 @@ def test_criterion_7_conservatism_suite():
                 assert (mu_f[far] - class_means[far]).max() <= tol
 
             est = LocalEstimator(e_l=e_l, initial_estimate=0.8)
-            mu_f0 = build_estimate(Configuration("f"), profile, GRID, 0.1, est)
+            mu_f0 = emulate(Configuration("f"), profile, GRID, 0.1, est).mu_hat
             if interior.any():
                 assert (mu_f0[interior] - class_means[interior]).max() <= tol
 

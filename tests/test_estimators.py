@@ -19,7 +19,7 @@ from frictionfusion.estimators import (
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, fuse
-from helpers import build_estimate, random_profile
+from helpers import random_profile
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
 HIGH_MU_PROFILE = FrictionProfile(((-1e6, 1.0),))
@@ -265,43 +265,42 @@ class TestBuildEstimate:
     def test_gt_returns_profile(self):
         grid = SGrid()
         est = LocalEstimator()
-        mu_hat = build_estimate(Configuration("gt"), TURN_PROFILE, grid, 0.0, est)
+        mu_hat = emulate(Configuration("gt"), TURN_PROFILE, grid, 0.0, est).mu_hat
         np.testing.assert_array_equal(mu_hat, np.full(51, 0.4))
 
     def test_gt_tracks_transitions(self):
         grid = SGrid()
         profile = FrictionProfile(((-1e6, 0.8), (10.0, 0.3)))
-        mu_hat = build_estimate(Configuration("gt"), profile, grid, 0.0, LocalEstimator())
+        mu_hat = emulate(Configuration("gt"), profile, grid, 0.0, LocalEstimator()).mu_hat
         np.testing.assert_array_equal(mu_hat[:10], 0.8)
         np.testing.assert_array_equal(mu_hat[10:], 0.3)
 
     def test_l_holds_last_estimate_minus_worst_error(self):
         grid = SGrid()
         est = LocalEstimator(e_l=0.025, initial_estimate=0.8)
-        mu_hat = build_estimate(Configuration("l"), TURN_PROFILE, grid, 0.1, est)
+        mu_hat = emulate(Configuration("l"), TURN_PROFILE, grid, 0.1, est).mu_hat
         np.testing.assert_allclose(mu_hat, 0.775)
 
     def test_l_uses_fresh_estimate_when_available(self):
         grid = SGrid()
         est = LocalEstimator(e_l=0.025, initial_estimate=0.8)
-        mu_hat = build_estimate(Configuration("l"), TURN_PROFILE, grid, 0.9, est)
+        mu_hat = emulate(Configuration("l"), TURN_PROFILE, grid, 0.9, est).mu_hat
         np.testing.assert_allclose(mu_hat, 0.4 + 0.025 - 0.025)
 
     def test_l_requires_seed_before_first_availability(self):
         grid = SGrid()
         with pytest.raises(ValueError):
-            build_estimate(Configuration("l"), TURN_PROFILE, grid, 0.1, LocalEstimator())
+            emulate(Configuration("l"), TURN_PROFILE, grid, 0.1, LocalEstimator())
 
     def test_p_takes_class_minima(self):
         grid = SGrid()
-        mu_hat = build_estimate(Configuration("p"), HIGH_MU_PROFILE, grid, 0.0,
-                                LocalEstimator())
+        mu_hat = emulate(Configuration("p"), HIGH_MU_PROFILE, grid, 0.0, LocalEstimator()).mu_hat
         np.testing.assert_array_equal(mu_hat, np.full(51, 0.6))
 
     def test_p_quantizes_per_point(self):
         grid = SGrid()
         profile = FrictionProfile(((-1e6, 1.0), (20.0, 0.45), (40.0, 0.2)))
-        mu_hat = build_estimate(Configuration("p"), profile, grid, 0.0, LocalEstimator())
+        mu_hat = emulate(Configuration("p"), profile, grid, 0.0, LocalEstimator()).mu_hat
         np.testing.assert_array_equal(mu_hat[:20], 0.6)
         np.testing.assert_array_equal(mu_hat[20:40], 0.4)
         np.testing.assert_array_equal(mu_hat[40:], 0.1)
@@ -341,8 +340,7 @@ class TestConservatism:
         rng = np.random.RandomState(9)
         for _ in range(20):
             profile = random_profile(rng)
-            mu_hat = build_estimate(Configuration("gt"), profile, grid, 0.0,
-                                    LocalEstimator())
+            mu_hat = emulate(Configuration("gt"), profile, grid, 0.0, LocalEstimator()).mu_hat
             np.testing.assert_array_equal(mu_hat, profile.mu_on(grid.points))
 
     def test_l_never_exceeds_current_truth_when_available(self):
@@ -352,7 +350,7 @@ class TestConservatism:
             profile = random_profile(rng)
             for e_l in (-0.025, -0.01, 0.0, 0.01, 0.025):
                 est = LocalEstimator(e_l=e_l, initial_estimate=0.8)
-                mu_hat = build_estimate(Configuration("l"), profile, grid, 0.8, est)
+                mu_hat = emulate(Configuration("l"), profile, grid, 0.8, est).mu_hat
                 assert mu_hat.max() <= profile.mu_at(0.0) + 1e-12
 
     def test_p_never_exceeds_truth(self):
@@ -360,7 +358,6 @@ class TestConservatism:
         rng = np.random.RandomState(11)
         for _ in range(30):
             profile = random_profile(rng)
-            mu_hat = build_estimate(Configuration("p"), profile, grid, 0.0,
-                                    LocalEstimator())
+            mu_hat = emulate(Configuration("p"), profile, grid, 0.0, LocalEstimator()).mu_hat
             truth = profile.mu_on(grid.points)
             assert (mu_hat <= truth + 1e-12).all()

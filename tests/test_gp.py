@@ -3,6 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -360,14 +363,13 @@ class TestGpPrior:
 
 
 # Run in a fresh interpreter: imports numpy, then frictionfusion, then makes
-# the process's first posterior with observations from eight threads at once
-# (short switch interval), and prints whether scipy was loaded by the import,
-# whether os.environ came back unchanged after the import and after the
-# posteriors, what the threads got or raised, and the thread count of each
-# OpenBLAS that the posteriors loaded (scipy's), found and queried the way
+# the process's first posterior with observations, and prints whether the
+# import loaded any scipy module, whether os.environ came back unchanged after
+# the import and after the posterior, and the thread count of each OpenBLAS
+# that the posterior loaded (scipy's), found and queried the way
 # perfbench/environment.py does.
 BLAS_PROBE = """
-import ctypes, json, os, sys, threading
+import ctypes, json, os, sys
 import numpy
 
 SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
@@ -390,34 +392,10 @@ def threads(path):
 before = dict(os.environ)
 numpy_libraries = openblas_libraries()
 from frictionfusion.gp import GpPrior, ObservationSet, SquaredExponentialKernel, posterior
-report = {"scipy_at_import": "scipy" in sys.modules,
+report = {"scipy_at_import": any(name.split(".")[0] == "scipy" for name in sys.modules),
           "environ_unchanged_after_import": dict(os.environ) == before}
-prior = GpPrior(0.55, SquaredExponentialKernel(0.23, 10.0))
-obs = ObservationSet([0.0, 5.0], [0.4, 0.5], [0.1, 0.1])
-barrier = threading.Barrier(8)
-means, errors = [], []
-
-def first_posterior():
-    barrier.wait()
-    try:
-        means.append(posterior(prior, obs, [0.0, 10.0]).mean.tolist())
-    except Exception as exc:
-        errors.append(repr(exc))
-
-workers = [threading.Thread(target=first_posterior) for _ in range(8)]
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(60)
-finally:
-    sys.setswitchinterval(interval)
-report["still_running"] = sum(worker.is_alive() for worker in workers)
-report["errors"] = errors
-report["means"] = len(means)
-report["distinct_means"] = len({repr(m) for m in means})
+posterior(GpPrior(0.55, SquaredExponentialKernel(0.23, 10.0)),
+          ObservationSet([0.0, 5.0], [0.4, 0.5], [0.1, 0.1]), [0.0, 10.0])
 report["environ_unchanged_after_posterior"] = dict(os.environ) == before
 report["scipy_threads"] = [threads(path) for path in
                            sorted(openblas_libraries() - numpy_libraries)]
@@ -430,14 +408,13 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def _load_in_fresh_process(preset):
     """Thread counts of scipy's OpenBLAS after ``import frictionfusion`` and
-    eight concurrent first posteriors in a fresh interpreter whose only BLAS
-    thread variables are ``preset``."""
+    the first posterior in a fresh interpreter whose only BLAS thread
+    variables are ``preset``."""
     env = fresh_process_env(drop=BLAS_THREAD_VARIABLES, **preset)
     done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
                           capture_output=True, text=True)
     report = json.loads(done.stdout)
     assert report == {"scipy_at_import": False, "environ_unchanged_after_import": True,
-                      "still_running": 0, "errors": [], "means": 8, "distinct_means": 1,
                       "environ_unchanged_after_posterior": True,
                       "scipy_threads": report["scipy_threads"]}
     assert report["scipy_threads"] and None not in report["scipy_threads"]
@@ -449,8 +426,7 @@ def _load_in_fresh_process(preset):
 class TestBlasThreadPolicy:
     """``import frictionfusion`` loads no scipy; the first posterior with
     observations loads scipy's OpenBLAS on one thread unless a thread
-    variable is set, once however many threads ask at the same time, and
-    leaves ``os.environ`` as it found it."""
+    variable is set, and leaves ``os.environ`` as it found it."""
 
     def test_scipy_pool_loads_on_one_thread(self):
         assert _load_in_fresh_process({}) == [1]
@@ -462,28 +438,58 @@ class TestBlasThreadPolicy:
 
 
 # Run in a fresh interpreter (earlier tests of the session load scipy):
-# prints whether scipy is loaded after the runs that never fuse, from the
-# library and from the command line, and after one fused run. Only the last line of
-# stdout is the report; cli.main prints the run's outcome before it.
+# prints, after the runs that never fuse (from the library and from the
+# command line) and after one fused run, whether scipy's LAPACK was loaded and
+# which scipy modules are in sys.modules. Only the last line of stdout is the
+# report; cli.main prints the run's outcome before it.
 IMPORT_SURFACE_PROBE = """
 import json, sys
-from frictionfusion import Configuration, cli, collision_scenario, run, turn_scenario
+from frictionfusion import Configuration, cli, collision_scenario, gp, run, turn_scenario
+
+def state():
+    return {"lapack": gp._dtrtrs is not None,
+            "scipy_modules": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}
 
 for kind in ("gt", "l", "p"):
     for scenario in (turn_scenario(), collision_scenario()):
         run(scenario, Configuration(kind))
 assert cli.main(["--config", "p"]) == 0
-unfused = "scipy" in sys.modules
+unfused = state()
 run(collision_scenario(), Configuration("f"))
-print(json.dumps({"after_unfused_runs": unfused, "after_fused_run": "scipy" in sys.modules}))
+print(json.dumps({"after_unfused_runs": unfused, "after_fused_run": state()}))
 """
 
 
-def test_only_a_fused_run_loads_scipy():
+def test_only_a_fused_run_loads_lapack_and_no_run_imports_scipy():
     done = subprocess.run([sys.executable, "-c", IMPORT_SURFACE_PROBE], check=True,
                           env=fresh_process_env(), capture_output=True, text=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"after_unfused_runs": False, "after_fused_run": True}
+    assert report == {"after_unfused_runs": {"lapack": False, "scipy_modules": []},
+                      "after_fused_run": {"lapack": True, "scipy_modules": []}}
+
+
+def test_lapack_extension_loads_alone_with_the_package_functions(monkeypatch):
+    from scipy.linalg import lapack
+
+    from frictionfusion import gp
+    monkeypatch.delitem(sys.modules, gp.FLAPACK)
+    alone = gp._scipy_lapack()
+    assert alone is not lapack and alone.dtrtrs is lapack.dtrtrs
+    assert gp.FLAPACK not in sys.modules
+
+
+def test_lapack_falls_back_to_the_package_where_the_extension_cannot_load_alone(monkeypatch):
+    from scipy.linalg import lapack
+
+    from frictionfusion import gp
+
+    def fails(spec):
+        raise ImportError(f"cannot load {spec.name} alone")
+
+    monkeypatch.delitem(sys.modules, gp.FLAPACK)
+    monkeypatch.setattr(gp.importlib.util, "module_from_spec", fails)
+    assert gp._scipy_lapack() is lapack
+    assert gp.FLAPACK not in sys.modules
 
 
 def test_posterior_without_observations_does_not_load_lapack(monkeypatch):
@@ -492,3 +498,44 @@ def test_posterior_without_observations_does_not_load_lapack(monkeypatch):
     monkeypatch.setattr(gp, "_load_dtrtrs", lambda: pytest.fail("loaded LAPACK"))
     summary = posterior(make_prior(), ObservationSet([], [], []), [0.0, 10.0])
     assert summary.mean.tolist() == [0.55, 0.55]
+
+
+class RendezvousEnviron(dict):
+    """An environment for ``gp._load_dtrtrs`` whose first membership test and
+    first edit in each thread wait (up to 0.5 s) for a second thread to make
+    the same call: two first loads that are not serialized both find no
+    thread variable, then both set it before either deletes it."""
+
+    def __init__(self):
+        super().__init__()
+        self.barrier = threading.Barrier(2, timeout=0.5)
+        self.met = set()
+
+    def _meet(self, step):
+        if (threading.get_ident(), step) not in self.met:
+            self.met.add((threading.get_ident(), step))
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+
+    def __contains__(self, name):
+        found = super().__contains__(name)
+        self._meet("check")
+        return found
+
+    def __setitem__(self, name, value):
+        super().__setitem__(name, value)
+        self._meet("set")
+
+
+def test_concurrent_first_loads_edit_the_environment_one_at_a_time(monkeypatch):
+    from frictionfusion import gp
+    dtrtrs = gp._load_dtrtrs()  # scipy loads here under the real environment, if not yet
+    environ = RendezvousEnviron()
+    monkeypatch.setattr(gp, "os", types.SimpleNamespace(environ=environ))
+    monkeypatch.setattr(gp, "_dtrtrs", None)
+    with ThreadPoolExecutor(2) as pool:
+        loads = [pool.submit(gp._load_dtrtrs) for _ in range(2)]
+        assert [load.result() for load in loads] == [dtrtrs, dtrtrs]
+    assert environ == {}
