@@ -2,8 +2,9 @@
 
 Each pass walks the horizon one grid segment at a time and every step
 depends on the previous speed, so the loops stay scalar Python. They run on
-Python floats: each pass copies its arrays once with ``tolist()``, fills a
-list and returns one array. Indexing a numpy array element by element would
+Python floats: each pass copies its arrays once with ``tolist()`` and fills
+lists; ``backward_pass`` hands its lists to ``forward_pass``, which returns
+one array. Indexing a numpy array element by element would
 make every product, ``sqrt`` and comparison a numpy-scalar operation, which
 costs several times the same IEEE-754 double arithmetic on floats and gives
 the same bits. For the same reason ``min``/``max`` of two values are written
@@ -21,38 +22,51 @@ import math
 import numpy as np
 
 
-def backward_pass(v_cap, kappa_abs, mu_g, ds):
-    """Deceleration-limited speed envelope, swept from the horizon end.
+# Curvatures at or below this count as straight: no curvature speed cap.
+KAPPA_EPS = 1e-12
 
-    Braking capacity at each segment is the friction-circle leftover after
-    the lateral acceleration demanded at the downstream point.
+
+def backward_pass(kappa_abs, mu_g, v_des, ds):
+    """Curvature caps and the deceleration-limited speed envelope, swept from
+    the horizon end.
+
+    A point's cap is ``v_des``, or the circle-limited cornering speed
+    ``sqrt(mu_g / kappa)`` where that is lower (NaN grip gives a NaN cap,
+    as ``np.minimum`` would). Braking capacity at each segment is the
+    friction-circle leftover after the lateral acceleration demanded at the
+    downstream point. Returns the envelope and the caps as lists.
     """
-    cap = v_cap.tolist()
     kappa = kappa_abs.tolist()
     mg = mu_g.tolist()
+    v_des = float(v_des)
     ds = float(ds)
-    n = len(cap)
+    n = len(kappa)
+    cap = [0.0] * n
     v = [0.0] * n
-    vn = cap[n - 1]
-    v[n - 1] = vn
-    for i in range(n - 2, -1, -1):
+    reach = math.inf
+    for i in range(n - 1, -1, -1):
+        k = kappa[i]
+        m = mg[i]
+        c = math.sqrt(m / k) if k > KAPPA_EPS else v_des
+        if v_des <= c:
+            c = v_des
+        cap[i] = c
+        vn = reach if reach < c else c
+        v[i] = vn
+        # The speed the point upstream can still shed down to vn.
         vn2 = vn * vn
-        lat = vn2 * kappa[i + 1]
-        m = mg[i + 1]
+        lat = vn2 * k
         avail2 = m * m - lat * lat
         avail = math.sqrt(avail2) if avail2 > 0.0 else 0.0
         reach = math.sqrt(vn2 + 2.0 * avail * ds)
-        c = cap[i]
-        vn = reach if reach < c else c
-        v[i] = vn
-    return np.array(v)
+    return v, cap
 
 
 PREBRAKE_LATERAL_SHARE = 0.98
 CAP_VIOLATION_TOL = 0.1
 
 
-def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_lat, f_brake):
+def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_mask=None):
     """Integrate the speed profile forward from the current speed.
 
     Three regimes per segment: commanded violation braking (``brake_mask``)
@@ -61,24 +75,24 @@ def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask, f_lat, f_b
     speeds above only the backward envelope pre-brake with the full circle
     leftover (a thin lateral share is reserved so braking room never
     vanishes while riding the cap); otherwise the profile accelerates
-    toward the envelope.
+    toward the envelope. ``v_bound`` and ``v_cap`` are the lists
+    ``backward_pass`` returns; no ``brake_mask`` is the same as an all-False
+    one.
     """
-    bound = v_bound.tolist()
-    cap = v_cap.tolist()
     kappa = kappa_abs.tolist()
     mg = mu_g.tolist()
-    mask = brake_mask.tolist()
+    mask = brake_mask.tolist() if brake_mask is not None else [False] * len(v_bound)
     ds = float(ds)
     f_lat = float(f_lat)
     f_brake = float(f_brake)
     vi = float(v0)
     v = [vi]
-    for i in range(len(bound) - 1):
+    for i in range(len(v_bound) - 1):
         vi2 = vi * vi
         lat_demand = vi2 * kappa[i]
         m = mg[i]
-        nxt = bound[i + 1]
-        if mask[i] or vi > cap[i] + CAP_VIOLATION_TOL:
+        nxt = v_bound[i + 1]
+        if mask[i] or vi > v_cap[i] + CAP_VIOLATION_TOL:
             share = f_lat * m
             lat = share if share < lat_demand else lat_demand
             left2 = m * m - lat * lat

@@ -16,6 +16,7 @@ from .fusion import (
     DEFAULT_LOCAL_REACH,
     assemble_input,
     calibrate_prior,
+    check_local_reach,
     fuse,
 )
 
@@ -192,8 +193,7 @@ class Configuration:
     def __post_init__(self):
         if self.kind not in CONFIG_KINDS:
             raise ValueError(f"kind must be one of {CONFIG_KINDS}, got {self.kind!r}")
-        if not self.local_reach >= 0.0:
-            raise ValueError(f"local_reach must be >= 0, got {self.local_reach}")
+        check_local_reach(self.local_reach)
         if self.kind == "f" and self.prior is None:
             object.__setattr__(self, "prior", calibrate_prior())
 

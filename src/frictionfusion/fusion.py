@@ -106,6 +106,12 @@ def margin_to_std(margin):
     return margin / Z_95
 
 
+def check_local_reach(local_reach):
+    """Raise ValueError unless ``local_reach`` >= 0 (written to reject NaN too)."""
+    if not local_reach >= 0.0:
+        raise ValueError(f"local_reach must be >= 0, got {local_reach}")
+
+
 def assemble_input(grid, predictive_mu, predictive_margin, local=None,
                    local_reach=DEFAULT_LOCAL_REACH):
     """Overlay the local estimate on the predictive series for s < local_reach.
@@ -114,8 +120,7 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     broadcast); ``local`` is an optional (mu_l, m_l) pair that replaces the
     predictive samples strictly below the reach threshold when present.
     """
-    if local_reach < 0.0:
-        raise ValueError("local_reach must be >= 0")
+    check_local_reach(local_reach)
     n = grid.n_points
     mu = np.broadcast_to(np.asarray(predictive_mu, dtype=np.float64), (n,)).copy()
     mg = np.broadcast_to(np.asarray(predictive_margin, dtype=np.float64), (n,)).copy()

@@ -34,8 +34,6 @@ CURVE_LATERAL_SHARE = math.sqrt(1.0 - CURVE_BRAKE_SHARE**2)
 
 FEASIBILITY_TOL = 0.15
 
-_KAPPA_EPS = 1e-12
-
 # Columns h0, h1, h3, ddh0, ddh1, ddh3. Term k is _BASIS_COEF[k] * tau**_BASIS_POWER[k]; adding
 # them in k order, then -6 and -3 tau**5 to h0 and h1, gives each polynomial's own bits.
 _BASIS_POWER = np.array([[0, 1, 3, 1, 1, 1], [3, 3, 4, 2, 2, 2], [4, 4, 5, 3, 3, 3]])
@@ -77,10 +75,18 @@ class QuinticBlend:
         return total[0].reshape(tau.shape), (total[1] / (span * span)).reshape(tau.shape)
 
     def offset_at(self, s):
-        tau = (s - self.s0) / (self.s1 - self.s0)
-        tau = min(max(tau, 0.0), 1.0)
-        d, _ = self.eval(np.float64(tau))
-        return float(d)
+        """Offset at one position, clamped to the blend: ``eval``'s operations in
+        the same order, on Python floats."""
+        span = self.s1 - self.s0
+        tau = min(max((s - self.s0) / span, 0.0), 1.0)
+        t2 = tau * tau
+        t3 = t2 * tau
+        t4 = t3 * tau
+        t5 = t4 * tau
+        h0 = 1.0 + -10.0 * t3 + 15.0 * t4 + -6.0 * t5
+        h1 = tau + -6.0 * t3 + 8.0 * t4 + -3.0 * t5
+        h3 = 10.0 * t3 + -15.0 * t4 + 6.0 * t5
+        return self.d0 * h0 + self.slope0 * span * h1 + self.d1 * h3
 
 
 @dataclass(frozen=True)
@@ -158,27 +164,6 @@ class PlannedTrajectory:
     feasible: bool
     dodge_scale: float = 1.0
 
-    def index_at(self, s):
-        idx, last = round((s - self.s_anchor) / self.ds), len(self.positions) - 1
-        return 0 if idx < 0 else last if idx > last else idx
-
-    def demand_at(self, i, v):
-        """Planar acceleration demand at grid index i (see ``index_at``) at speed v.
-
-        The lateral demand is the plan's effective-curvature tracking term
-        at the actual speed, clipped to the circle share the plan reserved
-        for it; executing the geometry speed-consistently avoids the drift
-        a fixed acceleration profile accumulates when tracked off-speed.
-        Both values are Python floats.
-        """
-        lat = v * v * self.kappa_eff.item(i)
-        bound = self.lat_bound.item(i)
-        if lat > bound:
-            lat = bound
-        elif lat < -bound:
-            lat = -bound
-        return self.a_long.item(i), lat
-
 
 def _dodge_reference(blend, s_obs):
     return_blend = QuinticBlend(
@@ -201,13 +186,6 @@ def _return_reference(s_now, d_now, slope_now):
     return LateralReference(blends=(blend,))
 
 
-def _curvature_caps(mu_g, kappa_abs, v_des):
-    # Straight points keep an infinite ratio, so their cap is v_des itself.
-    ratio = np.divide(mu_g, kappa_abs, out=np.full(kappa_abs.shape, np.inf),
-                      where=kappa_abs > _KAPPA_EPS)
-    return np.minimum(v_des, np.sqrt(ratio))
-
-
 def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
     """Largest |effective curvature| on the not-yet-traversed part of a blend."""
     tau_from = 0.0
@@ -222,15 +200,14 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
     return total[idx], s_fine[idx]
 
 
-def _speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, brake_mask,
-                   f_lat, f_brake):
+def _speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, f_lat, f_brake,
+                   brake_mask=None):
     d_ref, curv = ref.eval(positions)
     kappa_eff = kappa_path + curv
     kappa_abs = np.abs(kappa_eff)
-    v_cap = _curvature_caps(mu_g, kappa_abs, v_des)
-    v_bw = _kernels.backward_pass(v_cap, kappa_abs, mu_g, ds)
-    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds, brake_mask,
-                              f_lat, f_brake)
+    v_bw, v_cap = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
+    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake,
+                              brake_mask)
     return d_ref, kappa_eff, v_bw, v
 
 
@@ -257,7 +234,6 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     kappa_path = scenario.curvature_on(positions)
     v_des = scenario.target_speed
     memory = memory if memory is not None else PlannerMemory()
-    no_mask = np.zeros(len(pts), dtype=np.bool_)
 
     slope_now = state.d_rate / state.v if state.v > 0.5 else 0.0
     dodging = (
@@ -271,7 +247,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         else:
             ref = _return_reference(state.s, state.d, slope_now)
         d_ref, kappa_eff, v_bw, v = _speed_profile(
-            state, ref, positions, mu_g, kappa_path, v_des, ds, no_mask,
+            state, ref, positions, mu_g, kappa_path, v_des, ds,
             CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
         feasible = v_bw[0] >= state.v - FEASIBILITY_TOL
         return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
@@ -292,7 +268,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
 
     ref_full = _dodge_reference(full_blend, s_obs)
     d_ref, kappa_eff, v_bw, v = _speed_profile(
-        state, ref_full, positions, mu_g, kappa_path, v_des, ds, no_mask,
+        state, ref_full, positions, mu_g, kappa_path, v_des, ds,
         DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
     on_full = abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION
     if on_full and v_bw[0] >= state.v - FEASIBILITY_TOL:
@@ -309,7 +285,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     kappa_pk, s_pk = _blend_peak_curvature(full_blend, scenario.curvature_on,
                                            s_from=state.s)
     scale = 1.0
-    if kappa_pk > _KAPPA_EPS and state.v > 0.0:
+    if kappa_pk > _kernels.KAPPA_EPS and state.v > 0.0:
         pk_idx = min(max(int(round((s_pk - state.s) / ds)), 0), len(pts) - 1)
         scale = DODGE_LATERAL_SHARE * mu_g[pk_idx] / (state.v**2 * kappa_pk)
         scale = min(max(scale, 0.0), 1.0)
@@ -335,8 +311,8 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     ref_scaled = _dodge_reference(scaled_blend, s_obs)
     brake_mask = positions < s_obs
     d_ref, kappa_eff, v_bw, v = _speed_profile(
-        state, ref_scaled, positions, mu_g, kappa_path, v_des, ds, brake_mask,
-        DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
+        state, ref_scaled, positions, mu_g, kappa_path, v_des, ds,
+        DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE, brake_mask)
     memory.full_blend = full_blend
     memory.active_blend = scaled_blend
     memory.scale = scale

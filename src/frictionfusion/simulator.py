@@ -41,9 +41,15 @@ class VehicleState:
     d_rate: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.v < math.inf and math.isfinite(self.s) and math.isfinite(self.d)
-                and math.isfinite(self.t) and math.isfinite(self.d_rate)):
-            raise ValueError(f"state must be finite with speed >= 0, got {self}")
+        _check_state(self.s, self.d, self.v, self.t, self.d_rate)
+
+
+def _check_state(s, d, v, t, d_rate):
+    """The rule every plant state keeps: all values finite, speed >= 0."""
+    if not (0.0 <= v < math.inf and math.isfinite(s) and math.isfinite(d)
+            and math.isfinite(t) and math.isfinite(d_rate)):
+        raise ValueError(f"state must be finite with speed >= 0, got "
+                         f"s={s}, d={d}, v={v}, t={t}, d_rate={d_rate}")
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,33 @@ class Scenario:
     obstacle: tuple = None
 
     def __post_init__(self):
+        # Every check below also rejects NaN.
         if not 0.0 < self.lane_half_width < math.inf:
             raise ValueError(f"lane_half_width must be finite and > 0, "
                              f"got {self.lane_half_width}")
+        starts = tuple(seg[0] for seg in self.path)
+        if not (starts and all(map(math.isfinite, starts))
+                and all(b > a for a, b in zip(starts, starts[1:]))):
+            raise ValueError(f"path starts must be finite and strictly increasing, got {starts}")
+        if not all(math.isfinite(seg[1]) for seg in self.path):
+            raise ValueError(f"path curvatures must be finite, got {self.path}")
+        if self.obstacle is not None:
+            s_obs, half_width = self.obstacle
+            if not math.isfinite(s_obs):
+                raise ValueError(f"obstacle position must be finite, got {s_obs}")
+            if not 0.0 < half_width < math.inf:
+                raise ValueError(f"obstacle half width must be finite and > 0, got {half_width}")
+        if not math.isfinite(self.end_s):
+            raise ValueError(f"end_s must be finite, got {self.end_s}")
+        w0, w1 = self.maneuver_window
+        if not (math.isfinite(w0) and math.isfinite(w1) and w0 <= w1):
+            raise ValueError(f"maneuver_window must be finite with start <= end, "
+                             f"got {self.maneuver_window}")
+        if not 0.0 <= self.target_speed < math.inf:
+            raise ValueError(f"target_speed must be finite and >= 0, got {self.target_speed}")
         # Lookup tables over ``path``, built once (not dataclass fields).
-        object.__setattr__(self, "_path_starts", tuple(seg[0] for seg in self.path))
-        object.__setattr__(self, "_start_array", np.array(self._path_starts, dtype=np.float64))
+        object.__setattr__(self, "_path_starts", starts)
+        object.__setattr__(self, "_start_array", np.array(starts, dtype=np.float64))
         object.__setattr__(self, "_kappa_array",
                            np.array([seg[1] for seg in self.path], dtype=np.float64))
 
@@ -149,34 +176,57 @@ def replan_substeps(replan_dt, sim_dt):
     return substeps
 
 
-def step(state, trajectory, profile, dt):
-    """Advance the plant one Euler step under friction-circle saturation.
+def step(state, trajectory, profile, dt, substeps=1, rows=None):
+    """Advance the plant ``substeps`` Euler steps of ``dt`` on one plan.
 
-    The demanded acceleration is the plan value at the current position; its
-    magnitude saturates at mu_gt*g preserving direction. Lateral shortfall
-    relative to the centripetal need drifts the vehicle outward; longitudinal
-    shortfall slows the speed change. Returns the new state and the tire
-    force utilization of the demand.
+    Each step reads the plan at the grid index nearest the current position:
+    the demanded acceleration is the plan's ``a_long`` and its
+    effective-curvature tracking term at the actual speed, clipped to the
+    circle share the plan reserved for it (executing the geometry
+    speed-consistently avoids the drift a fixed acceleration profile
+    accumulates when tracked off-speed). The demand's magnitude saturates at
+    mu_gt*g preserving direction. Lateral shortfall relative to the
+    centripetal need drifts the vehicle outward; longitudinal shortfall slows
+    the speed change. Every step's state is checked like a ``VehicleState``.
+
+    When ``rows`` is a list, each step appends its ``TRACE_COLUMNS`` values
+    to it. Returns the final state and the tire force utilization of the
+    last step's demand.
     """
     _check_sim_dt(dt)
-    i = trajectory.index_at(state.s)
-    a_long_dem, a_lat_dem = trajectory.demand_at(i, state.v)
-    mu_gt = profile.mu_at(state.s)
-    limit = mu_gt * GRAVITY
-    demand = math.hypot(a_long_dem, a_lat_dem)
-    lam = min(1.0, demand / limit) if limit > 0.0 else 1.0
-    scale = 1.0 if demand <= limit else limit / demand
-    a_long = a_long_dem * scale
-    a_lat = a_lat_dem * scale
-    drift_accel = a_lat - state.v**2 * trajectory.kappa_path.item(i)
-    new_state = VehicleState(
-        s=state.s + state.v * dt,
-        d=state.d + state.d_rate * dt,
-        v=max(0.0, state.v + a_long * dt),
-        t=state.t + dt,
-        d_rate=state.d_rate + drift_accel * dt,
-    )
-    return new_state, lam
+    if not substeps >= 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    a_long, kappa_eff, lat_bound, kappa_path, d_ref = (
+        col.tolist() for col in (trajectory.a_long, trajectory.kappa_eff, trajectory.lat_bound,
+                                 trajectory.kappa_path, trajectory.d_ref))
+    anchor, ds, last = trajectory.s_anchor, trajectory.ds, len(a_long) - 1
+    out = rows if rows is not None else []
+    s, d, v, t, d_rate = state.s, state.d, state.v, state.t, state.d_rate
+    # The grid index nearest s, clamped to the plan: here and after each step.
+    i = round((s - anchor) / ds)
+    i = 0 if i < 0 else last if i > last else i
+    for _ in range(substeps):
+        a_long_dem = a_long[i]
+        a_lat_dem = v * v * kappa_eff[i]
+        bound = lat_bound[i]
+        if a_lat_dem > bound:
+            a_lat_dem = bound
+        elif a_lat_dem < -bound:
+            a_lat_dem = -bound
+        limit = profile.mu_at(s) * GRAVITY
+        demand = math.hypot(a_long_dem, a_lat_dem)
+        ratio = demand / limit if limit > 0.0 else 1.0
+        lam = ratio if ratio < 1.0 else 1.0
+        scale = 1.0 if demand <= limit else limit / demand
+        drift_accel = a_lat_dem * scale - v**2 * kappa_path[i]
+        v_next = v + a_long_dem * scale * dt
+        s, d, v, t, d_rate = (s + v * dt, d + d_rate * dt, v_next if v_next > 0.0 else 0.0,
+                              t + dt, d_rate + drift_accel * dt)
+        _check_state(s, d, v, t, d_rate)
+        i = round((s - anchor) / ds)
+        i = 0 if i < 0 else last if i > last else i
+        out += (t, s, d, v, lam, d_ref[i])
+    return VehicleState(s=s, d=d, v=v, t=t, d_rate=d_rate), lam
 
 
 @dataclass
@@ -272,22 +322,27 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
             fused=report.fused,
         ))
 
-        d_ref = trajectory.d_ref.tolist()
-        for _ in range(substeps):
-            prev = state
-            state, lam = step(state, trajectory, profile, sim_dt)
-            rows += (state.t, state.s, state.d, state.v, lam,
-                     d_ref[trajectory.index_at(state.s)])
-            # ``s`` never decreases, so the obstacle is crossed at most once.
-            if obstacle is not None and prev.s < obstacle[0] <= state.s:
-                s_obs, half_width = obstacle
-                frac = (s_obs - prev.s) / (state.s - prev.s)
-                clearance = abs(_interp(prev.d, state.d, frac)) - half_width
-                if clearance <= 0.0:
-                    impact_velocity = _interp(prev.v, state.v, frac)
-            if clearance <= 0.0 or state.s >= end_s or state.t >= TIME_LIMIT:
-                running = False
-                break
+        first, prev = len(rows), state
+        state, lam = step(state, trajectory, profile, sim_dt, substeps, rows)
+        # ``s`` and ``t`` never decrease, so when the interval's last state has
+        # not reached the obstacle, ``end_s`` or the time limit, no step has.
+        crossed = obstacle is not None and prev.s < obstacle[0] <= state.s
+        if crossed or state.s >= end_s or state.t >= TIME_LIMIT:
+            prev_s, prev_d, prev_v = prev.s, prev.d, prev.v
+            for k in range(first, len(rows), len(TRACE_COLUMNS)):
+                t, s, d, v = rows[k:k + 4]
+                # The obstacle is crossed at most once.
+                if obstacle is not None and prev_s < obstacle[0] <= s:
+                    s_obs, half_width = obstacle
+                    frac = (s_obs - prev_s) / (s - prev_s)
+                    clearance = abs(_interp(prev_d, d, frac)) - half_width
+                    if clearance <= 0.0:
+                        impact_velocity = _interp(prev_v, v, frac)
+                if clearance <= 0.0 or s >= end_s or t >= TIME_LIMIT:
+                    del rows[k + len(TRACE_COLUMNS):]
+                    running = False
+                    break
+                prev_s, prev_d, prev_v = s, d, v
 
     # ``rows`` is flat, one TRACE_COLUMNS group per step: no object per step.
     trace = dict(zip(TRACE_COLUMNS, np.array(rows).reshape(-1, len(TRACE_COLUMNS)).T.copy()))

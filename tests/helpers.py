@@ -3,16 +3,22 @@
 The GP oracles here are intentionally naive: a scalar kernel, and the
 explicit inverse of the regularized Gram matrix with dense linear algebra,
 exercising none of the production code paths beyond the kernel definition
-itself.
+itself. The plant oracles are the per-step plant and run loop as they were
+written before ``simulator.step`` advanced a whole replan interval.
 """
 
+import importlib.util
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 import frictionfusion
-from frictionfusion.estimators import FrictionProfile
+from frictionfusion import simulator
+from frictionfusion.estimators import FrictionProfile, LocalEstimator, classify, emulate
+from frictionfusion.fusion import SGrid
+from frictionfusion.planner import GRAVITY, PlannerMemory, plan
 
 ORACLE_JITTER = 1e-10
 
@@ -95,3 +101,104 @@ def fresh_process_env(drop=(), **variables):
     env.update(variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded by file path (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_index_at(trajectory, s):
+    """Grid index of the plan nearest ``s``, clamped to the plan."""
+    idx, last = round((s - trajectory.s_anchor) / trajectory.ds), len(trajectory.positions) - 1
+    return 0 if idx < 0 else last if idx > last else idx
+
+
+def reference_demand_at(trajectory, i, v):
+    """Planar acceleration demand at grid index i at speed v: ``a_long`` and
+    the effective-curvature tracking term, clipped to ``lat_bound``."""
+    lat = v * v * trajectory.kappa_eff.item(i)
+    bound = trajectory.lat_bound.item(i)
+    if lat > bound:
+        lat = bound
+    elif lat < -bound:
+        lat = -bound
+    return trajectory.a_long.item(i), lat
+
+
+def reference_step(state, trajectory, profile, dt):
+    """One Euler step of the plant, building a ``VehicleState``."""
+    if not 0.0 < dt <= simulator.MAX_SIM_DT:
+        raise ValueError(f"sim_dt must lie in (0, {simulator.MAX_SIM_DT}], got {dt}")
+    i = reference_index_at(trajectory, state.s)
+    a_long_dem, a_lat_dem = reference_demand_at(trajectory, i, state.v)
+    mu_gt = profile.mu_at(state.s)
+    limit = mu_gt * GRAVITY
+    demand = math.hypot(a_long_dem, a_lat_dem)
+    lam = min(1.0, demand / limit) if limit > 0.0 else 1.0
+    scale = 1.0 if demand <= limit else limit / demand
+    a_long = a_long_dem * scale
+    a_lat = a_lat_dem * scale
+    drift_accel = a_lat - state.v**2 * trajectory.kappa_path.item(i)
+    new_state = simulator.VehicleState(
+        s=state.s + state.v * dt,
+        d=state.d + state.d_rate * dt,
+        v=max(0.0, state.v + a_long * dt),
+        t=state.t + dt,
+        d_rate=state.d_rate + drift_accel * dt,
+    )
+    return new_state, lam
+
+
+def reference_run(scenario, config, local_error=0.0, replan_dt=simulator.REPLAN_DT,
+                  sim_dt=simulator.SIM_DT, grid=None):
+    """``simulator.run`` stepping the plant one ``reference_step`` at a time and
+    checking the obstacle and the end of the run after every step."""
+    substeps = simulator.replan_substeps(replan_dt, sim_dt)
+    grid = grid if grid is not None else SGrid()
+    approach = classify(scenario.profile.mu_at(scenario.initial.s - 1e-6))
+    estimator = LocalEstimator(e_l=local_error, initial_estimate=approach.mean)
+    memory = PlannerMemory()
+    fused_memo = {}
+    profile, end_s, obstacle = scenario.profile, scenario.end_s, scenario.obstacle
+    state = scenario.initial
+    lam = 0.0
+    replans = []
+    rows = []
+    clearance = math.nan
+    impact_velocity = 0.0
+    running = True
+    while running:
+        report = emulate(config, profile.shifted(-state.s), grid, lam, estimator,
+                         memo=fused_memo)
+        trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
+        replans.append(simulator.ReplanRecord(
+            t=len(replans) * replan_dt, s=state.s, lambda_t=lam,
+            local_available=report.local_available, feasible=trajectory.feasible,
+            utilization=report.mu_hat[0] / profile.mu_at(state.s), mu_hat=report.mu_hat,
+            series=report.series, fused=report.fused))
+        d_ref = trajectory.d_ref.tolist()
+        for _ in range(substeps):
+            prev = state
+            state, lam = reference_step(state, trajectory, profile, sim_dt)
+            rows.append((state.t, state.s, state.d, state.v, lam,
+                         d_ref[reference_index_at(trajectory, state.s)]))
+            if obstacle is not None and prev.s < obstacle[0] <= state.s:
+                s_obs, half_width = obstacle
+                frac = (s_obs - prev.s) / (state.s - prev.s)
+                clearance = abs(prev.d + frac * (state.d - prev.d)) - half_width
+                if clearance <= 0.0:
+                    impact_velocity = prev.v + frac * (state.v - prev.v)
+            if clearance <= 0.0 or state.s >= end_s or state.t >= simulator.TIME_LIMIT:
+                running = False
+                break
+    trace = dict(zip(simulator.TRACE_COLUMNS, np.array(rows).T.copy()))
+    trace["outcome"], metrics = simulator._score(scenario, trace, replans, clearance,
+                                                 impact_velocity)
+    return simulator.ScenarioResult(
+        scenario=scenario, grid=grid, config_kind=config.kind, local_error=local_error,
+        trace=trace, replans=replans, metrics=metrics)

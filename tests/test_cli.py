@@ -25,7 +25,7 @@ from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.fusion import MAX_GRID_POINTS, SGrid, calibrate_prior
 from frictionfusion.gp import FactorizationError
 from frictionfusion.simulator import collision_scenario, run, turn_scenario
-from helpers import fresh_process_env
+from helpers import fresh_process_env, load_workloads
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone.
@@ -48,6 +48,14 @@ collision,p,worst-under,collision,0.891273835,-0.109108882,16.1580445,0.6
 collision,f,worst-over,ok,1.46641487,0.451545516,0,0.884394928
 collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 """
+
+# Pass 0 of perfbench's ``patchy_roads`` workload (16 runs on seeded patchy
+# friction), by seed: the fingerprint covers every run's metrics and trace. Measured
+# before the plant stepped a whole replan interval per call.
+GOLDEN_PATCHY_FINGERPRINTS = {
+    0: "a8fa0274041d3fde7c045865e1dfb061b77a095c85dfce19400ba68a097b8695",
+    5: "2f4430aa565a864426541a14b5d174c0d34cea17e59ccf34ae45227bea49812a",
+}
 
 # sha256 of the files three runs write, keyed by their command line without
 # ``--out``: one lane departure (turn), one collision, and a fused turn on a
@@ -310,6 +318,15 @@ class TestRunMatrix:
 
     def test_default_matrix_is_golden(self):
         assert run_matrix(SCENARIO_NAMES, CONFIG_NAMES, DEFAULT_ERRORS) == GOLDEN_SUMMARY
+
+    @pytest.mark.parametrize("seed", list(GOLDEN_PATCHY_FINGERPRINTS))
+    def test_patchy_roads_are_golden(self, seed):
+        # The benchmark's patchy roads reach the dodge, infeasible-plan and
+        # class-boundary branches that the two stock roads do not.
+        workloads = load_workloads()
+        cells = workloads.build("patchy_roads", seed, 0)
+        digests = [workloads.run_digest(cell, cell.execute()) for cell in cells]
+        assert workloads.fingerprint(digests) == GOLDEN_PATCHY_FINGERPRINTS[seed]
 
     def test_byte_identical_across_repeats(self, tmp_path):
         a = run_matrix(["collision"], ["p", "f"], ["worst-under"])

@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from frictionfusion.estimators import (
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, fuse
-from helpers import random_profile
+from helpers import load_workloads, random_profile
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
 HIGH_MU_PROFILE = FrictionProfile(((-1e6, 1.0),))
@@ -68,7 +66,7 @@ class TestFrictionProfile:
         assert shifted.mu_at(-10.001) == 0.8
 
     def test_shift_equals_the_profile_built_from_shifted_segments(self):
-        workloads = _load_workloads()
+        workloads = load_workloads()
         rng = random.Random(7)
         for _ in range(20):
             profile = workloads.patchy_profile(rng, 120.0)
@@ -88,14 +86,6 @@ class TestFrictionProfile:
         profile = FrictionProfile(((-1e6, 0.8), (-1e6 + 1e-9, 0.4)))
         with pytest.raises(ValueError, match=message):
             profile.shifted(offset)
-
-
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _around_starts(profile):
@@ -120,7 +110,7 @@ class TestArrayLookups:
         np.testing.assert_array_equal(profile.mu_on(pts), _per_point_mu(profile, pts))
 
     def test_mu_on_matches_mu_at_on_patchy_roads(self):
-        workloads = _load_workloads()
+        workloads = load_workloads()
         rng = random.Random(11)
         for _ in range(20):
             profile = workloads.patchy_profile(rng, 120.0)
@@ -138,7 +128,7 @@ class TestArrayLookups:
     def test_emulate_matches_per_point_classification(self, kind):
         grid = SGrid(ds=0.5)
         rng = random.Random(5)
-        workloads = _load_workloads()
+        workloads = load_workloads()
         # Class-edge values, a start on a grid point and a segment between two.
         edges = FrictionProfile(((-1e6, 0.6), (0.0, 0.4), (10.0, 0.61), (20.2, 0.1),
                                  (20.4, 0.39), (30.0, 1.2)))

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from frictionfusion.estimators import Configuration
 from frictionfusion.fusion import (
     MAX_GRID_POINTS,
     EstimateSeries,
@@ -163,6 +166,19 @@ class TestAssembleInput:
     def test_negative_reach_rejected(self):
         with pytest.raises(ValueError):
             assemble_input(SGrid(), 0.5, 0.1, local=(0.4, 0.02), local_reach=-1.0)
+
+    def test_nan_reach_rejected(self):
+        # A NaN reach used to overlay no point at all.
+        with pytest.raises(ValueError, match="local_reach must be >= 0, got nan"):
+            assemble_input(SGrid(), 0.5, 0.1, local=(0.4, 0.02), local_reach=math.nan)
+
+    @pytest.mark.parametrize("reach", [-1.0, math.nan])
+    def test_configuration_and_assembly_apply_one_rule(self, reach):
+        with pytest.raises(ValueError) as config_error:
+            Configuration("f", local_reach=reach)
+        with pytest.raises(ValueError) as assembly_error:
+            assemble_input(SGrid(), 0.5, 0.1, local_reach=reach)
+        assert str(config_error.value) == str(assembly_error.value)
 
 
 class TestFuse:

@@ -18,8 +18,6 @@ from frictionfusion.planner import (
     LateralReference,
     PlannerMemory,
     QuinticBlend,
-    _KAPPA_EPS,
-    _curvature_caps,
     _finalize,
     plan,
 )
@@ -30,6 +28,7 @@ from frictionfusion.simulator import (
     step,
     turn_scenario,
 )
+from helpers import reference_demand_at
 
 
 def straight_scenario(v0=12.0):
@@ -48,7 +47,7 @@ def straight_scenario(v0=12.0):
 
 def demand_on(traj, speeds):
     """(a_long, a_lat) arrays of the plant's demand at every grid index."""
-    pairs = [traj.demand_at(i, v) for i, v in enumerate(np.asarray(speeds).tolist())]
+    pairs = [reference_demand_at(traj, i, v) for i, v in enumerate(np.asarray(speeds).tolist())]
     return tuple(np.array(col) for col in zip(*pairs))
 
 
@@ -285,13 +284,15 @@ def pass_inputs(draw):
 
 class TestVelocityPassesMatchNumpyScalarReference:
     @settings(max_examples=200, deadline=None)
-    @given(pass_inputs())
-    def test_backward_pass_is_bit_identical(self, inputs):
-        kappa_abs, mu_g, v_cap, _, ds, _, _ = inputs
-        got = _kernels.backward_pass(v_cap, kappa_abs, mu_g, ds)
-        want = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    @given(pass_inputs(), st.sampled_from([0.0, 12.0, 20.0]) | _floats(0.0, 40.0))
+    def test_backward_pass_is_bit_identical(self, inputs, v_des):
+        kappa_abs, mu_g, _, _, ds, _, _ = inputs
+        envelope, caps = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
+        want_caps = reference_curvature_caps(mu_g, kappa_abs, v_des)
+        want = reference_backward_pass(want_caps, kappa_abs, mu_g, ds)
+        assert type(envelope) is list and type(caps) is list
+        assert _same_bits(np.array(caps), want_caps)
+        assert _same_bits(np.array(envelope), want)
 
     @settings(max_examples=200, deadline=None)
     @given(pass_inputs(), st.booleans())
@@ -301,12 +302,19 @@ class TestVelocityPassesMatchNumpyScalarReference:
             v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
         else:
             v_bound = v_cap[::-1].copy()
-        got = _kernels.forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
-                                    f_lat, f_brake)
+        got = _kernels.forward_pass(v0, v_bound.tolist(), v_cap.tolist(), kappa_abs, mu_g, ds,
+                                    f_lat, f_brake, brake_mask)
         want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
                                       f_lat, f_brake)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert _same_bits(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pass_inputs())
+    def test_forward_pass_without_a_mask_is_an_all_false_mask(self, inputs):
+        kappa_abs, mu_g, v_cap, _, ds, v0, (f_lat, f_brake) = inputs
+        args = (v0, v_cap[::-1].tolist(), v_cap.tolist(), kappa_abs, mu_g, ds, f_lat, f_brake)
+        unmasked = _kernels.forward_pass(*args)
+        assert _same_bits(unmasked, _kernels.forward_pass(*args, np.zeros(len(v_cap), bool)))
 
 
 class TestStepOnPlan:
@@ -378,9 +386,9 @@ def reference_acceleration_bounds(v, mu_g, ds):
 
 
 def reference_curvature_caps(mu_g, kappa_abs, v_des):
-    """``_curvature_caps`` with boolean masks, in place of a masked divide."""
+    """The planner's curvature caps on numpy arrays, with boolean masks."""
     caps = np.full(kappa_abs.shape, v_des)
-    curved = kappa_abs > _KAPPA_EPS
+    curved = kappa_abs > _kernels.KAPPA_EPS
     caps[curved] = np.minimum(v_des, np.sqrt(mu_g[curved] / kappa_abs[curved]))
     return caps
 
@@ -450,6 +458,28 @@ class TestQuinticBlendMatchesReference:
         got, want = blend.eval(tau), reference_quintic_eval(blend, tau)
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(blends(), st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]) | _floats(-2.0, 3.0))
+    def test_offset_at_is_eval_at_the_clamped_point(self, blend, tau):
+        s = blend.s0 + tau * (blend.s1 - blend.s0)
+        clamped = min(max((s - blend.s0) / (blend.s1 - blend.s0), 0.0), 1.0)
+        got, want = blend.offset_at(s), float(blend.eval(np.float64(clamped))[0])
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("blend", [
+        QuinticBlend(s0=3.7, s1=20.0, d0=0.3, slope0=0.04, d1=1.5),
+        QuinticBlend(s0=-12.0, s1=-9.5, d0=-1.1, slope0=-0.2, d1=0.0),
+    ])
+    def test_offset_at_is_eval_on_a_dense_sweep(self, blend):
+        # Sums that round differently disagree on a few percent of points,
+        # which a dense sweep finds where sampled points may not.
+        span = blend.s1 - blend.s0
+        positions = np.linspace(blend.s0 - 0.5 * span, blend.s1 + 0.5 * span, 4001).tolist()
+        taus = [min(max((s - blend.s0) / span, 0.0), 1.0) for s in positions]
+        got = np.array([blend.offset_at(s) for s in positions])
+        assert _same_bits(got, blend.eval(np.array(taus))[0])
+
     def test_zero_curvature_keeps_its_sign_at_both_ends(self):
         blend = QuinticBlend(s0=0.0, s1=10.0, d0=0.0, slope0=0.0, d1=1.0)
         for tau in (np.zeros(3), np.ones(3)):
@@ -495,8 +525,8 @@ class TestCurvatureCapsMatchMaskReference:
     def test_caps_are_bit_identical(self, inputs, v_des):
         kappa_abs, mu_g = inputs[0], inputs[1]
         kappa_abs = np.where(kappa_abs < 1e-4, kappa_abs * 1e-6, kappa_abs)  # around the eps
-        got = _curvature_caps(mu_g, kappa_abs, v_des)
-        assert _same_bits(got, reference_curvature_caps(mu_g, kappa_abs, v_des))
+        _, got = _kernels.backward_pass(kappa_abs, mu_g, v_des, 1.0)
+        assert _same_bits(np.array(got), reference_curvature_caps(mu_g, kappa_abs, v_des))
 
 
 class TestLateralReferenceContract:

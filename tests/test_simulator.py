@@ -1,14 +1,18 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frictionfusion import fusion
+from frictionfusion import fusion, simulator
 from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.planner import GRAVITY, PlannedTrajectory
 from frictionfusion.simulator import (
     TIME_LIMIT,
+    TRACE_COLUMNS,
     Scenario,
     VehicleState,
     collision_scenario,
@@ -17,6 +21,7 @@ from frictionfusion.simulator import (
     step,
     turn_scenario,
 )
+from helpers import load_workloads, reference_index_at, reference_run, reference_step
 
 
 def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
@@ -76,6 +81,117 @@ class TestStep:
         plan_ = flat_plan(v=0.0, a_long=-5.0)
         new, _ = step(state, plan_, FrictionProfile(((-1e6, 0.8),)), 0.01)
         assert new.v >= 0.0
+
+
+def _state_bits(state):
+    return [np.float64(getattr(state, k)).tobytes() for k in ("s", "d", "v", "t", "d_rate")]
+
+
+class TestIntervalMatchesPerStepReference:
+    def _plan(self):
+        scenario = turn_scenario()
+        state = VehicleState(s=14.3, d=0.1, v=11.0, t=1.2, d_rate=0.05)
+        return scenario, state, simulator.plan(state, scenario, np.full(51, 0.4),
+                                               fusion.SGrid())
+
+    @pytest.mark.parametrize("substeps", [1, 2, 10, 40])
+    def test_rows_and_state_match_repeated_steps(self, substeps):
+        scenario, state, traj = self._plan()
+        rows = ["kept"]
+        got, got_lam = step(state, traj, scenario.profile, 0.01, substeps, rows)
+        want, want_rows = state, ["kept"]
+        for _ in range(substeps):
+            want, want_lam = reference_step(want, traj, scenario.profile, 0.01)
+            want_rows += (want.t, want.s, want.d, want.v, want_lam,
+                          traj.d_ref.item(reference_index_at(traj, want.s)))
+        assert _state_bits(got) == _state_bits(want) and got_lam == want_lam
+        assert type(got) is VehicleState and all(type(x) is float for x in rows[1:])
+        assert np.array(rows[1:]).tobytes() == np.array(want_rows[1:]).tobytes()
+        assert len(rows) == 1 + substeps * len(TRACE_COLUMNS)
+
+    def test_no_rows_without_a_list(self):
+        scenario, state, traj = self._plan()
+        rows = []
+        assert step(state, traj, scenario.profile, 0.01, 3) == \
+            step(state, traj, scenario.profile, 0.01, 3, rows)
+        assert len(rows) == 3 * len(TRACE_COLUMNS)
+
+    def test_fewer_than_one_substep_rejected(self):
+        scenario, state, traj = self._plan()
+        with pytest.raises(ValueError, match="substeps"):
+            step(state, traj, scenario.profile, 0.01, 0)
+
+    def test_nan_demand_fails_at_the_first_step(self):
+        scenario, state, _ = self._plan()
+        traj = flat_plan(a_long=math.nan)
+        # The message names the first bad step (t = 1.2 + 0.01), not the last.
+        with pytest.raises(ValueError, match="state must be finite with speed >= 0, got .*t=1.21,"):
+            step(state, traj, scenario.profile, 0.01, 10)
+
+    def test_run_on_a_plan_with_a_nan_acceleration_raises(self, monkeypatch):
+        real = simulator.plan
+
+        def nan_plan(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            a_long = traj.a_long.copy()
+            a_long[:] = math.nan
+            return dataclasses.replace(traj, a_long=a_long)
+
+        monkeypatch.setattr(simulator, "plan", nan_plan)
+        with pytest.raises(ValueError, match="state must be finite with speed >= 0"):
+            run(turn_scenario(), Configuration("gt"))
+
+
+def _assert_same_run(got, want):
+    for name in TRACE_COLUMNS:
+        assert _same(got.trace[name], want.trace[name]), name
+    assert got.trace["outcome"] == want.trace["outcome"]
+    assert [_bits(x) for x in dataclasses.astuple(got.metrics)] == \
+        [_bits(x) for x in dataclasses.astuple(want.metrics)]
+    assert [(r.t, r.s, r.lambda_t, r.feasible, r.utilization) for r in got.replans] == \
+        [(r.t, r.s, r.lambda_t, r.feasible, r.utilization) for r in want.replans]
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bits(x):
+    return np.float64(x).tobytes() if isinstance(x, float) else x
+
+
+ERROR_MODES = {"worst-over": 0.025, "worst-under": -0.025}
+
+
+class TestRunMatchesPerStepReference:
+    @pytest.mark.parametrize("scenario, kind, error, sim_dt, outcome", [
+        (collision_scenario(), "p", -0.025, 0.01, "collision"),
+        (collision_scenario(), "p", -0.025, 0.05, "collision"),
+        (collision_scenario(lane_half_width=0.8), "p", 0.0, 0.005, "collision"),
+        (turn_scenario(), "l", 0.025, 0.01, "lane_departure"),
+        (turn_scenario(), "l", 0.025, 0.005, "lane_departure"),
+        (collision_scenario(), "f", -0.025, 0.01, "ok"),
+        (dataclasses.replace(turn_scenario(), target_speed=0.0), "gt", 0.0, 0.05, "timeout"),
+        (dataclasses.replace(turn_scenario(), target_speed=0.0), "gt", 0.0, 0.01, "timeout"),
+    ])
+    def test_stock_outcomes(self, scenario, kind, error, sim_dt, outcome):
+        got = run(scenario, Configuration(kind), local_error=error, sim_dt=sim_dt)
+        assert got.metrics.outcome == outcome
+        # Each run ends partway through a replan interval, so the interval's rows are cut.
+        assert len(got.trace["t"]) % replan_substeps(simulator.REPLAN_DT, sim_dt) != 0
+        _assert_same_run(got, reference_run(scenario, Configuration(kind), local_error=error,
+                                            sim_dt=sim_dt))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["turn", "collision"]),
+           kind=st.sampled_from(["gt", "l", "p", "f"]), error=st.sampled_from(list(ERROR_MODES)),
+           sim_dt=st.sampled_from([0.005, 0.01, 0.05]))
+    def test_patchy_roads(self, seed, name, kind, error, sim_dt):
+        stock = simulator.SCENARIOS[name]()
+        profile = load_workloads().patchy_profile(random.Random(seed), stock.end_s + 50.0)
+        scenario = dataclasses.replace(stock, profile=profile)
+        args = (scenario, Configuration(kind), ERROR_MODES[error], simulator.REPLAN_DT, sim_dt)
+        _assert_same_run(run(*args), reference_run(*args))
 
 
 class TestVehicleState:
@@ -139,6 +255,38 @@ class TestScenarioDefinitions:
     def test_non_finite_geometry_rejected(self, build, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
             build(**{name: value})
+
+    @pytest.mark.parametrize("build, name, message", [
+        (dict(turn_start=math.nan), "path starts", "finite and strictly increasing"),
+        (dict(turn_start=math.inf), "path starts", "finite and strictly increasing"),
+        (dict(path=((0.0, 0.0), (0.0, 0.1))), "path starts", "finite and strictly increasing"),
+        (dict(path=((0.0, 0.0), (10.0, math.nan))), "path curvatures", "finite"),
+        (dict(path=((0.0, math.inf),)), "path curvatures", "finite"),
+        (dict(end_s=math.nan), "end_s", "finite"),
+        (dict(end_s=math.inf), "end_s", "finite"),
+        (dict(maneuver_window=(math.nan, 10.0)), "maneuver_window", "finite with start <= end"),
+        (dict(maneuver_window=(0.0, math.inf)), "maneuver_window", "finite with start <= end"),
+        (dict(maneuver_window=(10.0, 5.0)), "maneuver_window", "finite with start <= end"),
+        (dict(target_speed=math.nan), "target_speed", "finite and >= 0"),
+        (dict(target_speed=-1.0), "target_speed", "finite and >= 0"),
+        (dict(obstacle_s=math.nan), "obstacle position", "finite"),
+        (dict(obstacle=(math.nan, 1.0)), "obstacle position", "finite"),
+        (dict(obstacle=(math.inf, 1.0)), "obstacle position", "finite"),
+        (dict(obstacle_half_width=math.nan), "obstacle half width", "finite and > 0"),
+        (dict(obstacle=(20.0, 0.0)), "obstacle half width", "finite and > 0"),
+        (dict(obstacle=(20.0, math.inf)), "obstacle half width", "finite and > 0"),
+    ])
+    def test_non_finite_or_unordered_fields_rejected(self, build, name, message):
+        # ``turn_start`` and ``obstacle_s`` go through the factories; the rest
+        # replace one field of a stock scenario.
+        (key, value), = build.items()
+        with pytest.raises(ValueError, match=f"{name} must be {message}, got"):
+            if key == "turn_start":
+                turn_scenario(turn_start=value)
+            elif key in ("obstacle_s", "obstacle_half_width"):
+                collision_scenario(**build)
+            else:
+                dataclasses.replace(collision_scenario(), **build)
 
     def test_curvature_on_matches_curvature_at(self):
         scenario = Scenario(
