@@ -44,10 +44,16 @@ class FrictionProfile:
         for _, mu in segs:
             if not SNOW_ICE.mu_min <= mu <= 1.2:
                 raise ValueError(f"mu values must lie in [{SNOW_ICE.mu_min}, 1.2], got {mu}")
-        self._set(*(np.array(column, dtype=np.float64) for column in zip(*segs)))
+        starts, mus = (np.array(column, dtype=np.float64) for column in zip(*segs))
+        classes = [classify(mu) for _, mu in segs]
+        table = {name: np.array([getattr(c, name) for c in classes]) for name in CLASS_STATS}
+        for column in table.values():
+            column.flags.writeable = False
+        self._set(starts, mus, table)
 
-    def _set(self, start_array, mu_array):
-        """Check the starts and set every field; the mu values are checked already."""
+    def _set(self, start_array, mu_array, class_table):
+        """Check the starts and set every field; the mu values are checked
+        already, and ``class_table`` holds their surface-class statistics."""
         starts = tuple(start_array.tolist())
         if not all(map(math.isfinite, starts)):
             raise ValueError(f"segment starts must be finite, got {starts}")
@@ -61,17 +67,27 @@ class FrictionProfile:
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_start_array", start_array)
         object.__setattr__(self, "_mu_array", mu_array)
+        object.__setattr__(self, "_class_table", class_table)
 
     def mu_at(self, s):
         """Friction of the segment containing s."""
-        if s < self._starts[0]:
-            raise ValueError(f"profile undefined below s={self._starts[0]}")
-        return self.segments[bisect.bisect_right(self._starts, s) - 1][1]
+        return self.segment_at(s)[0]
+
+    def segment_at(self, s):
+        """Friction of the segment containing s, and the bounds [start, end)
+        of that segment (end is inf for the last one)."""
+        if not s >= self._starts[0]:  # false for NaN too
+            raise ValueError(f"profile undefined below s={self._starts[0]}, got {s}")
+        starts = self._starts
+        i = bisect.bisect_right(starts, s) - 1
+        end = starts[i + 1] if i + 1 < len(starts) else math.inf
+        return self.segments[i][1], starts[i], end
 
     def segment_index(self, positions):
         """Index of the segment containing each position (``mu_at`` over an array)."""
         arr = np.asarray(positions, dtype=np.float64).reshape(-1)
-        if arr.size and arr.min() < self._starts[0]:
+        # The min of an array holding NaN is NaN, which fails the check.
+        if arr.size and not arr.min() >= self._starts[0]:
             raise ValueError(f"profile undefined below s={self._starts[0]}")
         return np.searchsorted(self._start_array, arr, side="right") - 1
 
@@ -81,12 +97,9 @@ class FrictionProfile:
     def shifted(self, offset):
         """Profile expressed in a frame displaced by ``offset`` meters."""
         profile = object.__new__(FrictionProfile)
-        profile._set(self._start_array + offset, self._mu_array)  # same mu: no re-check
+        # Same mu values: no re-check, and the same class table.
+        profile._set(self._start_array + offset, self._mu_array, self._class_table)
         return profile
-
-    @property
-    def transition_points(self):
-        return tuple(s for s, _ in self.segments[1:])
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,8 @@ class SurfaceClass:
 DRY = SurfaceClass("dry", mu_min=0.6, mean=0.8, margin=0.2)
 WET = SurfaceClass("wet", mu_min=0.4, mean=0.5, margin=0.1)
 SNOW_ICE = SurfaceClass("snow_ice", mu_min=0.1, mean=0.25, margin=0.15)
+# The statistics a FrictionProfile tables per segment.
+CLASS_STATS = ("mu_min", "mean", "margin")
 
 
 def classify(mu_gt_value):
@@ -121,17 +136,13 @@ def classify(mu_gt_value):
 
 
 def _class_stats(profile, positions, *names):
-    """Per-position surface class statistics, one ``classify`` per segment in view.
+    """Per-position surface class statistics, read from the profile's class table.
 
     Returns one array per attribute name in ``names``, e.g. ``"mu_min"``;
-    each is its own 1-D array, not a row view of the per-segment table.
+    each is its own 1-D array, not a view of the per-segment table.
     """
     idx = profile.segment_index(positions)
-    table = np.zeros((len(names), len(profile.segments)))
-    for i in sorted(set(idx.tolist())):
-        cls = classify(profile.segments[i][1])
-        table[:, i] = [getattr(cls, name) for name in names]
-    return tuple(row[idx] for row in table)
+    return tuple(profile._class_table[name][idx] for name in names)
 
 
 class LocalEstimator:

@@ -122,8 +122,8 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     """
     check_local_reach(local_reach)
     n = grid.n_points
-    mu = np.broadcast_to(np.asarray(predictive_mu, dtype=np.float64), (n,)).copy()
-    mg = np.broadcast_to(np.asarray(predictive_margin, dtype=np.float64), (n,)).copy()
+    mu = np.full(n, predictive_mu, dtype=np.float64)
+    mg = np.full(n, predictive_margin, dtype=np.float64)
     if local is not None:
         mu_l, m_l = local
         near = grid.points < local_reach
@@ -143,6 +143,8 @@ def fuse(prior, series, memo=None):
     one per run). A series whose prior, grid and exact (mu', m') bytes were
     fused before returns the stored estimate without a new posterior; the
     arrays of a stored estimate are read-only, since every caller shares them.
+    The memo also holds the prior Gram of the grid, which ``posterior`` keeps
+    there under its own key, so it is built once per memo.
     """
     if memo is not None:
         key = (prior, series.grid, series.mu_prime.tobytes(), series.margin.tobytes())
@@ -154,7 +156,7 @@ def fuse(prior, series, memo=None):
         values=series.mu_prime,
         noise_std=margin_to_std(series.margin),
     )
-    summary = posterior(prior, obs, pts)
+    summary = posterior(prior, obs, pts, memo)
     fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
                           mean=summary.mean, std=summary.std)
     if memo is not None:

@@ -197,13 +197,19 @@ def _factorize(k_obs, noise_var):
             jitter *= 10.0
 
 
-def posterior(prior, obs, test_locations):
+def posterior(prior, obs, test_locations, grams=None):
     """Condition the prior on the observations and evaluate on a test grid.
 
     The constant prior mean is subtracted from the observations before the
     zero-mean conditioning identities are applied and added back to the
     posterior mean. The regularized Gram matrix is solved through its
     Cholesky factor; no explicit inverse is formed.
+
+    ``grams`` is an optional dict owned by the caller (``fusion.fuse`` keeps
+    it in its per-run memo). The prior Gram of the observation locations is
+    kept there, read-only, under the kernel and the exact location bytes, so
+    a later posterior on the same locations and kernel reuses it; any other
+    locations get their own entry.
     """
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
     if x_star.size == 0 or not np.isfinite(x_star).all():
@@ -217,7 +223,14 @@ def posterior(prior, obs, test_locations):
 
     xs = obs.locations
     same_grid = xs is x_star or (xs.shape == x_star.shape and np.array_equal(xs, x_star))
-    k_obs = gram_matrix(kernel, xs, xs)
+    if grams is None:
+        k_obs = gram_matrix(kernel, xs, xs)
+    else:
+        key = (kernel, xs.tobytes())
+        k_obs = grams.get(key)
+        if k_obs is None:
+            k_obs = grams[key] = gram_matrix(kernel, xs, xs)
+            k_obs.flags.writeable = False
     k_cross = k_obs if same_grid else gram_matrix(kernel, x_star, xs)
     k_star = k_obs if same_grid else gram_matrix(kernel, x_star, x_star)
 

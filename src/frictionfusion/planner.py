@@ -200,15 +200,14 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
     return total[idx], s_fine[idx]
 
 
-def _speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, f_lat, f_brake,
-                   brake_mask=None):
+def _envelope(ref, positions, mu_g, kappa_path, v_des, ds):
+    """Offset reference, effective curvature and the backward pass for a reference:
+    everything ``_kernels.forward_pass`` needs besides the circle shares."""
     d_ref, curv = ref.eval(positions)
     kappa_eff = kappa_path + curv
     kappa_abs = np.abs(kappa_eff)
     v_bw, v_cap = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
-    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake,
-                              brake_mask)
-    return d_ref, kappa_eff, v_bw, v
+    return d_ref, kappa_eff, kappa_abs, v_bw, v_cap
 
 
 def plan(state, scenario, mu_hat, grid, memory=None):
@@ -246,9 +245,10 @@ def plan(state, scenario, mu_hat, grid, memory=None):
             ref = LateralReference(blends=(), base_level=state.d)
         else:
             ref = _return_reference(state.s, state.d, slope_now)
-        d_ref, kappa_eff, v_bw, v = _speed_profile(
-            state, ref, positions, mu_g, kappa_path, v_des, ds,
-            CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
+        d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
+            ref, positions, mu_g, kappa_path, v_des, ds)
+        v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
+                                  CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
         feasible = v_bw[0] >= state.v - FEASIBILITY_TOL
         return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
                          v, mu_g, feasible, 1.0)
@@ -266,17 +266,19 @@ def plan(state, scenario, mu_hat, grid, memory=None):
                                   slope0=slope_now, d1=full_target)
         memory.scale = 1.0
 
-    ref_full = _dodge_reference(full_blend, s_obs)
-    d_ref, kappa_eff, v_bw, v = _speed_profile(
-        state, ref_full, positions, mu_g, kappa_path, v_des, ds,
-        DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
-    on_full = abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION
-    if on_full and v_bw[0] >= state.v - FEASIBILITY_TOL:
-        memory.full_blend = full_blend
-        memory.active_blend = full_blend
-        memory.scale = 1.0
-        return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                         v, mu_g, True, 1.0)
+    # The full blend is planned only while the vehicle is on it, and its speed
+    # profile is integrated only once its envelope shows it feasible.
+    if abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
+        d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
+            _dodge_reference(full_blend, s_obs), positions, mu_g, kappa_path, v_des, ds)
+        if v_bw[0] >= state.v - FEASIBILITY_TOL:
+            v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
+                                      DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
+            memory.full_blend = full_blend
+            memory.active_blend = full_blend
+            memory.scale = 1.0
+            return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
+                             v, mu_g, True, 1.0)
 
     # Least-violating dodge: concede the target down to the offset the
     # lateral share of the circle can still reach over the remaining run,
@@ -308,11 +310,10 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         target = full_blend.d0 + scale * (full_target - full_blend.d0)
         scaled_blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
                                     slope0=slope_now, d1=target)
-    ref_scaled = _dodge_reference(scaled_blend, s_obs)
-    brake_mask = positions < s_obs
-    d_ref, kappa_eff, v_bw, v = _speed_profile(
-        state, ref_scaled, positions, mu_g, kappa_path, v_des, ds,
-        DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE, brake_mask)
+    d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
+        _dodge_reference(scaled_blend, s_obs), positions, mu_g, kappa_path, v_des, ds)
+    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
+                              DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE, positions < s_obs)
     memory.full_blend = full_blend
     memory.active_blend = scaled_blend
     memory.scale = scale

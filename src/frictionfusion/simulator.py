@@ -7,7 +7,6 @@ provided: a 90-degree turn on locally reduced friction, and straight-road
 collision avoidance against a suddenly appearing obstacle.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -96,17 +95,17 @@ class Scenario:
         if not 0.0 <= self.target_speed < math.inf:
             raise ValueError(f"target_speed must be finite and >= 0, got {self.target_speed}")
         # Lookup tables over ``path``, built once (not dataclass fields).
-        object.__setattr__(self, "_path_starts", starts)
         object.__setattr__(self, "_start_array", np.array(starts, dtype=np.float64))
         object.__setattr__(self, "_kappa_array",
                            np.array([seg[1] for seg in self.path], dtype=np.float64))
 
-    def curvature_at(self, s):
-        idx = bisect.bisect_right(self._path_starts, s) - 1
-        return self.path[max(idx, 0)][1]
-
     def curvature_on(self, positions):
+        """Path curvature at each position; positions before the first path
+        start take the first segment's curvature."""
         arr = np.asarray(positions, dtype=np.float64).reshape(-1)
+        # The min of an array holding NaN is NaN, the one value this rejects.
+        if arr.size and not arr.min() >= -math.inf:
+            raise ValueError("positions must not be NaN")
         idx = np.searchsorted(self._start_array, arr, side="right") - 1
         return self._kappa_array[np.maximum(idx, 0)]
 
@@ -205,6 +204,9 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     # The grid index nearest s, clamped to the plan: here and after each step.
     i = round((s - anchor) / ds)
     i = 0 if i < 0 else last if i > last else i
+    # The friction segment [lo, hi) holding s, looked up again only when s
+    # leaves it; NaN bounds make the first step look it up.
+    lo = hi = math.nan
     for _ in range(substeps):
         a_long_dem = a_long[i]
         a_lat_dem = v * v * kappa_eff[i]
@@ -213,7 +215,9 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
             a_lat_dem = bound
         elif a_lat_dem < -bound:
             a_lat_dem = -bound
-        limit = profile.mu_at(s) * GRAVITY
+        if not lo <= s < hi:
+            mu, lo, hi = profile.segment_at(s)
+        limit = mu * GRAVITY
         demand = math.hypot(a_long_dem, a_lat_dem)
         ratio = demand / limit if limit > 0.0 else 1.0
         lam = ratio if ratio < 1.0 else 1.0

@@ -4,9 +4,13 @@ The GP oracles here are intentionally naive: a scalar kernel, and the
 explicit inverse of the regularized Gram matrix with dense linear algebra,
 exercising none of the production code paths beyond the kernel definition
 itself. The plant oracles are the per-step plant and run loop as they were
-written before ``simulator.step`` advanced a whole replan interval.
+written before ``simulator.step`` advanced a whole replan interval, with a
+friction lookup per plant step; the planner and lookup oracles are the
+implementations that ``plan``, ``_class_stats`` and the profile's and path's
+tables replaced.
 """
 
+import bisect
 import importlib.util
 import math
 import os
@@ -15,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 import frictionfusion
-from frictionfusion import simulator
+from frictionfusion import _kernels, planner, simulator
 from frictionfusion.estimators import FrictionProfile, LocalEstimator, classify, emulate
 from frictionfusion.fusion import SGrid
-from frictionfusion.planner import GRAVITY, PlannerMemory, plan
+from frictionfusion.planner import GRAVITY, PlannerMemory
 
 ORACLE_JITTER = 1e-10
 
@@ -130,13 +134,144 @@ def reference_demand_at(trajectory, i, v):
     return trajectory.a_long.item(i), lat
 
 
+def reference_mu_at(profile, s):
+    """Friction of the profile segment containing s, by bisecting the starts."""
+    starts = [start for start, _ in profile.segments]
+    if s < starts[0]:
+        raise ValueError(f"profile undefined below s={starts[0]}")
+    return profile.segments[bisect.bisect_right(starts, s) - 1][1]
+
+
+def reference_curvature_at(scenario, s):
+    """Path curvature at s; before the first path start, the first segment's."""
+    idx = bisect.bisect_right([start for start, _ in scenario.path], s) - 1
+    return scenario.path[max(idx, 0)][1]
+
+
+def reference_class_stats(profile, positions, *names):
+    """Per-position surface class statistics, one ``classify`` per segment in view."""
+    idx = profile.segment_index(positions)
+    table = np.zeros((len(names), len(profile.segments)))
+    for i in sorted(set(idx.tolist())):
+        cls = classify(profile.segments[i][1])
+        table[:, i] = [getattr(cls, name) for name in names]
+    return tuple(row[idx] for row in table)
+
+
+def _reference_speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, f_lat,
+                             f_brake, brake_mask=None):
+    d_ref, curv = ref.eval(positions)
+    kappa_eff = kappa_path + curv
+    kappa_abs = np.abs(kappa_eff)
+    v_bw, v_cap = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
+    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake,
+                              brake_mask)
+    return d_ref, kappa_eff, v_bw, v
+
+
+def reference_plan(state, scenario, mu_hat, grid, memory=None):
+    """``planner.plan`` as written when every dodge replan built the full
+    blend's whole speed profile before testing whether the vehicle was on it
+    and whether the profile was feasible."""
+    p = planner
+    if state.v < 0.0:
+        raise ValueError("state.v must be >= 0")
+    mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
+    pts = grid.points
+    if len(mu) != len(pts):
+        raise ValueError("mu_hat must cover every grid point")
+    positions = state.s + pts
+    ds = grid.ds
+    mu_g = mu * GRAVITY
+    kappa_path = scenario.curvature_on(positions)
+    v_des = scenario.target_speed
+    memory = memory if memory is not None else PlannerMemory()
+
+    slope_now = state.d_rate / state.v if state.v > 0.5 else 0.0
+    dodging = (
+        scenario.obstacle is not None
+        and state.s < scenario.obstacle[0] - p.MIN_DODGE_RUN
+    )
+
+    if not dodging:
+        if scenario.obstacle is not None and state.s < scenario.obstacle[0] + p.PASS_HOLD:
+            ref = p.LateralReference(blends=(), base_level=state.d)
+        else:
+            ref = p._return_reference(state.s, state.d, slope_now)
+        d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
+            state, ref, positions, mu_g, kappa_path, v_des, ds,
+            p.CURVE_LATERAL_SHARE, p.CURVE_BRAKE_SHARE)
+        feasible = v_bw[0] >= state.v - p.FEASIBILITY_TOL
+        return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
+                           v, mu_g, feasible, 1.0)
+
+    s_obs = scenario.obstacle[0]
+    full_target = scenario.obstacle[1] + p.OBSTACLE_CLEARANCE
+    full_blend = memory.full_blend
+    tracked = memory.active_blend
+    if (
+        full_blend is None
+        or full_blend.s1 != s_obs
+        or (tracked is not None
+            and abs(state.d - tracked.offset_at(state.s)) > p.REBASE_DEVIATION)
+    ):
+        full_blend = p.QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
+                                    slope0=slope_now, d1=full_target)
+        memory.scale = 1.0
+
+    ref_full = p._dodge_reference(full_blend, s_obs)
+    d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
+        state, ref_full, positions, mu_g, kappa_path, v_des, ds,
+        p.DODGE_LATERAL_SHARE, p.DODGE_BRAKE_SHARE)
+    on_full = abs(state.d - full_blend.offset_at(state.s)) <= p.REBASE_DEVIATION
+    if on_full and v_bw[0] >= state.v - p.FEASIBILITY_TOL:
+        memory.full_blend = full_blend
+        memory.active_blend = full_blend
+        memory.scale = 1.0
+        return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
+                           v, mu_g, True, 1.0)
+
+    kappa_pk, s_pk = p._blend_peak_curvature(full_blend, scenario.curvature_on,
+                                             s_from=state.s)
+    scale = 1.0
+    if kappa_pk > _kernels.KAPPA_EPS and state.v > 0.0:
+        pk_idx = min(max(int(round((s_pk - state.s) / ds)), 0), len(pts) - 1)
+        scale = p.DODGE_LATERAL_SHARE * mu_g[pk_idx] / (state.v**2 * kappa_pk)
+        scale = min(max(scale, 0.0), 1.0)
+    if memory.scale < 1.0:
+        scale = min(scale, memory.scale)
+    reuse = (
+        memory.active_blend is not None
+        and memory.scale < 1.0
+        and memory.active_blend.s1 == s_obs
+        and abs(scale - memory.scale) <= 0.02
+    )
+    if reuse:
+        scaled_blend = memory.active_blend
+        scale = memory.scale
+    else:
+        target = full_blend.d0 + scale * (full_target - full_blend.d0)
+        scaled_blend = p.QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
+                                      slope0=slope_now, d1=target)
+    ref_scaled = p._dodge_reference(scaled_blend, s_obs)
+    brake_mask = positions < s_obs
+    d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
+        state, ref_scaled, positions, mu_g, kappa_path, v_des, ds,
+        p.DODGE_LATERAL_SHARE, p.DODGE_BRAKE_SHARE, brake_mask)
+    memory.full_blend = full_blend
+    memory.active_blend = scaled_blend
+    memory.scale = scale
+    return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
+                       v, mu_g, False, scale)
+
+
 def reference_step(state, trajectory, profile, dt):
     """One Euler step of the plant, building a ``VehicleState``."""
     if not 0.0 < dt <= simulator.MAX_SIM_DT:
         raise ValueError(f"sim_dt must lie in (0, {simulator.MAX_SIM_DT}], got {dt}")
     i = reference_index_at(trajectory, state.s)
     a_long_dem, a_lat_dem = reference_demand_at(trajectory, i, state.v)
-    mu_gt = profile.mu_at(state.s)
+    mu_gt = reference_mu_at(profile, state.s)
     limit = mu_gt * GRAVITY
     demand = math.hypot(a_long_dem, a_lat_dem)
     lam = min(1.0, demand / limit) if limit > 0.0 else 1.0
@@ -155,15 +290,15 @@ def reference_step(state, trajectory, profile, dt):
 
 
 def reference_run(scenario, config, local_error=0.0, replan_dt=simulator.REPLAN_DT,
-                  sim_dt=simulator.SIM_DT, grid=None):
-    """``simulator.run`` stepping the plant one ``reference_step`` at a time and
-    checking the obstacle and the end of the run after every step."""
+                  sim_dt=simulator.SIM_DT, grid=None, plan=reference_plan):
+    """``simulator.run`` planning with ``plan``, stepping the plant one
+    ``reference_step`` at a time and checking the obstacle and the end of the
+    run after every step. Each fuse builds its own Gram: no memo is kept."""
     substeps = simulator.replan_substeps(replan_dt, sim_dt)
     grid = grid if grid is not None else SGrid()
-    approach = classify(scenario.profile.mu_at(scenario.initial.s - 1e-6))
+    approach = classify(reference_mu_at(scenario.profile, scenario.initial.s - 1e-6))
     estimator = LocalEstimator(e_l=local_error, initial_estimate=approach.mean)
     memory = PlannerMemory()
-    fused_memo = {}
     profile, end_s, obstacle = scenario.profile, scenario.end_s, scenario.obstacle
     state = scenario.initial
     lam = 0.0
@@ -173,13 +308,13 @@ def reference_run(scenario, config, local_error=0.0, replan_dt=simulator.REPLAN_
     impact_velocity = 0.0
     running = True
     while running:
-        report = emulate(config, profile.shifted(-state.s), grid, lam, estimator,
-                         memo=fused_memo)
+        report = emulate(config, profile.shifted(-state.s), grid, lam, estimator)
         trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
         replans.append(simulator.ReplanRecord(
             t=len(replans) * replan_dt, s=state.s, lambda_t=lam,
             local_available=report.local_available, feasible=trajectory.feasible,
-            utilization=report.mu_hat[0] / profile.mu_at(state.s), mu_hat=report.mu_hat,
+            utilization=report.mu_hat[0] / reference_mu_at(profile, state.s),
+            mu_hat=report.mu_hat,
             series=report.series, fused=report.fused))
         d_ref = trajectory.d_ref.tolist()
         for _ in range(substeps):

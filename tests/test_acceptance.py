@@ -147,7 +147,7 @@ def test_criterion_7_conservatism_suite():
     for profile in profiles:
         truth = profile.mu_on(pts)
         class_means = np.array([classify(m).mean for m in truth])
-        internal = [t for t in profile.transition_points if 0.0 < t < 50.0]
+        internal = [t for t, _ in profile.segments[1:] if 0.0 < t < 50.0]
         interior = np.ones(len(pts), dtype=bool)
         for t in internal:
             interior &= np.abs(pts - t) >= TRANSITION_EXCLUSION

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from frictionfusion.estimators import (
+    CLASS_STATS,
     DRY,
     SNOW_ICE,
     WET,
@@ -14,10 +15,11 @@ from frictionfusion.estimators import (
     classify,
     emulate,
     local_estimate,
+    _class_stats,
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, fuse
-from helpers import load_workloads, random_profile
+from helpers import load_workloads, random_profile, reference_class_stats
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
 HIGH_MU_PROFILE = FrictionProfile(((-1e6, 1.0),))
@@ -32,6 +34,30 @@ class TestFrictionProfile:
     def test_below_domain_rejected(self):
         with pytest.raises(ValueError):
             TURN_PROFILE.mu_at(-2e6)
+
+    def test_mu_at_rejects_nan(self):
+        # It used to read the last segment's 0.9.
+        profile = FrictionProfile(((-1e6, 0.8), (0.0, 0.4), (10.0, 0.9)))
+        with pytest.raises(ValueError, match="undefined below"):
+            profile.mu_at(math.nan)
+
+    def test_segment_index_rejects_nan(self):
+        profile = FrictionProfile(((-1e6, 0.8), (0.0, 0.4), (10.0, 0.9)))
+        for positions in ([math.nan], [3.0, math.nan, 12.0]):
+            with pytest.raises(ValueError, match="undefined below"):
+                profile.segment_index(positions)
+            with pytest.raises(ValueError, match="undefined below"):
+                profile.mu_on(positions)
+
+    def test_segment_at_gives_the_segment_bounds(self):
+        profile = FrictionProfile(((-1e6, 0.8), (0.0, 0.4), (10.0, 0.9)))
+        assert profile.segment_at(-1e6) == (0.8, -1e6, 0.0)
+        assert profile.segment_at(np.nextafter(0.0, -1.0)) == (0.8, -1e6, 0.0)
+        assert profile.segment_at(0.0) == (0.4, 0.0, 10.0)
+        assert profile.segment_at(10.0) == (0.9, 10.0, math.inf)
+        for bad in (np.nextafter(-1e6, -np.inf), math.nan):
+            with pytest.raises(ValueError, match="undefined below"):
+                profile.segment_at(bad)
 
     def test_segments_must_increase(self):
         with pytest.raises(ValueError):
@@ -86,6 +112,41 @@ class TestFrictionProfile:
         profile = FrictionProfile(((-1e6, 0.8), (-1e6 + 1e-9, 0.4)))
         with pytest.raises(ValueError, match=message):
             profile.shifted(offset)
+
+
+class TestClassTable:
+    """The per-segment class table built with the profile."""
+
+    def _profiles(self, seed, count=20):
+        workloads = load_workloads()
+        rng = random.Random(seed)
+        edges = FrictionProfile(((-1e6, 0.6), (0.0, 0.4), (10.0, 0.61), (20.2, 0.1),
+                                 (20.4, 0.39), (30.0, 1.2)))
+        return [edges] + [workloads.patchy_profile(rng, 120.0) for _ in range(count)]
+
+    def test_equals_classify_per_segment(self):
+        for profile in self._profiles(3):
+            classes = [classify(mu) for _, mu in profile.segments]
+            for name in CLASS_STATS:
+                column = profile._class_table[name]
+                assert column.tolist() == [getattr(c, name) for c in classes]
+                assert column.dtype == np.float64 and not column.flags.writeable
+
+    def test_shared_by_shifted_copies(self):
+        profile = self._profiles(4, count=1)[1]
+        shifted = profile.shifted(-12.5).shifted(3.0)
+        assert shifted._class_table is profile._class_table
+
+    def test_class_stats_match_the_per_segment_classification(self):
+        rng = random.Random(9)
+        for profile in self._profiles(5):
+            for prof in (profile, profile.shifted(-rng.uniform(0.0, 100.0))):
+                pts = np.concatenate([np.linspace(-30.0, 140.0, 341), _around_starts(prof)])
+                for names in (("mu_min",), ("mean", "margin")):
+                    got = _class_stats(prof, pts, *names)
+                    want = reference_class_stats(prof, pts, *names)
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+                    assert all(a.ndim == 1 and a.base is None for a in got)
 
 
 def _around_starts(profile):

@@ -7,6 +7,7 @@ from frictionfusion.estimators import Configuration
 from frictionfusion.fusion import (
     MAX_GRID_POINTS,
     EstimateSeries,
+    FusedEstimate,
     SGrid,
     Z_95,
     assemble_input,
@@ -264,7 +265,8 @@ class TestFuseMemo:
         other = fuse(prior, assemble_input(grid, 0.8, 0.2), memo=memo)
         assert again is first
         assert other is not first
-        assert len(memo) == 2
+        # The memo also keeps the grid's prior Gram, under a key of its own.
+        assert sum(isinstance(v, FusedEstimate) for v in memo.values()) == 2
         plain = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)))
         np.testing.assert_array_equal(first.mu_hat, plain.mu_hat)
         assert plain.mu_hat.flags.writeable

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from frictionfusion import gp
 from frictionfusion.gp import (
     BLAS_THREAD_VARIABLES,
     JITTER_INITIAL,
@@ -326,6 +327,39 @@ class TestPosteriorMatchesSolveTriangularReference:
     def test_mean_covariance_and_std_are_bit_identical(self, case):
         prior, obs, test = case
         _assert_same_posterior(posterior(prior, obs, test), reference_posterior(prior, obs, test))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gp_cases())
+    def test_stored_gram_gives_the_same_bits(self, case):
+        prior, obs, test = case
+        want = posterior(prior, obs, test)
+        grams = {}
+        first = posterior(prior, obs, test, grams)
+        (key, stored), = grams.items()
+        again = posterior(prior, obs, test, grams)
+        for got in (first, again):
+            _assert_same_posterior(got, (want.mean, want.covariance, want.std))
+        assert key == (prior.kernel, obs.locations.tobytes())
+        assert not stored.flags.writeable
+        assert list(grams.values()) == [stored]
+
+    def test_stored_gram_is_used_only_for_its_kernel_and_locations(self, monkeypatch):
+        built = []
+        real = gp.gram_matrix
+        monkeypatch.setattr(gp, "gram_matrix",
+                            lambda kernel, a, b: built.append(kernel) or real(kernel, a, b))
+        xs = np.arange(51.0)
+        obs = ObservationSet(xs, np.full(51, 0.4), np.full(51, 0.1))
+        moved = ObservationSet(xs + 0.5, obs.values, obs.noise_std)
+        other = make_prior(0.55, 0.2, 5.0)
+        grams = {}
+        for prior, o in [(make_prior(), obs), (make_prior(), obs), (make_prior(), moved),
+                         (other, obs), (make_prior(), obs)]:
+            got = posterior(prior, o, o.locations, grams)
+            _assert_same_posterior(got, reference_posterior(prior, o, o.locations))
+        # One Gram per (kernel, locations); each later posterior reuses its own.
+        assert built == [make_prior().kernel] * 2 + [other.kernel]
+        assert len(grams) == 3
 
     def test_bit_identical_where_jitter_escalates(self, monkeypatch):
         xs = np.linspace(0.0, 1.0, 51)

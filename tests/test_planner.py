@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from frictionfusion import _kernels
+from frictionfusion.estimators import Configuration
 from frictionfusion.fusion import SGrid
 from frictionfusion.planner import (
     CURVE_BRAKE_SHARE,
@@ -15,6 +17,8 @@ from frictionfusion.planner import (
     DODGE_BRAKE_SHARE,
     DODGE_LATERAL_SHARE,
     GRAVITY,
+    MIN_DODGE_RUN,
+    REBASE_DEVIATION,
     LateralReference,
     PlannerMemory,
     QuinticBlend,
@@ -22,13 +26,15 @@ from frictionfusion.planner import (
     plan,
 )
 from frictionfusion.simulator import (
+    SCENARIOS,
     Scenario,
     VehicleState,
     collision_scenario,
+    run,
     step,
     turn_scenario,
 )
-from helpers import reference_demand_at
+from helpers import load_workloads, reference_demand_at, reference_plan, reference_run
 
 
 def straight_scenario(v0=12.0):
@@ -554,3 +560,62 @@ class TestLateralReferenceContract:
         ref = LateralReference(blends=(self.FIRST,)[:blend_count])
         with pytest.raises(ValueError, match="ascending"):
             ref.eval(np.array(positions))
+
+
+def _trajectory_bits(traj):
+    return [np.asarray(getattr(traj, f.name)).tobytes() for f in dataclasses.fields(traj)]
+
+
+def _checked_run(scenario, kind, error, fallbacks):
+    """A reference run in which every replan also calls ``plan`` on a copy of the
+    planner memory and requires the same plan and memory bit for bit; the
+    on-full flag of each least-violating dodge is appended to ``fallbacks``."""
+
+    def checking_plan(state, scen, mu_hat, grid, memory):
+        mine = dataclasses.replace(memory)
+        got = plan(state, scen, mu_hat, grid, memory=mine)
+        want = reference_plan(state, scen, mu_hat, grid, memory=memory)
+        assert _trajectory_bits(got) == _trajectory_bits(want)
+        assert mine == memory
+        if scen.obstacle is not None and state.s < scen.obstacle[0] - MIN_DODGE_RUN \
+                and not want.feasible:
+            offset = memory.full_blend.offset_at(state.s)
+            fallbacks.append(abs(state.d - offset) <= REBASE_DEVIATION)
+        return want
+
+    reference_run(scenario, Configuration(kind), local_error=error, plan=checking_plan)
+
+
+def _patchy(name, seed):
+    stock = SCENARIOS[name]()
+    profile = load_workloads().patchy_profile(random.Random(seed), stock.end_s + 50.0)
+    return dataclasses.replace(stock, profile=profile)
+
+
+class TestPlanMatchesFullProfileReference:
+    """``plan`` builds the full blend's speed profile only while the vehicle is on
+    that blend, and integrates it only once its envelope is feasible; the plans
+    must equal those of the planner that always built it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["turn", "collision"]),
+           kind=st.sampled_from(["gt", "l", "p", "f"]), error=st.sampled_from([-0.025, 0.025]))
+    def test_patchy_roads(self, seed, name, kind, error):
+        _checked_run(_patchy(name, seed), kind, error, [])
+
+    def test_least_violating_dodges_on_and_off_the_full_blend(self):
+        fallbacks = []
+        for seed in range(4):
+            for kind in ("l", "p"):
+                _checked_run(_patchy("collision", seed), kind, -0.025, fallbacks)
+        _checked_run(collision_scenario(), "p", -0.025, fallbacks)
+        assert set(fallbacks) == {True, False}
+
+    def test_one_forward_pass_per_plan(self, monkeypatch):
+        calls = []
+        real = _kernels.forward_pass
+        monkeypatch.setattr(_kernels, "forward_pass",
+                            lambda *args: calls.append(1) or real(*args))
+        result = run(_patchy("collision", 2), Configuration("p"), local_error=-0.025)
+        assert not all(r.feasible for r in result.replans)
+        assert len(calls) == len(result.replans)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frictionfusion import fusion, simulator
+from frictionfusion import fusion, gp, simulator
 from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.planner import GRAVITY, PlannedTrajectory
 from frictionfusion.simulator import (
@@ -21,7 +21,13 @@ from frictionfusion.simulator import (
     step,
     turn_scenario,
 )
-from helpers import load_workloads, reference_index_at, reference_run, reference_step
+from helpers import (
+    load_workloads,
+    reference_curvature_at,
+    reference_index_at,
+    reference_run,
+    reference_step,
+)
 
 
 def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
@@ -142,6 +148,45 @@ class TestIntervalMatchesPerStepReference:
             run(turn_scenario(), Configuration("gt"))
 
 
+class TestPlantFrictionLookup:
+    """The plant looks a friction segment up once and again only when it leaves it."""
+
+    def _interval(self, profile, substeps=10):
+        state = VehicleState(s=0.0, d=0.0, v=10.0, t=0.0)
+        traj = flat_plan(v=10.0, a_long=-4.0, kappa_eff=0.02, kappa_path=0.02)
+        rows = []
+        got, got_lam = step(state, traj, profile, 0.01, substeps, rows)
+        want, want_rows = state, []
+        for _ in range(substeps):
+            want, want_lam = reference_step(want, traj, profile, 0.01)
+            want_rows += (want.t, want.s, want.d, want.v, want_lam, 0.0)
+        assert _state_bits(got) == _state_bits(want) and got_lam == want_lam
+        assert np.array(rows).tobytes() == np.array(want_rows).tobytes()
+        return rows
+
+    def test_interval_crossing_several_boundaries(self):
+        # About 0.1 m per step over 0.045 m segments of alternating classes.
+        segments = [(-1e6, 0.9)] + [(0.045 * k, (0.3, 0.9)[k % 2]) for k in range(1, 40)]
+        rows = self._interval(FrictionProfile(segments))
+        lams = rows[4::len(TRACE_COLUMNS)]
+        assert lams.count(1.0) not in (0, len(lams))  # saturated on the 0.3 segments only
+
+    def test_steps_landing_exactly_on_a_boundary(self):
+        free = FrictionProfile(((-1e6, 0.9),))
+        positions = self._interval(free)[1::len(TRACE_COLUMNS)]
+        # Rows 3 and 4 are computed at exactly positions[2] and positions[3],
+        # which stay the same here: those steps start on a segment start.
+        segments = [(-1e6, 0.9), (positions[2], 0.3), (positions[3], 0.9)]
+        lams = self._interval(FrictionProfile(segments))[4::len(TRACE_COLUMNS)]
+        assert lams[3] == 1.0 and lams[2] < 1.0 and lams[4] < 1.0
+
+    def test_position_below_the_profile_raises(self):
+        traj = flat_plan()
+        state = VehicleState(s=-5.0, d=0.0, v=10.0, t=0.0)
+        with pytest.raises(ValueError, match="undefined below"):
+            step(state, traj, FrictionProfile(((-4.0, 0.8),)), 0.01, 10)
+
+
 def _assert_same_run(got, want):
     for name in TRACE_COLUMNS:
         assert _same(got.trace[name], want.trace[name]), name
@@ -226,17 +271,16 @@ class TestScenarioDefinitions:
         assert scen.initial.v == 12.0
         assert scen.profile.mu_at(-1.0) == 0.8
         assert scen.profile.mu_at(0.0) == 0.4
-        assert scen.curvature_at(10.0) == 0.0
-        assert abs(scen.curvature_at(20.0)) == pytest.approx(1.0 / 20.0)
         arc = 0.5 * np.pi * 20.0
-        assert scen.curvature_at(15.0 + arc + 0.1) == 0.0
+        np.testing.assert_array_equal(scen.curvature_on([10.0, 20.0, 15.0 + arc + 0.1]),
+                                      [0.0, -1.0 / 20.0, 0.0])
 
     def test_collision_geometry(self):
         scen = collision_scenario()
         assert scen.initial.v == 20.0
         assert scen.profile.mu_at(10.0) == 1.0
         assert scen.obstacle == (20.0, 1.0)
-        assert scen.curvature_at(5.0) == 0.0
+        assert scen.curvature_on([5.0]).tolist() == [0.0]
 
     def test_nonpositive_lane_half_width_rejected(self):
         with pytest.raises(ValueError, match="lane_half_width"):
@@ -299,10 +343,34 @@ class TestScenarioDefinitions:
         pts = np.concatenate([np.linspace(-20.0, 60.0, 801), starts,
                               np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf)])
         np.testing.assert_array_equal(scenario.curvature_on(pts),
-                                      [scenario.curvature_at(s) for s in pts])
+                                      [reference_curvature_at(scenario, s) for s in pts])
+
+
+    def test_curvature_on_rejects_nan(self):
+        # It used to read the last path segment's 0.0.
+        scenario = turn_scenario()
+        for positions in ([math.nan], [3.0, math.nan, 20.0]):
+            with pytest.raises(ValueError, match="NaN"):
+                scenario.curvature_on(positions)
+        np.testing.assert_array_equal(scenario.curvature_on([-math.inf, math.inf]), [0.0, 0.0])
 
 
 class TestFusedMemo:
+    def test_gram_once_per_run(self, monkeypatch):
+        grams, posteriors = [], []
+        real_gram, real_posterior = gp.gram_matrix, fusion.posterior
+        monkeypatch.setattr(gp, "gram_matrix",
+                            lambda *args: grams.append(args) or real_gram(*args))
+        monkeypatch.setattr(fusion, "posterior",
+                            lambda *args: posteriors.append(args) or real_posterior(*args))
+        stock = collision_scenario()
+        profile = load_workloads().patchy_profile(random.Random(3), stock.end_s + 50.0)
+        scenario = dataclasses.replace(stock, profile=profile)
+        for runs in (1, 2):
+            run(scenario, Configuration("f"), local_error=-0.025)
+            assert len(grams) == runs
+            assert len(posteriors) > 10 * runs
+
     def test_posterior_once_per_distinct_series_and_per_run(self, monkeypatch):
         calls = []
         real = fusion.posterior
