@@ -1,28 +1,25 @@
-"""Shared test oracles, generators and the environment of fresh processes.
+"""Shared test oracles, generators, pin messages and the environment of fresh
+processes.
 
 The GP oracles here are intentionally naive: a scalar kernel, and the
 explicit inverse of the regularized Gram matrix with dense linear algebra,
 exercising none of the production code paths beyond the kernel definition
-itself. The plant oracles are the per-step plant and run loop as they were
-written before ``simulator.step`` advanced a whole replan interval, with a
-friction lookup per plant step; the planner and lookup oracles are the
-implementations that ``plan``, ``_class_stats`` and the profile's and path's
-tables replaced.
+itself. The lookup oracles are the implementations that ``_class_stats`` and
+the path's table replaced. The plant, planner and run loop have no copy here:
+pinned digests hold their bits and invariants their behaviour (see
+``test_simulator.TestPinnedCorpus``).
 """
 
 import bisect
 import importlib.util
-import math
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 
 import frictionfusion
-from frictionfusion import _kernels, planner, simulator
-from frictionfusion.estimators import FrictionProfile, LocalEstimator, classify, emulate
-from frictionfusion.fusion import SGrid
-from frictionfusion.planner import GRAVITY, PlannerMemory
+from frictionfusion.estimators import FrictionProfile, classify
 
 ORACLE_JITTER = 1e-10
 
@@ -116,32 +113,6 @@ def load_workloads():
     return module
 
 
-def reference_index_at(trajectory, s):
-    """Grid index of the plan nearest ``s``, clamped to the plan."""
-    idx, last = round((s - trajectory.s_anchor) / trajectory.ds), len(trajectory.positions) - 1
-    return 0 if idx < 0 else last if idx > last else idx
-
-
-def reference_demand_at(trajectory, i, v):
-    """Planar acceleration demand at grid index i at speed v: ``a_long`` and
-    the effective-curvature tracking term, clipped to ``lat_bound``."""
-    lat = v * v * trajectory.kappa_eff.item(i)
-    bound = trajectory.lat_bound.item(i)
-    if lat > bound:
-        lat = bound
-    elif lat < -bound:
-        lat = -bound
-    return trajectory.a_long.item(i), lat
-
-
-def reference_mu_at(profile, s):
-    """Friction of the profile segment containing s, by bisecting the starts."""
-    starts = [start for start, _ in profile.segments]
-    if s < starts[0]:
-        raise ValueError(f"profile undefined below s={starts[0]}")
-    return profile.segments[bisect.bisect_right(starts, s) - 1][1]
-
-
 def reference_curvature_at(scenario, s):
     """Path curvature at s; before the first path start, the first segment's."""
     idx = bisect.bisect_right([start for start, _ in scenario.path], s) - 1
@@ -158,182 +129,17 @@ def reference_class_stats(profile, positions, *names):
     return tuple(row[idx] for row in table)
 
 
-def _reference_speed_profile(state, ref, positions, mu_g, kappa_path, v_des, ds, f_lat,
-                             f_brake, brake_mask=None):
-    d_ref, curv = ref.eval(positions)
-    kappa_eff = kappa_path + curv
-    kappa_abs = np.abs(kappa_eff)
-    v_bw, v_cap = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
-    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake,
-                              brake_mask)
-    return d_ref, kappa_eff, v_bw, v
+def repin_message(name, got, want):
+    """Failure message of the pinned table ``name``: one line per key of ``got``
+    and ``want``, giving the value the code gives now as a table entry that can
+    be pasted over the pinned one, and the pinned value beside it."""
+    lines = [f"{name} no longer matches; entries the code gives now, each with the pinned one:"]
+    for key in [*want, *(k for k in got if k not in want)]:
+        now, pinned = _literal(got.get(key)), _literal(want.get(key))
+        lines.append(f"    {_literal(key)}: {now},  # pinned: "
+                     f"{'same' if now == pinned else pinned}")
+    return "\n".join(lines)
 
 
-def reference_plan(state, scenario, mu_hat, grid, memory=None):
-    """``planner.plan`` as written when every dodge replan built the full
-    blend's whole speed profile before testing whether the vehicle was on it
-    and whether the profile was feasible."""
-    p = planner
-    if state.v < 0.0:
-        raise ValueError("state.v must be >= 0")
-    mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
-    pts = grid.points
-    if len(mu) != len(pts):
-        raise ValueError("mu_hat must cover every grid point")
-    positions = state.s + pts
-    ds = grid.ds
-    mu_g = mu * GRAVITY
-    kappa_path = scenario.curvature_on(positions)
-    v_des = scenario.target_speed
-    memory = memory if memory is not None else PlannerMemory()
-
-    slope_now = state.d_rate / state.v if state.v > 0.5 else 0.0
-    dodging = (
-        scenario.obstacle is not None
-        and state.s < scenario.obstacle[0] - p.MIN_DODGE_RUN
-    )
-
-    if not dodging:
-        if scenario.obstacle is not None and state.s < scenario.obstacle[0] + p.PASS_HOLD:
-            ref = p.LateralReference(blends=(), base_level=state.d)
-        else:
-            ref = p._return_reference(state.s, state.d, slope_now)
-        d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
-            state, ref, positions, mu_g, kappa_path, v_des, ds,
-            p.CURVE_LATERAL_SHARE, p.CURVE_BRAKE_SHARE)
-        feasible = v_bw[0] >= state.v - p.FEASIBILITY_TOL
-        return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                           v, mu_g, feasible, 1.0)
-
-    s_obs = scenario.obstacle[0]
-    full_target = scenario.obstacle[1] + p.OBSTACLE_CLEARANCE
-    full_blend = memory.full_blend
-    tracked = memory.active_blend
-    if (
-        full_blend is None
-        or full_blend.s1 != s_obs
-        or (tracked is not None
-            and abs(state.d - tracked.offset_at(state.s)) > p.REBASE_DEVIATION)
-    ):
-        full_blend = p.QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
-                                    slope0=slope_now, d1=full_target)
-        memory.scale = 1.0
-
-    ref_full = p._dodge_reference(full_blend, s_obs)
-    d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
-        state, ref_full, positions, mu_g, kappa_path, v_des, ds,
-        p.DODGE_LATERAL_SHARE, p.DODGE_BRAKE_SHARE)
-    on_full = abs(state.d - full_blend.offset_at(state.s)) <= p.REBASE_DEVIATION
-    if on_full and v_bw[0] >= state.v - p.FEASIBILITY_TOL:
-        memory.full_blend = full_blend
-        memory.active_blend = full_blend
-        memory.scale = 1.0
-        return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                           v, mu_g, True, 1.0)
-
-    kappa_pk, s_pk = p._blend_peak_curvature(full_blend, scenario.curvature_on,
-                                             s_from=state.s)
-    scale = 1.0
-    if kappa_pk > _kernels.KAPPA_EPS and state.v > 0.0:
-        pk_idx = min(max(int(round((s_pk - state.s) / ds)), 0), len(pts) - 1)
-        scale = p.DODGE_LATERAL_SHARE * mu_g[pk_idx] / (state.v**2 * kappa_pk)
-        scale = min(max(scale, 0.0), 1.0)
-    if memory.scale < 1.0:
-        scale = min(scale, memory.scale)
-    reuse = (
-        memory.active_blend is not None
-        and memory.scale < 1.0
-        and memory.active_blend.s1 == s_obs
-        and abs(scale - memory.scale) <= 0.02
-    )
-    if reuse:
-        scaled_blend = memory.active_blend
-        scale = memory.scale
-    else:
-        target = full_blend.d0 + scale * (full_target - full_blend.d0)
-        scaled_blend = p.QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
-                                      slope0=slope_now, d1=target)
-    ref_scaled = p._dodge_reference(scaled_blend, s_obs)
-    brake_mask = positions < s_obs
-    d_ref, kappa_eff, v_bw, v = _reference_speed_profile(
-        state, ref_scaled, positions, mu_g, kappa_path, v_des, ds,
-        p.DODGE_LATERAL_SHARE, p.DODGE_BRAKE_SHARE, brake_mask)
-    memory.full_blend = full_blend
-    memory.active_blend = scaled_blend
-    memory.scale = scale
-    return p._finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                       v, mu_g, False, scale)
-
-
-def reference_step(state, trajectory, profile, dt):
-    """One Euler step of the plant, building a ``VehicleState``."""
-    if not 0.0 < dt <= simulator.MAX_SIM_DT:
-        raise ValueError(f"sim_dt must lie in (0, {simulator.MAX_SIM_DT}], got {dt}")
-    i = reference_index_at(trajectory, state.s)
-    a_long_dem, a_lat_dem = reference_demand_at(trajectory, i, state.v)
-    mu_gt = reference_mu_at(profile, state.s)
-    limit = mu_gt * GRAVITY
-    demand = math.hypot(a_long_dem, a_lat_dem)
-    lam = min(1.0, demand / limit) if limit > 0.0 else 1.0
-    scale = 1.0 if demand <= limit else limit / demand
-    a_long = a_long_dem * scale
-    a_lat = a_lat_dem * scale
-    drift_accel = a_lat - state.v**2 * trajectory.kappa_path.item(i)
-    new_state = simulator.VehicleState(
-        s=state.s + state.v * dt,
-        d=state.d + state.d_rate * dt,
-        v=max(0.0, state.v + a_long * dt),
-        t=state.t + dt,
-        d_rate=state.d_rate + drift_accel * dt,
-    )
-    return new_state, lam
-
-
-def reference_run(scenario, config, local_error=0.0, replan_dt=simulator.REPLAN_DT,
-                  sim_dt=simulator.SIM_DT, grid=None, plan=reference_plan):
-    """``simulator.run`` planning with ``plan``, stepping the plant one
-    ``reference_step`` at a time and checking the obstacle and the end of the
-    run after every step. Each fuse builds its own Gram: no memo is kept."""
-    substeps = simulator.replan_substeps(replan_dt, sim_dt)
-    grid = grid if grid is not None else SGrid()
-    approach = classify(reference_mu_at(scenario.profile, scenario.initial.s - 1e-6))
-    estimator = LocalEstimator(e_l=local_error, initial_estimate=approach.mean)
-    memory = PlannerMemory()
-    profile, end_s, obstacle = scenario.profile, scenario.end_s, scenario.obstacle
-    state = scenario.initial
-    lam = 0.0
-    replans = []
-    rows = []
-    clearance = math.nan
-    impact_velocity = 0.0
-    running = True
-    while running:
-        report = emulate(config, profile.shifted(-state.s), grid, lam, estimator)
-        trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
-        replans.append(simulator.ReplanRecord(
-            t=len(replans) * replan_dt, s=state.s, lambda_t=lam,
-            local_available=report.local_available, feasible=trajectory.feasible,
-            utilization=report.mu_hat[0] / reference_mu_at(profile, state.s),
-            mu_hat=report.mu_hat,
-            series=report.series, fused=report.fused))
-        d_ref = trajectory.d_ref.tolist()
-        for _ in range(substeps):
-            prev = state
-            state, lam = reference_step(state, trajectory, profile, sim_dt)
-            rows.append((state.t, state.s, state.d, state.v, lam,
-                         d_ref[reference_index_at(trajectory, state.s)]))
-            if obstacle is not None and prev.s < obstacle[0] <= state.s:
-                s_obs, half_width = obstacle
-                frac = (s_obs - prev.s) / (state.s - prev.s)
-                clearance = abs(prev.d + frac * (state.d - prev.d)) - half_width
-                if clearance <= 0.0:
-                    impact_velocity = prev.v + frac * (state.v - prev.v)
-            if clearance <= 0.0 or state.s >= end_s or state.t >= simulator.TIME_LIMIT:
-                running = False
-                break
-    trace = dict(zip(simulator.TRACE_COLUMNS, np.array(rows).T.copy()))
-    trace["outcome"], metrics = simulator._score(scenario, trace, replans, clearance,
-                                                 impact_velocity)
-    return simulator.ScenarioResult(
-        scenario=scenario, grid=grid, config_kind=config.kind, local_error=local_error,
-        trace=trace, replans=replans, metrics=metrics)
+def _literal(value):
+    return json.dumps(value) if isinstance(value, str) else repr(value)

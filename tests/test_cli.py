@@ -25,7 +25,7 @@ from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.fusion import MAX_GRID_POINTS, SGrid, calibrate_prior
 from frictionfusion.gp import FactorizationError
 from frictionfusion.simulator import collision_scenario, run, turn_scenario
-from helpers import fresh_process_env, load_workloads
+from helpers import fresh_process_env, load_workloads, repin_message
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone.
@@ -211,20 +211,19 @@ class TestEmitTraces:
             list(range(len(result.replans)))
 
     @staticmethod
-    def _digests(out_dir, key):
-        digests = {}
-        for pattern in GOLDEN_FILE_DIGESTS[key]:
+    def _assert_golden(out_dir, key):
+        got, want = {}, GOLDEN_FILE_DIGESTS[key]
+        for pattern in want:
             paths = sorted(out_dir.glob(pattern))
             assert paths, pattern
-            data = b"".join(p.read_bytes() for p in paths)
-            digests[pattern] = hashlib.sha256(data).hexdigest()
-        return digests
+            got[pattern] = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        assert got == want, repin_message(f"GOLDEN_FILE_DIGESTS[{key}]", got, want)
 
     @pytest.mark.parametrize("key", list(GOLDEN_FILE_DIGESTS))
     def test_written_files_are_golden(self, key, tmp_path):
         rc = parse_args([*key, "--out", str(tmp_path)])
         emit_traces(execute(rc), rc)
-        assert self._digests(tmp_path, key) == GOLDEN_FILE_DIGESTS[key]
+        self._assert_golden(tmp_path, key)
 
     def test_written_files_are_golden_on_threaded_blas(self, tmp_path):
         # The first fused posterior loads scipy's BLAS on one thread unless a
@@ -233,7 +232,7 @@ class TestEmitTraces:
         subprocess.run([sys.executable, "-m", "frictionfusion.cli", *FINE_GRID_KEY,
                         "--out", str(tmp_path)], check=True, capture_output=True,
                        env=fresh_process_env(OPENBLAS_NUM_THREADS="2"))
-        assert self._digests(tmp_path, FINE_GRID_KEY) == GOLDEN_FILE_DIGESTS[FINE_GRID_KEY]
+        self._assert_golden(tmp_path, FINE_GRID_KEY)
 
     def test_nan_is_an_empty_csv_cell_and_a_json_null(self, tmp_path):
         result = run(turn_scenario(), Configuration("gt"))
@@ -326,7 +325,9 @@ class TestRunMatrix:
         workloads = load_workloads()
         cells = workloads.build("patchy_roads", seed, 0)
         digests = [workloads.run_digest(cell, cell.execute()) for cell in cells]
-        assert workloads.fingerprint(digests) == GOLDEN_PATCHY_FINGERPRINTS[seed]
+        got = {seed: workloads.fingerprint(digests)}
+        want = {seed: GOLDEN_PATCHY_FINGERPRINTS[seed]}
+        assert got == want, repin_message("GOLDEN_PATCHY_FINGERPRINTS", got, want)
 
     def test_byte_identical_across_repeats(self, tmp_path):
         a = run_matrix(["collision"], ["p", "f"], ["worst-under"])
