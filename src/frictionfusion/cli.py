@@ -231,7 +231,11 @@ def emit_traces(result, rc):
         for index, rec in enumerate(result.replans):
             mu_gt = result.scenario.profile.shifted(-rec.s).mu_on(grid_pts)
             if rec.fused is not None:
-                gp_cols = (rec.series.mu_prime, rec.series.margin, rec.fused.mean, rec.fused.std)
+                # The GP observed on the series' own (1 m) grid: each row shows the
+                # observation at the last of its points at or before s (at ds = 1, its own).
+                held = np.searchsorted(rec.series.grid.points, grid_pts + 1e-9, side="right") - 1
+                gp_cols = (rec.series.mu_prime[held], rec.series.margin[held],
+                           rec.fused.mean, rec.fused.std)
             else:  # no fusion: the estimate is its own input and mean, with no spread
                 zeros = np.zeros_like(rec.mu_hat)
                 gp_cols = (rec.mu_hat, zeros, rec.mu_hat, zeros)

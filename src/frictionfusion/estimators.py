@@ -223,7 +223,10 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     """Produce the horizon estimate for one configuration, with diagnostics.
 
     The profile is expected in the grid's frame (s=0 under the vehicle).
-    ``memo`` is the fused-estimate memo handed to ``fuse`` (fused config only).
+    The fused configuration samples the camera classes and the local overlay
+    on ``grid.observation_grid`` (1 m spacing on a finer grid), and ``fuse``
+    evaluates the estimate on ``grid``; ``memo`` is the fused-estimate memo
+    handed to ``fuse`` (fused config only).
     """
     pts = grid.points
     loc = local_estimate(profile, lambda_t, estimator)
@@ -246,15 +249,16 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
         (mu_hat,) = _class_stats(profile, pts, "mu_min")
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
-    mean, margin = _class_stats(profile, pts, "mean", "margin")
+    observed = grid.observation_grid
+    mean, margin = _class_stats(profile, observed.points, "mean", "margin")
     series = assemble_input(
-        grid,
+        observed,
         predictive_mu=mean,
         predictive_margin=margin,
         local=loc,
         local_reach=config.local_reach,
     )
-    fused = fuse(config.prior, series, memo=memo)
+    fused = fuse(config.prior, series, grid, memo=memo)
     return EstimateReport(
         mu_hat=fused.mu_hat, local_available=available, series=series, fused=fused
     )

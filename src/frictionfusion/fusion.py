@@ -1,11 +1,13 @@
 """Fusion of local and camera-class friction estimates into a conservative bound.
 
 Assembles per-point estimates with margins of error from the two sources,
-converts the margins to observation noise, runs GP regression on the spatial
-grid ahead of the vehicle, and extracts the lower edge of the 95% confidence
-band as the fused estimate.
+converts the margins to observation noise, runs GP regression with
+observations 1 m apart ahead of the vehicle (or on the planning grid, where
+that is coarser), and extracts the lower edge of the 95% confidence band on
+the planning grid as the fused estimate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +24,20 @@ DEFAULT_DS = 1.0
 DEFAULT_HORIZON = 50.0
 DEFAULT_LENGTH_SCALE = 10.0
 DEFAULT_LOCAL_REACH = 5.0
-# Each fuse factorizes an n x n Gram, so n is bounded: 2001 points (ds = 0.025
-# on the default 50 m horizon) is a 32 MB Gram and a few copies of it per fuse.
+# A fused replan costs O(n) in the planner and O(n m^2) in the fuse, for m = 51
+# observations at 1 m. Measured on a 2-vCPU VM over fused runs on patchy roads
+# (tools/replan_latency.py): ``plan`` takes 0.16 / 0.63 / 1.4 ms median at
+# n = 51 / 501 / 2001, and a whole fused replan (estimate and plan) 3.3 ms
+# median and 5.3-5.7 ms p99 at 2001 points (ds = 0.025 on the default 50 m
+# horizon), under 6% of the 100 ms replan period. The limit keeps a replan at
+# a few percent of its period; ten times the points would, extrapolated
+# linearly, put the p99 near 55 ms, more than half of it.
 MAX_GRID_POINTS = 2001
+# A stock fused run fuses two distinct series, over and over (with and without
+# the local estimate); a memo of the two most recent hits as often as an
+# unbounded one there, while on patchy roads, where series rarely repeat, it
+# stays small.
+FUSE_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,18 @@ class SGrid:
     def n_points(self):
         return int(round(self.s_f / self.ds)) + 1
 
+    @functools.cached_property
+    def observation_grid(self):
+        """The grid ``emulate`` observes on for this planning grid: ``DEFAULT_DS``
+        spacing over the same horizon (the nearest finer spacing that divides
+        ``s_f`` when ``s_f`` is no whole multiple of it), or this grid itself
+        when its spacing is ``DEFAULT_DS`` or coarser. So a fuse has no more
+        observations than planning points, and at most ``s_f / DEFAULT_DS + 2``."""
+        if self.ds >= DEFAULT_DS:
+            return self
+        intervals = math.ceil(self.s_f / DEFAULT_DS - 1e-9)
+        return SGrid(ds=self.s_f / intervals, s_f=self.s_f)
+
 
 @dataclass(frozen=True)
 class EstimateSeries:
@@ -83,11 +108,13 @@ class EstimateSeries:
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Lower 95% bound ``mu_hat`` = ``mean`` - 1.96 ``std`` of the posterior marginals."""
+    """Lower 95% bound ``mu_hat`` = ``mean`` - 1.96 ``std`` of the posterior
+    marginals, and the jitter the GP factorization needed."""
 
     mu_hat: np.ndarray
     mean: np.ndarray
     std: np.ndarray
+    jitter: float
 
 
 def calibrate_prior(length_scale=DEFAULT_LENGTH_SCALE):
@@ -132,35 +159,43 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     return EstimateSeries(grid=grid, mu_prime=mu, margin=mg)
 
 
-def fuse(prior, series, memo=None):
+def fuse(prior, series, grid=None, memo=None):
     """Run GP regression on the series and take the lower 95% confidence bound.
 
-    Observations sit at every grid point with noise std = margin/1.96;
-    test locations are the same grid. The bound is reported as-is, with no
-    clamping, since downstream planners treat it as a constraint level.
+    Observations sit at the series' grid points with noise std =
+    margin/1.96; the marginals are evaluated on ``grid`` (default: the
+    series' own grid), so the cost is O(m^3 + n m^2) for m observations and
+    n planning points. The bound is reported as-is, with no clamping, since
+    downstream planners treat it as a constraint level.
 
     ``memo`` is an optional dict owned by the caller (``simulator.run`` keeps
-    one per run). A series whose prior, grid and exact (mu', m') bytes were
-    fused before returns the stored estimate without a new posterior; the
-    arrays of a stored estimate are read-only, since every caller shares them.
-    The memo also holds the prior Gram of the grid, which ``posterior`` keeps
-    there under its own key, so it is built once per memo.
+    one per run). It holds the estimates of the ``FUSE_MEMO_SIZE`` series
+    fused most recently: one whose prior, grids and exact (mu', m') bytes
+    are among them returns the stored estimate without a new posterior. The
+    arrays of a stored estimate are read-only, since every caller shares
+    them. The memo also holds the prior Gram of the observation grid, which
+    ``posterior`` keeps there under its own key, so it is built once per memo.
     """
+    grid = series.grid if grid is None else grid
     if memo is not None:
-        key = (prior, series.grid, series.mu_prime.tobytes(), series.margin.tobytes())
-        if key in memo:
-            return memo[key]
-    pts = series.grid.points
+        key = (prior, series.grid, grid, series.mu_prime.tobytes(), series.margin.tobytes())
+        fused = memo.pop(key, None)
+        if fused is not None:
+            memo[key] = fused  # now the most recent
+            return fused
     obs = ObservationSet(
-        locations=pts,
+        locations=series.grid.points,
         values=series.mu_prime,
         noise_std=margin_to_std(series.margin),
     )
-    summary = posterior(prior, obs, pts, memo)
+    summary = posterior(prior, obs, grid.points, memo)
     fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
-                          mean=summary.mean, std=summary.std)
+                          mean=summary.mean, std=summary.std, jitter=summary.jitter)
     if memo is not None:
         for arr in (fused.mu_hat, fused.mean, fused.std):
             arr.flags.writeable = False
         memo[key] = fused
+        stored = [k for k, v in memo.items() if isinstance(v, FusedEstimate)]
+        for old in stored[:-FUSE_MEMO_SIZE]:
+            del memo[old]
     return fused

@@ -5,47 +5,51 @@ inference through a jitter-stabilized Cholesky factorization. All linear
 algebra is 64-bit; values are immutable after construction.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # OpenBLAS reads its thread count once, when it loads, and scipy's wheels
 # bundle an OpenBLAS of their own that scipy's LAPACK extension loads. On a
-# 2-vCPU host its 2-thread triangular solve and numpy's 2-thread ``v.T @ v``
-# each wait on the other pool's spinning worker: 3.5 ms and 3.9 ms per
-# posterior at n=101, against 0.23 ms and 0.09 ms with scipy's pool on one
-# thread. So scipy's pool loads with one thread, unless the user set a thread
-# count; numpy's pool, libraries loaded later and child processes keep theirs.
-# Results are the same bits either way. Only a posterior with observations
-# needs LAPACK, so it loads at the first such posterior, not with the package.
+# 2-vCPU host its 2-thread triangular solve and numpy's 2-thread covariance
+# product (``v.T @ v``) each waited on the other pool's spinning worker: 3.5 ms
+# and 3.9 ms per posterior at n=101, against 0.23 ms and 0.09 ms with scipy's
+# pool on one thread. So scipy's pool loads with one thread, unless the user
+# set a thread count; numpy's pool, libraries loaded later and child processes
+# keep theirs. A posterior factorizes and solves (``dpotrf``, ``dtrtrs``) on
+# scipy's pool; numpy's pool does only the n x m product of the mean, and the
+# n x n covariance product if a caller reads the covariance. Results are the
+# same bits either way. Only a posterior with observations needs LAPACK, so it
+# loads at the first such posterior, not with the package.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 FLAPACK = "scipy.linalg._flapack"
-_dtrtrs = None
-_dtrtrs_lock = threading.Lock()
+_lapack = None
+_lapack_lock = threading.Lock()
 
 
-def _load_dtrtrs():
-    """LAPACK ``dtrtrs`` from scipy, loaded once under the thread policy
-    above; the lock keeps concurrent first calls from interleaving their
-    ``os.environ`` edits."""
-    global _dtrtrs
-    with _dtrtrs_lock:
-        if _dtrtrs is None:
+def _load_lapack():
+    """scipy's LAPACK module, loaded once under the thread policy above; the
+    lock keeps concurrent first calls from interleaving their ``os.environ``
+    edits."""
+    global _lapack
+    with _lapack_lock:
+        if _lapack is None:
             if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
-                _dtrtrs = _scipy_lapack().dtrtrs
+                _lapack = _scipy_lapack()
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = "1"
                 try:
-                    _dtrtrs = _scipy_lapack().dtrtrs
+                    _lapack = _scipy_lapack()
                 finally:
                     del os.environ["OPENBLAS_NUM_THREADS"]
-    return _dtrtrs
+    return _lapack
 
 
 def _scipy_lapack():
@@ -155,12 +159,27 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Posterior mean/covariance on a test grid, plus the marginal std."""
+    """Posterior mean and marginal std on a test grid, the jitter the
+    factorization needed, and the covariance, derived on first read.
+
+    ``v`` is L^-1 K(x, x*), the m x n whitened cross-covariance of the m
+    observations and the n test locations (GPML Alg. 2.1), from which the
+    std and the covariance both follow; it has no rows without observations.
+    """
 
     test_locations: np.ndarray
     mean: np.ndarray
-    covariance: np.ndarray
     std: np.ndarray
+    jitter: float
+    kernel: SquaredExponentialKernel = field(repr=False)
+    v: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def covariance(self):
+        """K(x*, x*) - v.T v, symmetrized: n x n, so built only when read."""
+        x_star = self.test_locations
+        cov = gram_matrix(self.kernel, x_star, x_star) - self.v.T @ self.v
+        return 0.5 * (cov + cov.T)
 
 
 def gram_matrix(kernel, xs_a, xs_b):
@@ -173,28 +192,26 @@ def gram_matrix(kernel, xs_a, xs_b):
 
 
 def _factorize(k_obs, noise_var):
-    """Lower Cholesky factor of one copy of ``k_obs`` whose diagonal holds ``(K_ii +
-    noise_var_i) + jitter``, with jitter escalated until it succeeds or is exhausted."""
+    """Upper Cholesky factor U (U.T U = the Gram, F-ordered, from LAPACK ``dpotrf``)
+    of a copy of ``k_obs`` whose diagonal holds ``(K_ii + noise_var_i) + jitter``,
+    and that jitter, escalated until the factor is finite or the jitter is exhausted."""
     n = k_obs.shape[0]
     gram = k_obs.copy()
     diag = gram.diagonal() + noise_var
     gram.flat[::n + 1] = diag
     if not np.isfinite(gram).all():
         raise FactorizationError("regularized Gram matrix contains non-finite entries")
+    dpotrf = (_lapack or _load_lapack()).dpotrf
     jitter = JITTER_INITIAL
     while True:
         gram.flat[::n + 1] = diag + jitter
-        try:
-            chol = np.linalg.cholesky(gram)
-            if np.isfinite(chol).all():
-                return chol
-            raise np.linalg.LinAlgError("non-finite factor")
-        except (np.linalg.LinAlgError, ValueError):
-            if jitter >= JITTER_MAX:
-                raise FactorizationError(
-                    f"Gram matrix not positive definite after jitter escalation to {jitter:g}"
-                ) from None
-            jitter *= 10.0
+        upper, info = dpotrf(gram)
+        if info == 0 and np.isfinite(upper).all():
+            return upper, jitter
+        if jitter >= JITTER_MAX:
+            raise FactorizationError(
+                f"Gram matrix not positive definite after jitter escalation to {jitter:g}")
+        jitter *= 10.0
 
 
 def posterior(prior, obs, test_locations, grams=None):
@@ -202,8 +219,11 @@ def posterior(prior, obs, test_locations, grams=None):
 
     The constant prior mean is subtracted from the observations before the
     zero-mean conditioning identities are applied and added back to the
-    posterior mean. The regularized Gram matrix is solved through its
-    Cholesky factor; no explicit inverse is formed.
+    posterior mean. The regularized Gram matrix of the m observations is
+    factorized once by Cholesky and solved against; no explicit inverse is
+    formed. The work is O(m^3 + n m^2) for n test locations: the marginal
+    std comes from the column sums of ``v**2``, and the n x n covariance is
+    built only if ``covariance`` is read.
 
     ``grams`` is an optional dict owned by the caller (``fusion.fuse`` keeps
     it in its per-run memo). The prior Gram of the observation locations is
@@ -211,15 +231,17 @@ def posterior(prior, obs, test_locations, grams=None):
     a later posterior on the same locations and kernel reuses it; any other
     locations get their own entry.
     """
-    x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
+    x_star = np.asarray(test_locations, dtype=np.float64)
+    x_star = x_star if x_star.ndim == 1 else x_star.reshape(-1)  # keeps ``xs is x_star``
     if x_star.size == 0 or not np.isfinite(x_star).all():
         raise ValueError("test_locations must be non-empty and finite")
     kernel = prior.kernel
+    # The diagonal of K(x*, x*): the squared-exponential kernel's value at distance 0.
+    prior_var = np.full(x_star.size, kernel.sigma_f * kernel.sigma_f)
 
     if len(obs) == 0:
-        cov = gram_matrix(kernel, x_star, x_star)
-        mean = np.full(x_star.size, prior.mean)
-        return _summarize(x_star, mean, cov)
+        return _summarize(x_star, np.full(x_star.size, prior.mean), prior_var,
+                          np.zeros((0, x_star.size)), kernel, 0.0)
 
     xs = obs.locations
     same_grid = xs is x_star or (xs.shape == x_star.shape and np.array_equal(xs, x_star))
@@ -232,30 +254,26 @@ def posterior(prior, obs, test_locations, grams=None):
             k_obs = grams[key] = gram_matrix(kernel, xs, xs)
             k_obs.flags.writeable = False
     k_cross = k_obs if same_grid else gram_matrix(kernel, x_star, xs)
-    k_star = k_obs if same_grid else gram_matrix(kernel, x_star, x_star)
 
-    # dtrtrs as solve_triangular calls it for L (trans=1: L x = b, via the F-ordered L.T), minus
-    # wrappers and finiteness scans (inputs are finite); b is copied; info is 0 as diag(L) > 0.
-    dtrtrs = _dtrtrs or _load_dtrtrs()
-    upper = _factorize(k_obs, obs.noise_std**2).T
+    upper, jitter = _factorize(k_obs, obs.noise_std**2)
+    # dtrtrs as solve_triangular calls it for the F-ordered U (trans=1: U.T x = b), minus
+    # wrappers and finiteness scans (inputs are finite); b is copied; info is 0 as diag(U) > 0.
+    dtrtrs = (_lapack or _load_lapack()).dtrtrs
     resid = obs.values - prior.mean
     alpha = dtrtrs(upper, dtrtrs(upper, resid, trans=1)[0])[0]
     mean = prior.mean + k_cross @ alpha
-
     v = dtrtrs(upper, k_cross.T, trans=1)[0]
-    cov = k_star - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    return _summarize(x_star, mean, cov)
+    return _summarize(x_star, mean, prior_var, v, kernel, jitter)
 
 
-def _summarize(x_star, mean, cov):
-    diag = np.diag(cov).copy()
-    if diag.min() < -DIAG_CLAMP_TOL:
+def _summarize(x_star, mean, prior_var, v, kernel, jitter):
+    """The summary whose variances are ``prior_var`` minus the column sums of ``v**2``."""
+    var = prior_var - (v**2).sum(axis=0)
+    if var.min() < -DIAG_CLAMP_TOL:
         raise FactorizationError(
             f"posterior covariance diagonal fell below -{DIAG_CLAMP_TOL:g} "
-            f"(min {diag.min():.3e}); inputs are numerically degenerate"
+            f"(min {var.min():.3e}); inputs are numerically degenerate"
         )
-    np.clip(diag, 0.0, None, out=diag)
-    return PosteriorSummary(
-        test_locations=x_star, mean=mean, covariance=cov, std=np.sqrt(diag)
-    )
+    np.clip(var, 0.0, None, out=var)
+    return PosteriorSummary(test_locations=x_star, mean=mean, std=np.sqrt(var),
+                            jitter=jitter, kernel=kernel, v=v)

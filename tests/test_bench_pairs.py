@@ -66,3 +66,14 @@ def test_gap_compared_with_the_parent_spread_only():
 def test_bad_input_rejected(parent, change, better):
     with pytest.raises(ValueError):
         bench_pairs.summarize(parent, change, better)
+
+
+def test_workloads_default_to_all_and_select_a_subset():
+    common = ["--parent", "HEAD", "--seeds", "1-2", "--out", "x.json"]
+    assert bench_pairs._parse(common).workloads == list(bench_pairs.WORKLOADS)
+    assert bench_pairs._parse([*common, "--workloads", "patchy_roads"]).workloads == [
+        "patchy_roads"]
+    assert bench_pairs._parse([*common, "--workloads", "fine_grid", "paper_matrix",
+                               "fine_grid"]).workloads == ["fine_grid", "paper_matrix"]
+    with pytest.raises(SystemExit):
+        bench_pairs._parse([*common, "--workloads", "nope"])

@@ -28,7 +28,9 @@ from frictionfusion.simulator import collision_scenario, run, turn_scenario
 from helpers import fresh_process_env, load_workloads, repin_message
 
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
-# only speed must leave every digit of it alone.
+# only speed must leave every digit of it alone. Re-pinned when the GP std
+# came to be taken from the column sums of v**2 on scipy's LAPACK factor: the
+# fused turns' max_abs_d moved in the 9th digit.
 GOLDEN_SUMMARY = """\
 scenario,config,error_mode,outcome,max_abs_d,min_clearance,impact_velocity,mean_utilization
 turn,gt,worst-over,ok,0.17383469,,0,1
@@ -37,8 +39,8 @@ turn,l,worst-over,lane_departure,9.78600889,,0,1
 turn,l,worst-under,lane_departure,15.771938,,0,0.875
 turn,p,worst-over,ok,0.17383469,,0,1
 turn,p,worst-under,ok,0.17383469,,0,1
-turn,f,worst-over,ok,0.253553801,,0,1.0082689
-turn,f,worst-under,ok,1.65035481,,0,0.879120839
+turn,f,worst-over,ok,0.253553802,,0,1.0082689
+turn,f,worst-under,ok,1.65035482,,0,0.879120839
 collision,gt,worst-over,ok,1.4812875,0.4812875,0,1
 collision,gt,worst-under,ok,1.4812875,0.4812875,0,1
 collision,l,worst-over,ok,1.38589102,0.382600774,0,0.979545455
@@ -51,16 +53,18 @@ collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 
 # Pass 0 of perfbench's ``patchy_roads`` workload (16 runs on seeded patchy
 # friction), by seed: the fingerprint covers every run's metrics and trace. Measured
-# before the plant stepped a whole replan interval per call.
+# before the plant stepped a whole replan interval per call; re-pinned when the
+# GP std came to be taken from column sums on scipy's LAPACK factor.
 GOLDEN_PATCHY_FINGERPRINTS = {
-    0: "a8fa0274041d3fde7c045865e1dfb061b77a095c85dfce19400ba68a097b8695",
-    5: "2f4430aa565a864426541a14b5d174c0d34cea17e59ccf34ae45227bea49812a",
+    0: "f4c11f087d75e0cce2272738fafb6ef70f22b4d0e988695d7d1fdf6fddb10f78",
+    5: "ed5396984b6e3bca4290d340d8d514bab115d98f31923fea1cb3b499e5fdc773",
 }
 
 # sha256 of the files three runs write, keyed by their command line without
 # ``--out``: one lane departure (turn), one collision, and a fused turn on a
 # finer grid. Each digest was measured before the code that writes the file
-# was rewritten. An estimate digest covers every estimate_<i>.csv,
+# was rewritten; the fused fine-grid files were re-pinned when fusion came to
+# observe at 1 m on a finer grid. An estimate digest covers every estimate_<i>.csv,
 # concatenated in name order.
 FINE_GRID_KEY = ("--scenario", "turn", "--config", "f", "--error", "worst-under",
                  "--ds", "0.5", "--dump-estimates")
@@ -78,10 +82,10 @@ GOLDEN_FILE_DIGESTS = {
         "metrics.json": "2b15fc77ff4ef7c6493ae89ca8aae97ec8ff8a85e1e381a9d003c65dcb30ce5b",
     },
     FINE_GRID_KEY: {
-        "trace.csv": "419a45a8a52c619a92c3b794d142b5b804d0326a0219d4c24b7882702b71ef97",
-        "trace.json": "b6c3f866fed57ba9d1dfe9bea9029b29b4ee528ac5e6305007044f9d9894b46d",
-        "metrics.json": "fd988aa584e27f2c5502dd57c62a73244e65c935e66ab0009081eaa8e2b4b65e",
-        "estimate_*.csv": "32a33e27c1516c0e153b05163dde8eb1389fa383ede51a7f86305217743d9019",
+        "trace.csv": "ff88d53cd7e0bf815149d09beadbe94fe0cc8f30aba8a84b81159376fc8c367c",
+        "trace.json": "999b5b77e6fbb5fa67ce9557154597470c0adf7af85c697136017e1162d0d3d2",
+        "metrics.json": "e0b39db0537acabd685c7c82e8998c08586be22884ab4df2ffa524271fb3b12b",
+        "estimate_*.csv": "2931ad72996bf66e1294826b5651dd24628033fb7f167a145db26f0d65b372fc",
     },
 }
 
@@ -199,6 +203,18 @@ class TestEmitTraces:
         rows = np.loadtxt(first, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(rows[:, 0], np.arange(21) * 2.0)
         np.testing.assert_array_equal(rows[:, 6], road.mu_on(rows[:, 0]))
+
+    def test_fused_dump_on_a_finer_grid_holds_each_1m_observation(self, tmp_path):
+        rc = parse_args(["--scenario", "turn", "--config", "f", "--ds", "0.5",
+                         "--out", str(tmp_path), "--dump-estimates"])
+        result = execute(rc)
+        emit_traces(result, rc)
+        for path, rec in zip(sorted(tmp_path.glob("estimate_*.csv"))[:10], result.replans):
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(rows[:, 0], np.arange(101) * 0.5)
+            for column, observed in ((1, rec.series.mu_prime), (2, rec.series.margin)):
+                want = np.repeat([float(f"{x:.9g}") for x in observed], 2)[:101]
+                np.testing.assert_array_equal(rows[:, column], want)
 
     def test_one_estimate_file_per_replan_in_replan_order(self, tmp_path):
         rc = parse_args(["--scenario", "collision", "--replan-dt", "0.005", "--sim-dt",

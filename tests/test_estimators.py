@@ -202,16 +202,21 @@ class TestArrayLookups:
             if kind == "p":
                 np.testing.assert_array_equal(report.mu_hat, [c.mu_min for c in classes])
                 continue
+            # The fused estimate observes the classes at 1 m and is evaluated on the grid.
+            observed = SGrid(ds=1.0)
+            classes = [classify(profile.mu_at(s)) for s in observed.points]
             series = assemble_input(
-                grid,
+                observed,
                 predictive_mu=np.array([c.mean for c in classes]),
                 predictive_margin=np.array([c.margin for c in classes]),
                 local=(profile.mu_at(0.0) + 0.01, 0.025),
                 local_reach=config.local_reach,
             )
+            assert report.series.grid == observed
             np.testing.assert_array_equal(report.series.mu_prime, series.mu_prime)
             np.testing.assert_array_equal(report.series.margin, series.margin)
-            np.testing.assert_array_equal(report.mu_hat, fuse(config.prior, series).mu_hat)
+            np.testing.assert_array_equal(report.mu_hat,
+                                          fuse(config.prior, series, grid).mu_hat)
 
 
 class TestClassify:

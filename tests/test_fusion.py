@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from frictionfusion.estimators import Configuration
+from frictionfusion import gp
+from frictionfusion.estimators import Configuration, FrictionProfile, LocalEstimator, emulate
 from frictionfusion.fusion import (
+    FUSE_MEMO_SIZE,
     MAX_GRID_POINTS,
     EstimateSeries,
     FusedEstimate,
@@ -280,3 +282,67 @@ class TestFuseMemo:
         b = fuse(calibrate_prior(5.0), series, memo=memo)
         assert a is not b
         assert not np.array_equal(a.mu_hat, b.mu_hat)
+
+    def test_memo_keeps_the_two_most_recent_series_and_the_gram(self):
+        grid = SGrid()
+        prior = calibrate_prior()
+        a, b, c = (assemble_input(grid, mu, 0.2) for mu in (0.5, 0.6, 0.7))
+        memo = {}
+        first = fuse(prior, a, memo=memo)
+        fuse(prior, b, memo=memo)
+        assert fuse(prior, a, memo=memo) is first  # a is now the most recent
+        fuse(prior, c, memo=memo)  # evicts b, the least recent
+        stored = [v for v in memo.values() if isinstance(v, FusedEstimate)]
+        assert len(stored) == FUSE_MEMO_SIZE == 2
+        assert len(memo) == FUSE_MEMO_SIZE + 1  # and the grid's prior Gram
+        assert fuse(prior, a, memo=memo) is first
+        again = fuse(prior, b, memo=memo)  # a new posterior
+        assert all(again is not v for v in stored)
+
+
+class TestFixedObservationSpacing:
+    """The fused configuration observes at 1 m whatever the planning grid."""
+
+    PROFILE = FrictionProfile(((-1e6, 0.8), (12.3, 0.45), (27.0, 0.2), (41.6, 1.0)))
+
+    def _report(self, ds):
+        return emulate(Configuration("f"), self.PROFILE, SGrid(ds=ds), 0.9,
+                       LocalEstimator(e_l=0.01))
+
+    @pytest.mark.parametrize("ds", [1.0, 0.5, 0.25, 0.025])
+    def test_observation_grid(self, ds):
+        grid = SGrid(ds=ds)
+        assert grid.observation_grid == SGrid()
+        assert (grid.observation_grid is grid) == (ds == 1.0)
+        assert self._report(ds).series.grid == SGrid()
+
+    @pytest.mark.parametrize("ds, s_f, spacing", [(0.5, 20.5, 20.5 / 21), (0.25, 0.5, 0.5),
+                                                  (2.0, 50.0, 2.0), (25.0, 50000.0, 25.0)])
+    def test_never_more_observations_than_points_or_metres(self, ds, s_f, spacing):
+        grid = SGrid(ds=ds, s_f=s_f)
+        observed = grid.observation_grid
+        assert observed == SGrid(ds=spacing, s_f=s_f)
+        assert observed.n_points <= min(grid.n_points, math.ceil(s_f) + 1)
+
+    def test_marginals_at_shared_points_agree_across_spacings(self):
+        base = self._report(1.0).fused
+        for ds in (0.5, 0.25):
+            fused = self._report(ds).fused
+            step = round(1.0 / ds)
+            np.testing.assert_allclose(fused.mean[::step], base.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.std[::step], base.std, rtol=0, atol=1e-12)
+
+    def test_finest_grid_builds_no_block_larger_than_n_by_m(self, monkeypatch):
+        shapes = []
+        real = gp.gram_matrix
+
+        def spy(*args):
+            block = real(*args)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(gp, "gram_matrix", spy)
+        fused = self._report(0.025).fused
+        n = SGrid(ds=0.025).n_points
+        assert n == MAX_GRID_POINTS and fused.mu_hat.shape == (n,)
+        assert sorted(set(shapes)) == [(51, 51), (n, 51)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from frictionfusion import gp
+from frictionfusion.fusion import EstimateSeries, SGrid, fuse
 from frictionfusion.gp import (
     BLAS_THREAD_VARIABLES,
     JITTER_INITIAL,
@@ -181,6 +182,34 @@ class TestPosterior:
             assert summary.std.max() <= sf + 1e-9
             assert np.isfinite(summary.std).all()
 
+    def test_std_squared_is_the_covariance_diagonal(self):
+        rng = np.random.RandomState(8)
+        for _ in range(50):
+            mean, sf, ls, xs, ys, sy, test = random_gp_case(rng)
+            summary = posterior(make_prior(mean, sf, ls), ObservationSet(xs, ys, sy), test)
+            diag = np.clip(np.diag(summary.covariance), 0.0, None)
+            assert np.abs(summary.std**2 - diag).max() <= 1e-12 * sf**2
+
+    def test_covariance_is_built_on_first_read_only(self, monkeypatch):
+        shapes = []
+        real = gp.gram_matrix
+
+        def spy(*args):
+            block = real(*args)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(gp, "gram_matrix", spy)
+        xs = np.arange(11.0) * 5.0
+        test = np.arange(201) * 0.25
+        summary = posterior(make_prior(), ObservationSet(xs, np.full(11, 0.4),
+                                                         np.full(11, 0.1)), test)
+        assert shapes == [(11, 11), (201, 11)]
+        assert summary.v.shape == (11, 201)
+        cov = summary.covariance
+        assert summary.covariance is cov and cov.shape == (201, 201)
+        assert shapes == [(11, 11), (201, 11), (201, 201)]
+
     def test_noise_inflation_never_shrinks_std(self):
         rng = np.random.RandomState(5)
         for _ in range(30):
@@ -252,13 +281,14 @@ class TestPosterior:
 
 
 def reference_posterior(prior, obs, test_locations):
-    """``posterior`` as written on ``scipy.linalg.solve_triangular`` with
-    ``np.diag``/``np.eye`` temporaries: (mean, covariance, std).
+    """``posterior`` as written on ``scipy.linalg.cholesky`` and
+    ``solve_triangular``, with ``np.diag``/``np.eye`` temporaries and the full
+    prior covariance: (mean, covariance, std, jitter).
 
     scipy is imported here, not at collection, so that the first posterior of
     the session loads scipy's BLAS under the package's thread policy and the
     in-process golden-file tests run on it."""
-    from scipy.linalg import solve_triangular
+    from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
     kernel = prior.kernel
@@ -272,23 +302,23 @@ def reference_posterior(prior, obs, test_locations):
     jitter = JITTER_INITIAL
     while True:
         try:
-            chol = np.linalg.cholesky(gram + jitter * eye)
-            if np.isfinite(chol).all():
+            upper = cholesky(gram + jitter * eye)
+            if np.isfinite(upper).all():
                 break
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             pass
         if jitter >= JITTER_MAX:
             raise FactorizationError("jitter exhausted")
         jitter *= 10.0
     resid = obs.values - prior.mean
-    alpha = solve_triangular(chol.T, solve_triangular(chol, resid, lower=True), lower=False)
+    alpha = solve_triangular(upper, solve_triangular(upper, resid, trans="T"))
     mean = prior.mean + k_cross @ alpha
-    v = solve_triangular(chol, k_cross.T, lower=True)
+    v = solve_triangular(upper, k_cross.T, trans="T")
     cov = k_star - v.T @ v
     cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov).copy()
-    np.clip(diag, 0.0, None, out=diag)
-    return mean, cov, np.sqrt(diag)
+    var = np.diag(k_star) - (v**2).sum(axis=0)
+    np.clip(var, 0.0, None, out=var)
+    return mean, cov, np.sqrt(var), jitter
 
 
 def _floats(lo, hi):
@@ -315,10 +345,12 @@ def gp_cases(draw):
 
 
 def _assert_same_posterior(got, want):
-    for name, expected in zip(("mean", "covariance", "std"), want):
+    *arrays, jitter = want
+    for name, expected in zip(("mean", "covariance", "std"), arrays):
         actual = getattr(got, name)
         assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
         assert actual.tobytes() == expected.tobytes(), name
+    assert got.jitter == jitter
 
 
 class TestPosteriorMatchesSolveTriangularReference:
@@ -338,7 +370,7 @@ class TestPosteriorMatchesSolveTriangularReference:
         (key, stored), = grams.items()
         again = posterior(prior, obs, test, grams)
         for got in (first, again):
-            _assert_same_posterior(got, (want.mean, want.covariance, want.std))
+            _assert_same_posterior(got, (want.mean, want.covariance, want.std, want.jitter))
         assert key == (prior.kernel, obs.locations.tobytes())
         assert not stored.flags.writeable
         assert list(grams.values()) == [stored]
@@ -353,25 +385,36 @@ class TestPosteriorMatchesSolveTriangularReference:
         moved = ObservationSet(xs + 0.5, obs.values, obs.noise_std)
         other = make_prior(0.55, 0.2, 5.0)
         grams = {}
-        for prior, o in [(make_prior(), obs), (make_prior(), obs), (make_prior(), moved),
-                         (other, obs), (make_prior(), obs)]:
-            got = posterior(prior, o, o.locations, grams)
-            _assert_same_posterior(got, reference_posterior(prior, o, o.locations))
+        cases = [(make_prior(), obs), (make_prior(), obs), (make_prior(), moved),
+                 (other, obs), (make_prior(), obs)]
+        results = [posterior(prior, o, o.locations, grams) for prior, o in cases]
         # One Gram per (kernel, locations); each later posterior reuses its own.
         assert built == [make_prior().kernel] * 2 + [other.kernel]
         assert len(grams) == 3
+        for got, (prior, o) in zip(results, cases):
+            _assert_same_posterior(got, reference_posterior(prior, o, o.locations))
 
-    def test_bit_identical_where_jitter_escalates(self, monkeypatch):
+    def test_bit_identical_where_jitter_escalates(self):
         xs = np.linspace(0.0, 1.0, 51)
         prior = make_prior(0.5, 1000.0, 50.0)
         obs = ObservationSet(xs, np.full(51, 0.4), np.zeros(51))
         want = reference_posterior(prior, obs, xs)
-        attempts = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: attempts.append(1) or cholesky(a))
         got = posterior(prior, obs, xs)
-        assert len(attempts) > 1
+        assert JITTER_INITIAL < got.jitter <= JITTER_MAX
         _assert_same_posterior(got, want)
+
+    def test_jitter_is_recorded_and_fuse_carries_it(self):
+        grid = SGrid(ds=0.02, s_f=1.0)
+        prior = make_prior(0.5, 1000.0, 50.0)
+        series = EstimateSeries(grid, np.full(51, 0.4), np.zeros(51))
+        escalated = posterior(prior, ObservationSet(grid.points, series.mu_prime,
+                                                    series.margin), grid.points).jitter
+        assert escalated > JITTER_INITIAL
+        assert fuse(prior, series).jitter == escalated
+        # A well-conditioned Gram needs only the first jitter; no observations, none.
+        wet = EstimateSeries(grid, np.full(51, 0.5), np.full(51, 0.1))
+        assert fuse(make_prior(), wet).jitter == JITTER_INITIAL
+        assert posterior(make_prior(), ObservationSet([], [], []), grid.points).jitter == 0.0
 
     def test_solves_leave_the_gram_matrix_unchanged(self, monkeypatch):
         from frictionfusion import gp
@@ -481,7 +524,7 @@ import json, sys
 from frictionfusion import Configuration, cli, collision_scenario, gp, run, turn_scenario
 
 def state():
-    return {"lapack": gp._dtrtrs is not None,
+    return {"lapack": gp._lapack is not None,
             "scipy_modules": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}
 
 for kind in ("gt", "l", "p"):
@@ -508,7 +551,8 @@ def test_lapack_extension_loads_alone_with_the_package_functions(monkeypatch):
     from frictionfusion import gp
     monkeypatch.delitem(sys.modules, gp.FLAPACK)
     alone = gp._scipy_lapack()
-    assert alone is not lapack and alone.dtrtrs is lapack.dtrtrs
+    assert alone is not lapack
+    assert alone.dtrtrs is lapack.dtrtrs and alone.dpotrf is lapack.dpotrf
     assert gp.FLAPACK not in sys.modules
 
 
@@ -528,14 +572,14 @@ def test_lapack_falls_back_to_the_package_where_the_extension_cannot_load_alone(
 
 def test_posterior_without_observations_does_not_load_lapack(monkeypatch):
     from frictionfusion import gp
-    monkeypatch.setattr(gp, "_dtrtrs", None)
-    monkeypatch.setattr(gp, "_load_dtrtrs", lambda: pytest.fail("loaded LAPACK"))
+    monkeypatch.setattr(gp, "_lapack", None)
+    monkeypatch.setattr(gp, "_load_lapack", lambda: pytest.fail("loaded LAPACK"))
     summary = posterior(make_prior(), ObservationSet([], [], []), [0.0, 10.0])
     assert summary.mean.tolist() == [0.55, 0.55]
 
 
 class RendezvousEnviron(dict):
-    """An environment for ``gp._load_dtrtrs`` whose first membership test and
+    """An environment for ``gp._load_lapack`` whose first membership test and
     first edit in each thread wait (up to 0.5 s) for a second thread to make
     the same call: two first loads that are not serialized both find no
     thread variable, then both set it before either deletes it."""
@@ -565,11 +609,14 @@ class RendezvousEnviron(dict):
 
 def test_concurrent_first_loads_edit_the_environment_one_at_a_time(monkeypatch):
     from frictionfusion import gp
-    dtrtrs = gp._load_dtrtrs()  # scipy loads here under the real environment, if not yet
+    lapack = gp._load_lapack()  # scipy loads here under the real environment, if not yet
     environ = RendezvousEnviron()
     monkeypatch.setattr(gp, "os", types.SimpleNamespace(environ=environ))
-    monkeypatch.setattr(gp, "_dtrtrs", None)
+    monkeypatch.setattr(gp, "_lapack", None)
     with ThreadPoolExecutor(2) as pool:
-        loads = [pool.submit(gp._load_dtrtrs) for _ in range(2)]
-        assert [load.result() for load in loads] == [dtrtrs, dtrtrs]
+        loads = [pool.submit(gp._load_lapack) for _ in range(2)]
+        # scipy.linalg may be loaded by now; then the one load gets its package module.
+        assert loads[0].result() is loads[1].result()
+        assert (loads[0].result().dpotrf, loads[0].result().dtrtrs) == (lapack.dpotrf,
+                                                                        lapack.dtrtrs)
     assert environ == {}

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from frictionfusion import fusion, gp, simulator
+from frictionfusion import estimators, fusion, gp, simulator
 from frictionfusion.estimators import Configuration, FrictionProfile
 from frictionfusion.planner import GRAVITY, MIN_DODGE_RUN, REBASE_DEVIATION, PlannedTrajectory
 from frictionfusion.simulator import (
@@ -207,17 +207,18 @@ STOCK_RUNS = {
 # sha256 of the bits (``_run_bits``) of each seed's 16 patchy-road runs and of
 # the stock runs, in corpus order. Measured while the per-step plant, planner
 # and run loop that ``step``, ``plan`` and ``run`` replaced still gave the same
-# bits.
+# bits; re-pinned when the GP std came to be taken from column sums on scipy's
+# LAPACK factor (the ``f`` runs' bits moved, no outcome did).
 CORPUS_DIGESTS = {
-    0: "2ac8b7a455aa138fb9583acc3bd876dc7da99abef25729a09e0e1e762e1d53d6",
-    1: "a97bedc173ad6b53f74fb77efd113261c56a7fab9e1ffa45e6b982f2b203b44d",
-    2: "4683e6b3c09f8b43290137a441a8167666b64188fbb6cbaa73f5d0ffff5a83a4",
-    3: "2883f75b5004755434a0d27b71a8501e29e3e0b830081925e9f7e13dd3420af8",
-    4: "12f789c907c5f037d3ea4565e138f643a8113c89413a63ac37cde4cae477832a",
-    5: "a0c57a72c63eaa3bd0290ca94cd14ea5a67921c36d7d685928a1fae07f21cd62",
-    6: "c4a7afe3901ce319c53977dd7eb6e8382d3d492c212dd47d0fef28a117305cd9",
-    7: "24ac47100ec82c738becc8515efebd30b5ca55fbb51cfbb127ccbb515fe3c92a",
-    "stock": "3714ee3d2a35cfb5dda218541c8a049babf54af415228db88c76e7c707f9de6c",
+    0: "1cd8fa6a761dc5d1d0bf6a77dfbb7db7e4977d8668e09ab76298e1d7986a7ef1",
+    1: "9579f883a3849f314ec226183380ad25aa6ba88488ce006327475e88c5bfc466",
+    2: "090f47f110387c6e5f50643595ea440fdbb017598f5f57c2ddc882f76ed6afc0",
+    3: "1e0550aa0c30c22b198c97856108f10c86a47e86ce705f8dfa1b4481c70a6e78",
+    4: "fcc8e60fd5009815f0e63bdbb433361dd4b0051d01745351a622da9a2714c553",
+    5: "4b88fcc8ac150e143b5b743d7228df0a59830cc77d34c2fc8515c5c6f701812e",
+    6: "b8b507b870c218e1d9e2d34aca5fb2d144c0d899609c4e8e4c2bfa01d351dfb0",
+    7: "6f91efc16946f4d76a6665d31c360310a41b7841888c1bdfcf9acbd12830d0cf",
+    "stock": "2613f65d6129ed8a71aa4c47806e5fbc30349c8cec182636d57a7bf2b4f6aad0",
 }
 
 
@@ -455,6 +456,45 @@ class TestFusedMemo:
             run(scenario, Configuration("f"), local_error=-0.025)
             assert len(grams) == runs
             assert len(posteriors) > 10 * runs
+
+    # (scenario, local error, ds) -> (replans, posteriors) of each stock fused
+    # run: every one fuses two distinct series, so the two-entry memo computes
+    # each once and hits on every other replan.
+    STOCK_POSTERIORS = {
+        ("turn", 0.025, 1.0): (67, 2), ("turn", -0.025, 1.0): (73, 2),
+        ("collision", 0.025, 1.0): (21, 2), ("collision", -0.025, 1.0): (21, 2),
+        ("turn", 0.025, 0.5): (68, 2), ("turn", -0.025, 0.5): (75, 2),
+        ("collision", 0.025, 0.5): (21, 2), ("collision", -0.025, 0.5): (21, 2),
+    }
+
+    @staticmethod
+    def _count(monkeypatch, name, error, ds):
+        """(replans, posteriors, most estimates the memo held) of one stock fused run."""
+        posteriors, held = [], []
+        real_fuse, real_posterior = estimators.fuse, fusion.posterior
+
+        def fuse(prior, series, grid, memo):
+            fused = real_fuse(prior, series, grid, memo=memo)
+            held.append(sum(isinstance(v, fusion.FusedEstimate) for v in memo.values()))
+            return fused
+
+        monkeypatch.setattr(estimators, "fuse", fuse)
+        monkeypatch.setattr(fusion, "posterior",
+                            lambda *args: posteriors.append(args) or real_posterior(*args))
+        result = run(simulator.SCENARIOS[name](), Configuration("f"), local_error=error,
+                     grid=fusion.SGrid(ds=ds))
+        return len(result.replans), len(posteriors), max(held)
+
+    @pytest.mark.parametrize("key", list(STOCK_POSTERIORS))
+    def test_stock_runs_hit_as_pinned(self, monkeypatch, key):
+        replans, posteriors, held = self._count(monkeypatch, *key)
+        assert (replans, posteriors) == self.STOCK_POSTERIORS[key]
+        assert held == fusion.FUSE_MEMO_SIZE == 2
+
+    def test_one_entry_memo_misses_on_the_collision(self, monkeypatch):
+        # The two series alternate there, so a memo of one recomputes them.
+        monkeypatch.setattr(fusion, "FUSE_MEMO_SIZE", 1)
+        assert self._count(monkeypatch, "collision", 0.025, 1.0) == (21, 7, 1)
 
     def test_posterior_once_per_distinct_series_and_per_run(self, monkeypatch):
         calls = []

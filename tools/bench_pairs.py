@@ -5,9 +5,12 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD --seeds 1511-1520 --seconds 30 \\
         --out BENCH_15.json
 
+``--workloads`` runs a subset, e.g. ``--workloads patchy_roads`` for one
+claim; the default is all three.
+
 Each side runs from its own copy of the tree in a temporary directory: the
 parent is ``git archive <rev>``; the change is the working tree's tracked and
-untracked, not ignored, files. For each workload, pair i runs ``perfbench/run.py
+untracked, not ignored, files. For each selected workload, pair i runs ``perfbench/run.py
 --trace 0`` on seed i of ``--seeds`` once per side, the parent first in
 even-numbered pairs and the change first in odd ones. One benchmark process
 runs at a time. With ``--traced-seconds``, each side then makes one traced
@@ -118,10 +121,13 @@ def _parse(argv):
     p.add_argument("--seeds", required=True, help="one seed per pair, e.g. 1501-1510")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--traced-seconds", type=float, default=0.0)
+    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                   help="workloads to run, in the order given (default: all)")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--description", default="", help="what the change does")
     args = p.parse_args(argv)
     args.seeds = parse_seeds(args.seeds)
+    args.workloads = list(dict.fromkeys(args.workloads))
     return args
 
 
@@ -129,14 +135,14 @@ def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_commit = _git("rev-parse", args.parent).decode().strip()
-    runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
-    traced = {w: {} for w in WORKLOADS}
+    runs = {w: {side: [] for side in SIDES} for w in args.workloads}
+    traced = {w: {} for w in args.workloads}
     environment = None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive_tree(args.parent, trees["parent"])
         working_tree(trees["change"])
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for pair, seed in enumerate(args.seeds):
                 order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
                 for side in order:
