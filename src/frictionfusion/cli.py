@@ -4,7 +4,7 @@ Single runs select one scenario/configuration/error combination and emit
 ``trace.csv``/``trace.json``, ``metrics.json`` and optional per-replan
 estimate dumps; ``--matrix`` executes every selected combination
 sequentially and aggregates one ``summary.csv`` row per run. Outputs are
-byte-identical for identical inputs.
+byte-identical for identical inputs and never written over.
 """
 
 import argparse
@@ -156,7 +156,22 @@ def _parse(argv):
     _check(("replan_dt", "sim_dt"), replan_substeps, rc.replan_dt, rc.sim_dt)
     for error in errors:
         _check(("errors" if matrix else "error",), resolve_error, error)
+    if rc.out is not None:
+        _check_out(rc.out)
     return rc, ((scenarios, configs, errors) if matrix else None)
+
+
+def _check_out(out):
+    """Raise a UsageError unless ``out`` is absent or an empty directory."""
+    try:
+        if next(Path(out).iterdir(), None) is None:
+            return
+        cause = "already holds files"
+    except FileNotFoundError:
+        return
+    except OSError as exc:  # a file, or a directory that cannot be listed
+        cause = exc.strerror
+    raise UsageError(f"--out: {out}: {cause}; give an absent or empty directory")
 
 
 def parse_args(argv):
@@ -174,7 +189,8 @@ def _column(values, text=True):
 
 def _write_text(path, text):
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("x", encoding="utf-8", newline="\n") as f:
+            f.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -195,7 +211,8 @@ def emit_traces(result, rc):
     """Write trace, metrics and optional per-replan estimate files.
 
     Returns the list of written paths. Files are deterministic: fixed column
-    order, 9-significant-digit decimal formatting, LF newlines.
+    order, 9-significant-digit decimal formatting, LF newlines. A file that
+    exists already is an OSError and keeps its bytes.
     """
     out_dir = Path(rc.out if rc.out is not None else ".")
     out_dir.mkdir(parents=True, exist_ok=True)

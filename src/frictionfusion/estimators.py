@@ -236,13 +236,9 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
         return EstimateReport(mu_hat=profile.mu_on(pts), local_available=available)
 
     if config.kind == "l":
-        if available:
-            base = loc[0]
-        else:
-            if estimator.last_available is None:
-                raise ValueError("no local estimate has been available and none was given")
-            base = estimator.last_available
-        mu_hat = np.full(grid.n_points, base - MAX_LOCAL_ERROR)
+        if estimator.last_available is None:
+            raise ValueError("no local estimate has been available and none was given")
+        mu_hat = np.full(grid.n_points, estimator.last_available - MAX_LOCAL_ERROR)
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
     if config.kind == "p":

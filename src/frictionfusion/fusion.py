@@ -168,34 +168,25 @@ def fuse(prior, series, grid=None, memo=None):
     n planning points. The bound is reported as-is, with no clamping, since
     downstream planners treat it as a constraint level.
 
-    ``memo`` is an optional dict owned by the caller (``simulator.run`` keeps
-    one per run). It holds the estimates of the ``FUSE_MEMO_SIZE`` series
-    fused most recently: one whose prior, grids and exact (mu', m') bytes
-    are among them returns the stored estimate without a new posterior. The
-    arrays of a stored estimate are read-only, since every caller shares
-    them. The memo also holds the prior Gram of the observation grid, which
-    ``posterior`` keeps there under its own key, so it is built once per memo.
+    ``memo`` is the caller's dict (``simulator.run`` keeps one per run; by
+    default an empty one). It holds the read-only estimates of the
+    ``FUSE_MEMO_SIZE`` series fused most recently: one whose prior, grids and
+    exact (mu', m') bytes are among them returns the stored estimate without
+    a new posterior. ``posterior`` keeps its prior blocks there too.
     """
     grid = series.grid if grid is None else grid
-    if memo is not None:
-        key = (prior, series.grid, grid, series.mu_prime.tobytes(), series.margin.tobytes())
-        fused = memo.pop(key, None)
-        if fused is not None:
-            memo[key] = fused  # now the most recent
-            return fused
-    obs = ObservationSet(
-        locations=series.grid.points,
-        values=series.mu_prime,
-        noise_std=margin_to_std(series.margin),
-    )
-    summary = posterior(prior, obs, grid.points, memo)
-    fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
-                          mean=summary.mean, std=summary.std, jitter=summary.jitter)
-    if memo is not None:
+    memo = {} if memo is None else memo
+    key = (prior, series.grid, grid, series.mu_prime.tobytes(), series.margin.tobytes())
+    fused = memo.pop(key, None)
+    if fused is None:
+        obs = ObservationSet(series.grid.points, series.mu_prime, margin_to_std(series.margin))
+        summary = posterior(prior, obs, grid.points, memo)
+        fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
+                              mean=summary.mean, std=summary.std, jitter=summary.jitter)
         for arr in (fused.mu_hat, fused.mean, fused.std):
             arr.flags.writeable = False
-        memo[key] = fused
-        stored = [k for k, v in memo.items() if isinstance(v, FusedEstimate)]
-        for old in stored[:-FUSE_MEMO_SIZE]:
-            del memo[old]
+    memo[key] = fused  # now the most recent
+    stored = [k for k, v in memo.items() if isinstance(v, FusedEstimate)]
+    for old in stored[:-FUSE_MEMO_SIZE]:
+        del memo[old]
     return fused

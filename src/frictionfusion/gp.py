@@ -225,14 +225,12 @@ def posterior(prior, obs, test_locations, grams=None):
     std comes from the column sums of ``v**2``, and the n x n covariance is
     built only if ``covariance`` is read.
 
-    ``grams`` is an optional dict owned by the caller (``fusion.fuse`` keeps
-    it in its per-run memo). The prior Gram of the observation locations is
-    kept there, read-only, under the kernel and the exact location bytes, so
-    a later posterior on the same locations and kernel reuses it; any other
-    locations get their own entry.
+    ``grams`` (by default an empty dict; ``fusion.fuse`` passes its per-run
+    memo) keeps the prior blocks K(x, x) and K(x*, x), read-only and built on
+    first use, under the kernel and the exact bytes of the observation and
+    test locations, so a run builds each block once.
     """
-    x_star = np.asarray(test_locations, dtype=np.float64)
-    x_star = x_star if x_star.ndim == 1 else x_star.reshape(-1)  # keeps ``xs is x_star``
+    x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
     if x_star.size == 0 or not np.isfinite(x_star).all():
         raise ValueError("test_locations must be non-empty and finite")
     kernel = prior.kernel
@@ -244,16 +242,14 @@ def posterior(prior, obs, test_locations, grams=None):
                           np.zeros((0, x_star.size)), kernel, 0.0)
 
     xs = obs.locations
-    same_grid = xs is x_star or (xs.shape == x_star.shape and np.array_equal(xs, x_star))
-    if grams is None:
-        k_obs = gram_matrix(kernel, xs, xs)
-    else:
-        key = (kernel, xs.tobytes())
-        k_obs = grams.get(key)
-        if k_obs is None:
-            k_obs = grams[key] = gram_matrix(kernel, xs, xs)
-            k_obs.flags.writeable = False
-    k_cross = k_obs if same_grid else gram_matrix(kernel, x_star, xs)
+    grams = {} if grams is None else grams
+    key = (kernel, xs.tobytes(), x_star.tobytes())
+    blocks = grams.get(key)
+    if blocks is None:
+        blocks = grams[key] = (gram_matrix(kernel, xs, xs), gram_matrix(kernel, x_star, xs))
+        for block in blocks:
+            block.flags.writeable = False
+    k_obs, k_cross = blocks
 
     upper, jitter = _factorize(k_obs, obs.noise_std**2)
     # dtrtrs as solve_triangular calls it for the F-ordered U (trans=1: U.T x = b), minus

@@ -221,8 +221,6 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     reach and the rest of the budget brakes. The optional ``memory`` keeps
     the dodge geometry committed across replans.
     """
-    if state.v < 0.0:
-        raise ValueError("state.v must be >= 0")
     mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
     pts = grid.points
     if len(mu) != len(pts):

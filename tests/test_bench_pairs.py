@@ -1,6 +1,10 @@
-"""Statistics of ``tools/bench_pairs.py``; no benchmark process is started."""
+"""Statistics and failure handling of ``tools/bench_pairs.py``; only stub
+benchmark processes are started."""
 
 import importlib.util
+import json
+import subprocess
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,72 @@ def test_workloads_default_to_all_and_select_a_subset():
                                "fine_grid"]).workloads == ["fine_grid", "paper_matrix"]
     with pytest.raises(SystemExit):
         bench_pairs._parse([*common, "--workloads", "nope"])
+
+
+# A stand-in for ``perfbench/run.py``: prints the info and result lines, or,
+# where ``FAIL_SEED`` is not None and matches ``--seed``, 25 lines on stderr and exit 3.
+STUB_RUN = textwrap.dedent("""\
+    import json, sys
+    FAIL_SEED = {fail_seed}
+    seed = int(sys.argv[sys.argv.index("--seed") + 1])
+    if seed == FAIL_SEED:
+        for i in range(25):
+            print(f"stub error line {{i}}", file=sys.stderr)
+        sys.exit(3)
+    print(json.dumps({{"environment": {{"host": "stub"}}, "fingerprint": f"f{{seed}}",
+                      "samples": 1}}))
+    print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {{"wall_s": {{"value": 0.1 * seed}}}}}}))
+""")
+
+
+def _stub_repo(root):
+    """A git repository whose committed stub benchmark succeeds and whose
+    working tree's stub fails on seed 2."""
+    (root / "perfbench").mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    run = root / "perfbench" / "run.py"
+    run.write_text(STUB_RUN.format(fail_seed=None))
+    git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "stub"]):
+        subprocess.run([*git, *args], cwd=root, check=True, capture_output=True)
+    run.write_text(STUB_RUN.format(fail_seed=2))
+
+
+def test_a_failing_run_is_recorded_and_the_report_written(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _stub_repo(repo)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "report.json"
+    code = bench_pairs.main(["--parent", "HEAD", "--seeds", "1-3",
+                             "--workloads", "fine_grid", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    # Pair 1 runs the change first, and it fails there: the seed-1 pair is complete.
+    tail = [f"stub error line {i}" for i in range(5, 25)]
+    assert report["failed_run"] == {"workload": "fine_grid", "side": "change", "pair": 1,
+                                    "seed": 2, "exit_code": 3, "stderr_tail": tail}
+    assert [r["seed"] for r in report["runs"]["fine_grid"]["parent"]] == [1]
+    assert [r["seed"] for r in report["runs"]["fine_grid"]["change"]] == [1]
+    assert report["end_to_end"]["fine_grid"]["wall_s"]["change_better_in_pairs"] == "0/1"
+    assert report["fingerprints"]["fine_grid"]["equal_per_seed"]
+    err = capsys.readouterr().err
+    assert "fine_grid pair 1 change (seed 2): perfbench/run.py exited 3" in err
+    assert err.endswith("\n".join(tail) + "\n")
+
+
+def test_a_failing_first_run_still_writes_a_report(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _stub_repo(repo)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "report.json"
+    # Seed 2 in pair 0: the parent side runs first and passes, then the change fails.
+    assert bench_pairs.main(["--parent", "HEAD", "--seeds", "2", "--workloads",
+                             "paper_matrix", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["failed_run"]["side"] == "change"
+    assert report["end_to_end"] == {} and report["fingerprints"] == {}
+    assert len(report["runs"]["paper_matrix"]["parent"]) == 1

@@ -270,6 +270,16 @@ class TestEmitTraces:
         # mu_prime, post_mean and mu_hat all read the NaN on a ground-truth run.
         assert [i for i, x in enumerate(estimate[4].split(",")) if x == ""] == [1, 3, 5]
 
+    def test_an_existing_file_is_an_os_error_and_keeps_its_bytes(self, tmp_path):
+        rc = RunConfig(scenario="collision", config="p", out=str(tmp_path))
+        result = execute(rc)
+        emit_traces(result, rc)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(OSError, match=r"cannot write .*trace\.csv") as caught:
+            emit_traces(result, dataclasses.replace(rc, error="worst-under"))
+        assert isinstance(caught.value.__cause__, FileExistsError)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_csv_only_format(self, tmp_path):
         rc = parse_args(["--scenario", "turn", "--config", "gt",
                          "--format", "csv", "--out", str(tmp_path)])
@@ -301,6 +311,14 @@ class TestRunMatrix:
             assert rows[kind][3] == "ok"
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "collision_f_worst-under" / "metrics.json").exists()
+
+    def test_a_repeated_cell_fails_rather_than_overwrite(self, tmp_path, capsys):
+        text = run_matrix(["collision"], ["p", "p"], ["worst-under"],
+                          base=RunConfig(out=str(tmp_path)))
+        first, again = text.splitlines()[1:]
+        assert first.startswith("collision,p,worst-under,collision,")
+        assert again == "collision,p,worst-under,failed: OSError,,,,"
+        assert "File exists" in capsys.readouterr().err
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
@@ -419,6 +437,40 @@ class TestMain:
     def test_flag_that_would_be_ignored_is_usage_error(self, argv, flag, capsys):
         assert cli.main(argv) == 1
         assert re.search(re.escape(flag) + r"(?![\w-])", capsys.readouterr().err)
+
+    @staticmethod
+    def _refused(argv, out, monkeypatch, capsys):
+        """Assert that ``argv`` exits 1 before any run, with one stderr line
+        naming ``out``, and leaves every file in ``out`` as it was."""
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "execute", lambda rc: pytest.fail("a run started"))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --out: {out}: already holds files; " \
+                      "give an absent or empty directory\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_out_that_holds_files_is_refused(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["--scenario", "turn", "--config", "f", "--dump-estimates",
+                         "--out", str(out)]) == 0
+        self._refused(["--scenario", "collision", "--config", "f", "--dump-estimates",
+                       "--format", "csv", "--out", str(out)], out, monkeypatch, capsys)
+
+    def test_matrix_base_that_holds_files_is_refused(self, tmp_path, monkeypatch, capsys):
+        argv = ["--matrix", "--scenarios", "collision", "--configs", "p",
+                "--errors", "worst-under", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        self._refused(argv, tmp_path, monkeypatch, capsys)
+
+    def test_out_that_is_a_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        assert cli.main(["--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"usage error: --out: {path}: Not a directory; " \
+                                          "give an absent or empty directory\n"
+        assert path.read_text() == "kept\n"
 
     def test_matrix_prints_its_summary(self, tmp_path, capsys):
         code = cli.main(["--matrix", "--out", str(tmp_path), "--scenarios", "collision",

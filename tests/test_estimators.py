@@ -75,6 +75,10 @@ class TestFrictionProfile:
         with pytest.raises(ValueError):
             FrictionProfile(((-1e6, 0.8), (math.nan, 0.4), (5.0, 0.3)))
 
+    def test_no_segments(self):
+        with pytest.raises(ValueError, match="profile needs at least one segment"):
+            FrictionProfile(())
+
     def test_first_segment_behind_origin(self):
         with pytest.raises(ValueError):
             FrictionProfile(((0.0, 0.8),))
@@ -262,6 +266,10 @@ class TestResolveError:
             resolve_error("fixed=0.03")
         with pytest.raises(ValueError):
             resolve_error("sometimes")
+
+    def test_fixed_value_that_is_no_number(self):
+        with pytest.raises(ValueError, match="bad fixed error value in 'fixed=abc'"):
+            resolve_error("fixed=abc")
 
 
 class TestLocalErrorBound:

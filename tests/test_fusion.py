@@ -269,10 +269,13 @@ class TestFuseMemo:
         assert other is not first
         # The memo also keeps the grid's prior Gram, under a key of its own.
         assert sum(isinstance(v, FusedEstimate) for v in memo.values()) == 2
+        # Without a memo, a new posterior with the same bits, read-only all the same.
         plain = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)))
-        np.testing.assert_array_equal(first.mu_hat, plain.mu_hat)
-        assert plain.mu_hat.flags.writeable
-        assert not first.mu_hat.flags.writeable
+        assert plain is not first
+        for name in ("mu_hat", "mean", "std"):
+            assert getattr(plain, name).tobytes() == getattr(first, name).tobytes()
+            assert not getattr(plain, name).flags.writeable
+            assert not getattr(first, name).flags.writeable
 
     def test_prior_is_part_of_the_key(self):
         grid = SGrid()

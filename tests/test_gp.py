@@ -121,6 +121,10 @@ class TestObservationSet:
     def test_empty_is_valid(self):
         assert len(ObservationSet([], [], [])) == 0
 
+    def test_two_dimensional_locations_rejected(self):
+        with pytest.raises(ValueError, match="locations must be one-dimensional"):
+            ObservationSet([[0.0, 1.0]], [0.5, 0.5], [0.1, 0.1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="values entries must be finite"):
@@ -266,6 +270,23 @@ class TestPosterior:
         with pytest.raises(FactorizationError):
             posterior(prior, obs, [0.0])
 
+    def test_jitter_exhaustion_raises_factorization_error(self):
+        # 40 noiseless points within 1 mm under a 3e4 signal std: no jitter up
+        # to JITTER_MAX makes the Gram positive definite in floating point.
+        prior = GpPrior(mean=0.55, kernel=SquaredExponentialKernel(3e4, 50.0))
+        obs = ObservationSet(np.linspace(0.0, 1e-3, 40), np.full(40, 0.4), np.zeros(40))
+        with pytest.raises(FactorizationError, match="not positive definite after jitter "
+                                                     f"escalation to {JITTER_MAX:g}"):
+            posterior(prior, obs, [0.0])
+
+    def test_negative_variance_beyond_the_clamp_raises_factorization_error(self):
+        # Factorizable, but rounding drives a test point's variance to about -5e-9.
+        prior = GpPrior(mean=0.55, kernel=SquaredExponentialKernel(2000.0, 0.5))
+        obs = ObservationSet(np.linspace(0.0, 0.15, 60), np.full(60, 0.4), np.zeros(60))
+        with pytest.raises(FactorizationError, match="posterior covariance diagonal fell "
+                                                     "below -1e-09"):
+            posterior(prior, obs, np.linspace(-0.15, 0.3, 50))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_test_locations_rejected(self, bad):
         for obs in (ObservationSet([], [], []), ObservationSet([0.0], [0.4], [0.1])):
@@ -371,28 +392,35 @@ class TestPosteriorMatchesSolveTriangularReference:
         again = posterior(prior, obs, test, grams)
         for got in (first, again):
             _assert_same_posterior(got, (want.mean, want.covariance, want.std, want.jitter))
-        assert key == (prior.kernel, obs.locations.tobytes())
-        assert not stored.flags.writeable
+        xs, x_star = obs.locations, np.asarray(test, dtype=np.float64)
+        assert key == (prior.kernel, xs.tobytes(), x_star.tobytes())
+        # Both prior blocks, K(x, x) and K(x*, x), read-only, as ``gram_matrix`` builds them.
+        for block, (a, b) in zip(stored, [(xs, xs), (x_star, xs)], strict=True):
+            assert not block.flags.writeable
+            assert block.tobytes() == gram_matrix(prior.kernel, a, b).tobytes()
         assert list(grams.values()) == [stored]
 
     def test_stored_gram_is_used_only_for_its_kernel_and_locations(self, monkeypatch):
         built = []
         real = gp.gram_matrix
-        monkeypatch.setattr(gp, "gram_matrix",
-                            lambda kernel, a, b: built.append(kernel) or real(kernel, a, b))
+        monkeypatch.setattr(gp, "gram_matrix", lambda kernel, a, b:
+                            built.append((kernel, len(a))) or real(kernel, a, b))
         xs = np.arange(51.0)
         obs = ObservationSet(xs, np.full(51, 0.4), np.full(51, 0.1))
         moved = ObservationSet(xs + 0.5, obs.values, obs.noise_std)
-        other = make_prior(0.55, 0.2, 5.0)
+        fine = np.arange(101) * 0.5
+        prior, other = make_prior(), make_prior(0.55, 0.2, 5.0)
         grams = {}
-        cases = [(make_prior(), obs), (make_prior(), obs), (make_prior(), moved),
-                 (other, obs), (make_prior(), obs)]
-        results = [posterior(prior, o, o.locations, grams) for prior, o in cases]
-        # One Gram per (kernel, locations); each later posterior reuses its own.
-        assert built == [make_prior().kernel] * 2 + [other.kernel]
-        assert len(grams) == 3
-        for got, (prior, o) in zip(results, cases):
-            _assert_same_posterior(got, reference_posterior(prior, o, o.locations))
+        cases = [(prior, obs, xs), (prior, obs, xs), (prior, moved, xs), (other, obs, xs),
+                 (prior, obs, fine), (prior, obs, xs), (prior, obs, fine)]
+        results = [posterior(p, o, test, grams) for p, o, test in cases]
+        # Both blocks once per (kernel, observation locations, test locations);
+        # each later posterior reuses its own pair.
+        assert built == [(prior.kernel, 51)] * 4 + [(other.kernel, 51)] * 2 + [
+            (prior.kernel, 51), (prior.kernel, 101)]
+        assert len(grams) == 4
+        for got, (p, o, test) in zip(results, cases):
+            _assert_same_posterior(got, reference_posterior(p, o, test))
 
     def test_bit_identical_where_jitter_escalates(self):
         xs = np.linspace(0.0, 1.0, 51)
@@ -417,16 +445,19 @@ class TestPosteriorMatchesSolveTriangularReference:
         assert posterior(make_prior(), ObservationSet([], [], []), grid.points).jitter == 0.0
 
     def test_solves_leave_the_gram_matrix_unchanged(self, monkeypatch):
-        from frictionfusion import gp
-        grams = []
+        blocks = []
         original = gp.gram_matrix
         monkeypatch.setattr(gp, "gram_matrix",
-                            lambda *args: grams.append(original(*args)) or grams[-1])
+                            lambda *args: blocks.append(original(*args)) or blocks[-1])
         xs = np.arange(51) * 1.0
         prior = make_prior()
-        posterior(prior, ObservationSet(xs, np.full(51, 0.4), np.full(51, 0.1)), xs)
-        assert len(grams) == 1
-        np.testing.assert_array_equal(grams[0], original(prior.kernel, xs, xs))
+        for test in (xs, np.arange(101) * 0.5):
+            blocks.clear()
+            posterior(prior, ObservationSet(xs, np.full(51, 0.4), np.full(51, 0.1)), test)
+            # K(x, x) and K(x*, x) are built once each, even where x* equals x.
+            assert len(blocks) == 2
+            np.testing.assert_array_equal(blocks[0], original(prior.kernel, xs, xs))
+            np.testing.assert_array_equal(blocks[1], original(prior.kernel, test, xs))
 
 
 class TestGpPrior:

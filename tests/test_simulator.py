@@ -442,19 +442,23 @@ class TestScenarioDefinitions:
 
 
 class TestFusedMemo:
-    def test_gram_once_per_run(self, monkeypatch):
-        grams, posteriors = [], []
+    @pytest.mark.parametrize("ds", [1.0, 0.5])
+    def test_gram_once_per_run(self, monkeypatch, ds):
+        blocks, posteriors = [], []
         real_gram, real_posterior = gp.gram_matrix, fusion.posterior
-        monkeypatch.setattr(gp, "gram_matrix",
-                            lambda *args: grams.append(args) or real_gram(*args))
+        monkeypatch.setattr(gp, "gram_matrix", lambda kernel, a, b:
+                            blocks.append((len(a), len(b))) or real_gram(kernel, a, b))
         monkeypatch.setattr(fusion, "posterior",
                             lambda *args: posteriors.append(args) or real_posterior(*args))
         stock = collision_scenario()
         profile = load_workloads().patchy_profile(random.Random(3), stock.end_s + 50.0)
         scenario = dataclasses.replace(stock, profile=profile)
+        grid = fusion.SGrid(ds=ds)
         for runs in (1, 2):
-            run(scenario, Configuration("f"), local_error=-0.025)
-            assert len(grams) == runs
+            run(scenario, Configuration("f"), local_error=-0.025, grid=grid)
+            # K(x, x) of the 51 observations and K(x*, x) of the n planning
+            # points, each once per run however many posteriors it conditions.
+            assert blocks == [(51, 51), (grid.n_points, 51)] * runs
             assert len(posteriors) > 10 * runs
 
     # (scenario, local error, ds) -> (replans, posteriors) of each stock fused

@@ -21,6 +21,11 @@ quartiles (inclusive method) of each side, the pairs the change won (ties
 count for neither side), the relative change of the median in the metric's
 worse direction, and whether the medians differ by more than the distance
 between the parent's quartiles; every run's values; and the fingerprints.
+
+A benchmark process that exits nonzero stops the pairs: the report then
+holds the runs made so far, statistics over the complete pairs, and under
+``failed_run`` the failing run's workload, side, pair, seed, exit code and
+the last lines of its stderr, which are also printed; the exit code is 1.
 """
 
 import argparse
@@ -37,6 +42,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("paper_matrix", "fine_grid", "patchy_roads")
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 20
+
+
+class BenchFailed(RuntimeError):
+    """A ``perfbench/run.py`` process that exited nonzero."""
+
+    def __init__(self, exit_code, stderr_tail):
+        super().__init__(f"perfbench/run.py exited {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr_tail
 
 
 def parse_seeds(text):
@@ -106,13 +121,29 @@ def working_tree(dest):
 
 
 def run_bench(tree, workload, seed, seconds, trace):
-    """One ``perfbench/run.py`` process; returns (info line, result line) as dicts."""
+    """One ``perfbench/run.py`` process; returns (info line, result line) as
+    dicts, or raises BenchFailed with the last lines of its stderr."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, check=True, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise BenchFailed(out.returncode, out.stderr.splitlines()[-STDERR_TAIL_LINES:])
     info, result = out.stdout.strip().splitlines()[-2:]
     return json.loads(info), json.loads(result)
+
+
+def schedule(workloads, seeds, traced_seconds):
+    """(workload, pair, side, seed, trace) of every run, in the order they run;
+    a traced run's pair is ``"traced"``."""
+    for workload in workloads:
+        for pair, seed in enumerate(seeds):
+            order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
+            for side in order:
+                yield workload, pair, side, seed, 0
+        if traced_seconds > 0:
+            for side in SIDES:
+                yield workload, "traced", side, seeds[0], 1
 
 
 def _parse(argv):
@@ -137,32 +168,34 @@ def main(argv=None):
     parent_commit = _git("rev-parse", args.parent).decode().strip()
     runs = {w: {side: [] for side in SIDES} for w in args.workloads}
     traced = {w: {} for w in args.workloads}
-    environment = None
+    environment = failed = None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive_tree(args.parent, trees["parent"])
         working_tree(trees["change"])
-        for workload in args.workloads:
-            for pair, seed in enumerate(args.seeds):
-                order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
-                for side in order:
-                    info, result = run_bench(trees[side], workload, seed, args.seconds, 0)
-                    environment = environment or info["environment"]
-                    runs[workload][side].append({
-                        "seed": seed, "fingerprint": info["fingerprint"],
-                        "correct": result["correct"], "attempted": result["attempted"],
-                        "failed": result["failed"], "samples": info["samples"],
-                        **{m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}})
-                    print(f"{workload} pair {pair} {side}: wall_s "
-                          f"{runs[workload][side][-1]['wall_s']:.4f}", file=sys.stderr)
-            if args.traced_seconds > 0:
-                for side in SIDES:
-                    info, result = run_bench(trees[side], workload, args.seeds[0],
-                                             args.traced_seconds, 1)
-                    traced[workload][side] = {
-                        "fingerprint": info["fingerprint"], "correct": result["correct"],
-                        "samples": info["samples"],
-                        **{k: v["value"] for k, v in result["metrics"].items()}}
+        for workload, pair, side, seed, trace in schedule(args.workloads, args.seeds,
+                                                          args.traced_seconds):
+            seconds = args.traced_seconds if trace else args.seconds
+            try:
+                info, result = run_bench(trees[side], workload, seed, seconds, trace)
+            except BenchFailed as exc:
+                failed = {"workload": workload, "side": side, "pair": pair, "seed": seed,
+                          "exit_code": exc.exit_code, "stderr_tail": exc.stderr_tail}
+                break
+            if trace:
+                traced[workload][side] = {
+                    "fingerprint": info["fingerprint"], "correct": result["correct"],
+                    "samples": info["samples"],
+                    **{k: v["value"] for k, v in result["metrics"].items()}}
+                continue
+            environment = environment or info["environment"]
+            runs[workload][side].append({
+                "seed": seed, "fingerprint": info["fingerprint"],
+                "correct": result["correct"], "attempted": result["attempted"],
+                "failed": result["failed"], "samples": info["samples"],
+                **{m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}})
+            print(f"{workload} pair {pair} {side}: wall_s "
+                  f"{runs[workload][side][-1]['wall_s']:.4f}", file=sys.stderr)
 
     report = {
         "change": args.description,
@@ -180,8 +213,14 @@ def main(argv=None):
         "end_to_end": {},
         "runs": runs,
         "traced": traced,
+        "failed_run": failed,
     }
     for workload, sides in runs.items():
+        # Statistics over complete pairs: a failed run leaves its pair without one side.
+        pairs = min(len(sides[side]) for side in SIDES)
+        if not pairs:
+            continue
+        sides = {side: sides[side][:pairs] for side in SIDES}
         prints = {side: [r["fingerprint"] for r in sides[side]] for side in SIDES}
         report["fingerprints"][workload] = {
             **{side: sorted(set(prints[side])) for side in SIDES},
@@ -194,6 +233,11 @@ def main(argv=None):
                 [r[m["name"]] for r in sides["change"]], m["better"], m["bound"])}
             for m in metrics}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    if failed is not None:
+        print(f"{failed['workload']} pair {failed['pair']} {failed['side']} "
+              f"(seed {failed['seed']}): perfbench/run.py exited {failed['exit_code']}; "
+              "its stderr ended:", *failed["stderr_tail"], sep="\n", file=sys.stderr)
+        return 1
     return 0
 
 
