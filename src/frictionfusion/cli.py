@@ -134,6 +134,8 @@ def _parse(argv):
     picked = {name: given.pop(name + "s") for name in SELECTIONS if name + "s" in given}
     if picked and not matrix:
         raise UsageError(f"{_flag(next(iter(picked)) + 's')} requires --matrix")
+    for name, values in picked.items():
+        _check((name + "s",), _check_selection, values)
     rc = RunConfig(**given)
     if matrix:
         for name in SELECTIONS:
@@ -145,6 +147,9 @@ def _parse(argv):
         scenarios, configs, errors = [rc.scenario], [rc.config], [rc.error]
     if "turn_radius" in given and "turn" not in scenarios:
         raise UsageError("--turn-radius applies only to the turn scenario")
+    for name in ("l", "sigma_f", "eta", "s_l"):  # the fused prior and local reach
+        if name in given and "f" not in configs:
+            raise UsageError(f"{_flag(name)} applies only to the fused configuration f")
     for name in ("format", "dump_estimates"):
         if name in given and rc.out is None:
             raise UsageError(f"{_flag(name)} requires --out")
@@ -290,16 +295,26 @@ def _matrix_cell(rc):
     return ",".join([rc.scenario, rc.config, rc.error, *values])
 
 
+def _check_selection(values):
+    """Raise ValueError unless a matrix selection is non-empty and names each value once."""
+    if not values:
+        raise ValueError("a selection must be non-empty")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{repeated[0]} is selected more than once")
+
+
 def run_matrix(scenarios, configs, error_modes, base=None):
     """Run every combination in selection order and return summary.csv text.
 
     Per-run outputs land in ``<out>/<scenario>_<config>_<error>/`` when the
-    base config has an output directory. A run that fails with a ValueError,
-    FactorizationError or OSError is reported on stderr and gets a
+    base config has an output directory. An empty selection, or one that
+    repeats a value, is a ValueError before any run. A run that fails with a
+    ValueError, FactorizationError or OSError is reported on stderr and gets a
     ``failed: <Type>`` row; any other exception propagates.
     """
-    if not scenarios or not configs or not error_modes:
-        raise ValueError("scenario, configuration and error selections must be non-empty")
+    for values in (scenarios, configs, error_modes):
+        _check_selection(values)
     base = base if base is not None else RunConfig()
     cells = []
     for scenario in scenarios:

@@ -186,12 +186,9 @@ def _return_reference(s_now, d_now, slope_now):
     return LateralReference(blends=(blend,))
 
 
-def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
+def _blend_peak_curvature(blend, kappa_path_fn, s_from):
     """Largest |effective curvature| on the not-yet-traversed part of a blend."""
-    tau_from = 0.0
-    if s_from is not None:
-        tau_from = (s_from - blend.s0) / (blend.s1 - blend.s0)
-        tau_from = min(max(tau_from, 0.0), 1.0)
+    tau_from = min(max((s_from - blend.s0) / (blend.s1 - blend.s0), 0.0), 1.0)
     taus = np.linspace(tau_from, 1.0, 101)
     _, curv = blend.eval(taus)
     s_fine = blend.s0 + taus * (blend.s1 - blend.s0)
@@ -200,13 +197,14 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from=None):
     return total[idx], s_fine[idx]
 
 
-def _envelope(ref, positions, mu_g, kappa_path, v_des, ds):
-    """Offset reference, effective curvature and the backward pass for a reference:
-    everything ``_kernels.forward_pass`` needs besides the circle shares."""
+def _envelope(ref, positions, mg, kappa_path, v_des, ds):
+    """Offset reference, effective curvature, |effective curvature| as a list and
+    the backward pass for a reference: everything ``_kernels.forward_pass`` needs
+    besides the circle shares and the brake region."""
     d_ref, curv = ref.eval(positions)
     kappa_eff = kappa_path + curv
-    kappa_abs = np.abs(kappa_eff)
-    v_bw, v_cap = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
+    kappa_abs = np.abs(kappa_eff).tolist()
+    v_bw, v_cap = _kernels.backward_pass(kappa_abs, mg, v_des, ds)
     return d_ref, kappa_eff, kappa_abs, v_bw, v_cap
 
 
@@ -218,8 +216,12 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     profile, and runs the circle-limited velocity passes against the
     friction estimate. An unreachable dodge yields a least-violating plan:
     the target is scaled down to what the lateral share of the circle can
-    reach and the rest of the budget brakes. The optional ``memory`` keeps
-    the dodge geometry committed across replans.
+    reach and the rest of the budget brakes until the obstacle. The optional
+    ``memory`` keeps the dodge geometry committed across replans.
+
+    The branches only choose the envelope (reference and backward pass), the
+    circle shares, the brake region, feasibility, the concession scale and
+    the dodge memory; one forward pass and one ``_finalize`` finish every plan.
     """
     mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
     pts = grid.points
@@ -228,6 +230,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     positions = state.s + pts
     ds = grid.ds
     mu_g = mu * GRAVITY
+    mg = mu_g.tolist()
     kappa_path = scenario.curvature_on(positions)
     v_des = scenario.target_speed
     memory = memory if memory is not None else PlannerMemory()
@@ -237,86 +240,82 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         scenario.obstacle is not None
         and state.s < scenario.obstacle[0] - MIN_DODGE_RUN
     )
+    shares = (DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
+    brake_until = 0
+    scale = 1.0
 
     if not dodging:
         if scenario.obstacle is not None and state.s < scenario.obstacle[0] + PASS_HOLD:
             ref = LateralReference(blends=(), base_level=state.d)
         else:
             ref = _return_reference(state.s, state.d, slope_now)
-        d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
-            ref, positions, mu_g, kappa_path, v_des, ds)
-        v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
-                                  CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
-        feasible = v_bw[0] >= state.v - FEASIBILITY_TOL
-        return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                         v, mu_g, feasible, 1.0)
-
-    s_obs = scenario.obstacle[0]
-    full_target = scenario.obstacle[1] + OBSTACLE_CLEARANCE
-    full_blend = memory.full_blend
-    tracked = memory.active_blend
-    if (
-        full_blend is None
-        or full_blend.s1 != s_obs
-        or (tracked is not None and abs(state.d - tracked.offset_at(state.s)) > REBASE_DEVIATION)
-    ):
-        full_blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
-                                  slope0=slope_now, d1=full_target)
-        memory.scale = 1.0
-
-    # The full blend is planned only while the vehicle is on it, and its speed
-    # profile is integrated only once its envelope shows it feasible.
-    if abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
-        d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
-            _dodge_reference(full_blend, s_obs), positions, mu_g, kappa_path, v_des, ds)
-        if v_bw[0] >= state.v - FEASIBILITY_TOL:
-            v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
-                                      DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)
-            memory.full_blend = full_blend
-            memory.active_blend = full_blend
-            memory.scale = 1.0
-            return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                             v, mu_g, True, 1.0)
-
-    # Least-violating dodge: concede the target down to the offset the
-    # lateral share of the circle can still reach over the remaining run,
-    # rebase the blend on the current state so the reference stays
-    # continuous under the vehicle, and brake until the obstacle.
-    kappa_pk, s_pk = _blend_peak_curvature(full_blend, scenario.curvature_on,
-                                           s_from=state.s)
-    scale = 1.0
-    if kappa_pk > _kernels.KAPPA_EPS and state.v > 0.0:
-        pk_idx = min(max(int(round((s_pk - state.s) / ds)), 0), len(pts) - 1)
-        scale = DODGE_LATERAL_SHARE * mu_g[pk_idx] / (state.v**2 * kappa_pk)
-        scale = min(max(scale, 0.0), 1.0)
-    if memory.scale < 1.0:
-        scale = min(scale, memory.scale)
-    # Keep tracking the committed conceded polynomial while the concession
-    # is stable; rebuild from the current state only when it materially
-    # changes. The target stays anchored at the committed start offset so
-    # successive replans cannot ratchet it back up as the vehicle advances.
-    reuse = (
-        memory.active_blend is not None
-        and memory.scale < 1.0
-        and memory.active_blend.s1 == s_obs
-        and abs(scale - memory.scale) <= 0.02
-    )
-    if reuse:
-        scaled_blend = memory.active_blend
-        scale = memory.scale
+        envelope = _envelope(ref, positions, mg, kappa_path, v_des, ds)
+        shares = (CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
+        feasible = envelope[3][0] >= state.v - FEASIBILITY_TOL
     else:
-        target = full_blend.d0 + scale * (full_target - full_blend.d0)
-        scaled_blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
-                                    slope0=slope_now, d1=target)
-    d_ref, kappa_eff, kappa_abs, v_bw, v_cap = _envelope(
-        _dodge_reference(scaled_blend, s_obs), positions, mu_g, kappa_path, v_des, ds)
-    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mu_g, ds,
-                              DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE, positions < s_obs)
-    memory.full_blend = full_blend
-    memory.active_blend = scaled_blend
-    memory.scale = scale
+        s_obs = scenario.obstacle[0]
+        full_target = scenario.obstacle[1] + OBSTACLE_CLEARANCE
+        full_blend = memory.full_blend
+        tracked = memory.active_blend
+        if (
+            full_blend is None
+            or full_blend.s1 != s_obs
+            or (tracked is not None
+                and abs(state.d - tracked.offset_at(state.s)) > REBASE_DEVIATION)
+        ):
+            full_blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
+                                      slope0=slope_now, d1=full_target)
+            memory.scale = 1.0
+
+        # The full blend is planned only while the vehicle is on it, and kept
+        # only when its envelope shows it feasible.
+        feasible = False
+        if abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
+            envelope = _envelope(_dodge_reference(full_blend, s_obs), positions, mg,
+                                 kappa_path, v_des, ds)
+            feasible = envelope[3][0] >= state.v - FEASIBILITY_TOL
+        blend = full_blend
+        if not feasible:
+            # Least-violating dodge: concede the target down to the offset the
+            # lateral share of the circle can still reach over the remaining run,
+            # rebase the blend on the current state so the reference stays
+            # continuous under the vehicle, and brake until the obstacle.
+            kappa_pk, s_pk = _blend_peak_curvature(full_blend, scenario.curvature_on,
+                                                   state.s)
+            if kappa_pk > _kernels.KAPPA_EPS and state.v > 0.0:
+                pk_idx = min(max(int(round((s_pk - state.s) / ds)), 0), len(pts) - 1)
+                scale = DODGE_LATERAL_SHARE * mu_g[pk_idx] / (state.v**2 * kappa_pk)
+                scale = min(max(scale, 0.0), 1.0)
+            if memory.scale < 1.0:
+                scale = min(scale, memory.scale)
+            # Keep tracking the committed conceded polynomial while the concession
+            # is stable; rebuild from the current state only when it materially
+            # changes. The target stays anchored at the committed start offset so
+            # successive replans cannot ratchet it back up as the vehicle advances.
+            if (
+                memory.active_blend is not None
+                and memory.scale < 1.0
+                and memory.active_blend.s1 == s_obs
+                and abs(scale - memory.scale) <= 0.02
+            ):
+                blend = memory.active_blend
+                scale = memory.scale
+            else:
+                target = full_blend.d0 + scale * (full_target - full_blend.d0)
+                blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
+                                     slope0=slope_now, d1=target)
+            envelope = _envelope(_dodge_reference(blend, s_obs), positions, mg,
+                                 kappa_path, v_des, ds)
+            # Positions ascend, so the segments before the obstacle are a prefix.
+            brake_until = int(np.searchsorted(positions, s_obs))
+        memory.full_blend = full_blend
+        memory.active_blend = blend
+        memory.scale = scale
+
+    d_ref, kappa_eff, kappa_abs, v_bw, v_cap = envelope
+    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mg, ds, *shares, brake_until)
     return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                     v, mu_g, False, scale)
+                     v, mu_g, feasible, scale)
 
 
 def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,

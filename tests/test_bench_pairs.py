@@ -26,6 +26,19 @@ def test_seeds_and_alternation():
     assert [bench_pairs.first_side(i) for i in range(4)] == ["parent", "change"] * 2
 
 
+@pytest.mark.parametrize("seeds", ["5-3", "1-2,9-8"])
+def test_a_range_that_ends_below_its_start_is_a_usage_error(seeds, monkeypatch, capsys):
+    def no_copy(*args):
+        pytest.fail("a tree was copied")
+
+    monkeypatch.setattr(bench_pairs, "archive_tree", no_copy)
+    monkeypatch.setattr(bench_pairs, "working_tree", no_copy)
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", seeds, "--out", "x.json"])
+    assert caught.value.code == 2
+    assert "argument --seeds: range" in capsys.readouterr().err
+
+
 def test_quartiles_inclusive():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)

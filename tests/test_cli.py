@@ -312,13 +312,16 @@ class TestRunMatrix:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "collision_f_worst-under" / "metrics.json").exists()
 
-    def test_a_repeated_cell_fails_rather_than_overwrite(self, tmp_path, capsys):
-        text = run_matrix(["collision"], ["p", "p"], ["worst-under"],
-                          base=RunConfig(out=str(tmp_path)))
-        first, again = text.splitlines()[1:]
-        assert first.startswith("collision,p,worst-under,collision,")
-        assert again == "collision,p,worst-under,failed: OSError,,,,"
-        assert "File exists" in capsys.readouterr().err
+    @pytest.mark.parametrize("selection", [
+        (["turn", "collision", "turn"], ["p"], ["worst-under"]),
+        (["collision"], ["p", "p"], ["worst-under"]),
+        (["collision"], ["p"], ["worst-under", "fixed=0.01", "worst-under"]),
+    ])
+    def test_a_repeated_cell_is_refused_before_any_run(self, selection, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "execute", lambda rc: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match="selected more than once"):
+            run_matrix(*selection, base=RunConfig(out=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
@@ -397,17 +400,20 @@ class TestMain:
         assert "collision" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
-        ["--ds", "0"], ["--s-f", "-1"], ["--l", "0"], ["--sigma-f", "0"], ["--eta", "2"],
-        ["--s-l", "-1"], ["--sim-dt", "0.06"], ["--replan-dt", "0"],
+        ["--ds", "0"], ["--s-f", "-1"], ["--l", "0", "--config", "f"],
+        ["--sigma-f", "0", "--config", "f"], ["--eta", "2", "--config", "f"],
+        ["--s-l", "-1", "--config", "f"], ["--sim-dt", "0.06"], ["--replan-dt", "0"],
         ["--lane-half-width", "0"], ["--turn-radius", "0"], ["--ds", "1e12", "--s-f", "1"],
         ["--s-f", "inf"], ["--replan-dt", "inf"], ["--replan-dt", "nan"],
-        ["--turn-radius", "inf"], ["--lane-half-width", "inf"], ["--sigma-f", "inf"],
+        ["--turn-radius", "inf"], ["--lane-half-width", "inf"],
+        ["--sigma-f", "inf", "--config", "f"],
     ])
     def test_out_of_range_value_names_its_flag(self, argv, capsys):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         for flag in argv[::2]:
-            assert re.search(re.escape(flag) + r"(?![\w-])", err)
+            if flag != "--config":  # selects the run the flag applies to
+                assert re.search(re.escape(flag) + r"(?![\w-])", err)
 
     def test_grid_over_the_point_limit_starts_no_run(self, monkeypatch, capsys):
         def must_not_run(rc):
@@ -433,10 +439,25 @@ class TestMain:
         (["--scenario", "collision", "--config", "p", "--dump-estimates"], "--dump-estimates"),
         (["--matrix", "--scenarios", "collision", "--format", "json"], "--format"),
         (["--matrix", "--scenarios", "collision", "--dump-estimates"], "--dump-estimates"),
+        (["--config", "gt", "--s-l", "3"], "--s-l"),
+        (["--matrix", "--configs", "gt", "l", "--eta", "0.6"], "--eta"),
+        (["--scenario", "collision", "--config", "p", "--l", "10"], "--l"),
+        (["--matrix", "--configs", "p", "--sigma-f", "0.1"], "--sigma-f"),
+        (["--matrix", "--scenarios", "turn", "collision", "turn"], "--scenarios"),
+        (["--matrix", "--configs", "p", "p"], "--configs"),
+        (["--matrix", "--errors", "worst-over", "worst-over"], "--errors"),
     ])
     def test_flag_that_would_be_ignored_is_usage_error(self, argv, flag, capsys):
         assert cli.main(argv) == 1
         assert re.search(re.escape(flag) + r"(?![\w-])", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["--config", "f", "--eta", "0.6"], "eta", 0.6),
+        (["--matrix", "--l", "10"], "l", 10.0),  # the default matrix runs f
+        (["--matrix", "--configs", "gt", "f", "--s-l", "3"], "s_l", 3.0),
+    ])
+    def test_fused_only_flags_are_taken_when_f_runs(self, argv, field, value):
+        assert getattr(cli._parse(argv)[0], field) == value
 
     @staticmethod
     def _refused(argv, out, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from frictionfusion import _kernels
+from frictionfusion import _kernels, simulator
 from frictionfusion.estimators import Configuration
 from frictionfusion.fusion import SGrid
 from frictionfusion.planner import (
@@ -17,6 +17,8 @@ from frictionfusion.planner import (
     DODGE_BRAKE_SHARE,
     DODGE_LATERAL_SHARE,
     GRAVITY,
+    MIN_DODGE_RUN,
+    REBASE_DEVIATION,
     LateralReference,
     PlannerMemory,
     QuinticBlend,
@@ -198,6 +200,45 @@ class TestPlanDodge:
         assert not all(r.feasible for r in result.replans)
         assert len(calls) == len(result.replans)
 
+    def test_pass_counts_of_each_kind_of_plan(self, monkeypatch):
+        # Lane keeping, a feasible dodge and a least-violating dodge off the full
+        # blend integrate one envelope; a least-violating dodge on the full blend
+        # first finds the full blend's envelope infeasible, then integrates its own.
+        counts = [0, 0]
+
+        def counted(slot, real):
+            def counting_pass(*args):
+                counts[slot] += 1
+                return real(*args)
+            return counting_pass
+
+        monkeypatch.setattr(_kernels, "backward_pass", counted(0, _kernels.backward_pass))
+        monkeypatch.setattr(_kernels, "forward_pass", counted(1, _kernels.forward_pass))
+        real_plan, kinds = simulator.plan, {}
+
+        def counting_plan(state, scenario, mu_hat, grid, memory):
+            counts[:] = [0, 0]
+            traj = real_plan(state, scenario, mu_hat, grid, memory=memory)
+            if state.s >= scenario.obstacle[0] - MIN_DODGE_RUN:
+                kind = "lane keeping"
+            elif traj.feasible:
+                kind = "feasible dodge"
+            elif abs(state.d - memory.full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
+                kind = "least-violating on the full blend"
+            else:
+                kind = "least-violating off the full blend"
+            kinds.setdefault(kind, set()).add(tuple(counts))
+            return traj
+
+        monkeypatch.setattr(simulator, "plan", counting_plan)
+        stock = collision_scenario()
+        profile = load_workloads().patchy_profile(random.Random("corpus:7:collision"),
+                                                  stock.end_s + 50.0)
+        run(dataclasses.replace(stock, profile=profile), Configuration("gt"))
+        assert kinds == {"lane keeping": {(1, 1)}, "feasible dodge": {(1, 1)},
+                         "least-violating off the full blend": {(1, 1)},
+                         "least-violating on the full blend": {(2, 1)}}
+
 
 class TestCircleInvariant:
     def test_every_plan_respects_friction_circle(self):
@@ -291,7 +332,7 @@ def pass_inputs(draw):
     mu_g = draw(hnp.arrays(np.float64, n, elements=st.one_of(
         st.just(0.0), _floats(1e-3, 1.2 * GRAVITY))))
     v_cap = draw(hnp.arrays(np.float64, n, elements=_floats(0.0, 30.0)))
-    brake_mask = draw(hnp.arrays(np.bool_, n))
+    brake_until = draw(st.integers(0, n))
     ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | _floats(0.01, 5.0))
     # Start below, at or above the cap, and beyond the violation tolerance.
     v0 = draw(st.one_of(_floats(0.0, 40.0),
@@ -299,7 +340,7 @@ def pass_inputs(draw):
                             lambda dv: max(v_cap[0] + dv, 0.0))))
     shares = draw(st.sampled_from([(CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE),
                                    (DODGE_LATERAL_SHARE, DODGE_BRAKE_SHARE)]))
-    return kappa_abs, mu_g, v_cap, brake_mask, ds, v0, shares
+    return kappa_abs, mu_g, v_cap, brake_until, ds, v0, shares
 
 
 class TestVelocityPassesMatchNumpyScalarReference:
@@ -307,7 +348,7 @@ class TestVelocityPassesMatchNumpyScalarReference:
     @given(pass_inputs(), st.sampled_from([0.0, 12.0, 20.0]) | _floats(0.0, 40.0))
     def test_backward_pass_is_bit_identical(self, inputs, v_des):
         kappa_abs, mu_g, _, _, ds, _, _ = inputs
-        envelope, caps = _kernels.backward_pass(kappa_abs, mu_g, v_des, ds)
+        envelope, caps = _kernels.backward_pass(kappa_abs.tolist(), mu_g.tolist(), v_des, ds)
         want_caps = reference_curvature_caps(mu_g, kappa_abs, v_des)
         want = reference_backward_pass(want_caps, kappa_abs, mu_g, ds)
         assert type(envelope) is list and type(caps) is list
@@ -317,24 +358,17 @@ class TestVelocityPassesMatchNumpyScalarReference:
     @settings(max_examples=200, deadline=None)
     @given(pass_inputs(), st.booleans())
     def test_forward_pass_is_bit_identical(self, inputs, bound_is_envelope):
-        kappa_abs, mu_g, v_cap, brake_mask, ds, v0, (f_lat, f_brake) = inputs
+        kappa_abs, mu_g, v_cap, brake_until, ds, v0, (f_lat, f_brake) = inputs
         if bound_is_envelope:  # as the planner calls it
             v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
         else:
             v_bound = v_cap[::-1].copy()
-        got = _kernels.forward_pass(v0, v_bound.tolist(), v_cap.tolist(), kappa_abs, mu_g, ds,
-                                    f_lat, f_brake, brake_mask)
+        got = _kernels.forward_pass(v0, v_bound.tolist(), v_cap.tolist(), kappa_abs.tolist(),
+                                    mu_g.tolist(), ds, f_lat, f_brake, brake_until)
+        brake_mask = np.arange(len(v_cap)) < brake_until  # the prefix as a mask
         want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
                                       f_lat, f_brake)
         assert _same_bits(got, want)
-
-    @settings(max_examples=100, deadline=None)
-    @given(pass_inputs())
-    def test_forward_pass_without_a_mask_is_an_all_false_mask(self, inputs):
-        kappa_abs, mu_g, v_cap, _, ds, v0, (f_lat, f_brake) = inputs
-        args = (v0, v_cap[::-1].tolist(), v_cap.tolist(), kappa_abs, mu_g, ds, f_lat, f_brake)
-        unmasked = _kernels.forward_pass(*args)
-        assert _same_bits(unmasked, _kernels.forward_pass(*args, np.zeros(len(v_cap), bool)))
 
 
 class TestStepOnPlan:
@@ -545,7 +579,7 @@ class TestCurvatureCapsMatchMaskReference:
     def test_caps_are_bit_identical(self, inputs, v_des):
         kappa_abs, mu_g = inputs[0], inputs[1]
         kappa_abs = np.where(kappa_abs < 1e-4, kappa_abs * 1e-6, kappa_abs)  # around the eps
-        _, got = _kernels.backward_pass(kappa_abs, mu_g, v_des, 1.0)
+        _, got = _kernels.backward_pass(kappa_abs.tolist(), mu_g.tolist(), v_des, 1.0)
         assert _same_bits(np.array(got), reference_curvature_caps(mu_g, kappa_abs, v_des))
 
 

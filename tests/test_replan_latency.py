@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from frictionfusion import simulator
 
 
@@ -19,3 +21,13 @@ def test_one_timing_per_replan_and_names_restored():
     times = _load().replan_ms(1.0, 1)
     assert len(times) > 2 * 20 and all(t > 0.0 for t in times)
     assert (simulator.emulate, simulator.plan) == (emulate, plan)
+
+
+@pytest.mark.parametrize("roads", ["0", "-2"])
+def test_fewer_than_one_road_is_a_usage_error(roads, monkeypatch, capsys):
+    module = _load()
+    monkeypatch.setattr(module, "replan_ms", lambda ds, roads: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as caught:
+        module.main(["--roads", roads])
+    assert caught.value.code == 2
+    assert "argument --roads: must be at least 1" in capsys.readouterr().err

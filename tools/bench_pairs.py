@@ -55,10 +55,13 @@ class BenchFailed(RuntimeError):
 
 
 def parse_seeds(text):
-    """``"3-5"`` -> [3, 4, 5]; ``"1,7,9"`` -> [1, 7, 9]."""
+    """``"3-5"`` -> [3, 4, 5]; ``"1,7,9"`` -> [1, 7, 9]. A range that ends
+    below its start is an ``argparse.ArgumentTypeError``."""
     seeds = []
     for part in text.split(","):
         lo, sep, hi = part.partition("-")
+        if sep and int(hi) < int(lo):
+            raise argparse.ArgumentTypeError(f"range {part} ends below its start")
         seeds += range(int(lo), int(hi) + 1) if sep else [int(lo)]
     return seeds
 
@@ -149,7 +152,8 @@ def schedule(workloads, seeds, traced_seconds):
 def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision of the parent side")
-    p.add_argument("--seeds", required=True, help="one seed per pair, e.g. 1501-1510")
+    p.add_argument("--seeds", required=True, type=parse_seeds,
+                   help="one seed per pair, e.g. 1501-1510")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--traced-seconds", type=float, default=0.0)
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
@@ -157,7 +161,6 @@ def _parse(argv):
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--description", default="", help="what the change does")
     args = p.parse_args(argv)
-    args.seeds = parse_seeds(args.seeds)
     args.workloads = list(dict.fromkeys(args.workloads))
     return args
 

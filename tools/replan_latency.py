@@ -69,10 +69,17 @@ def replan_ms(ds, roads):
     return times
 
 
+def _road_count(text):
+    roads = int(text)
+    if roads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {roads}")
+    return roads
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--ds", type=float, nargs="+", default=[1.0, 0.5, 0.1, 0.05, 0.025])
-    p.add_argument("--roads", type=int, default=13, help="seeded roads per geometry")
+    p.add_argument("--roads", type=_road_count, default=13, help="seeded roads per geometry")
     args = p.parse_args(argv)
     period_ms = 1e3 * simulator.REPLAN_DT
     replan_ms(args.ds[0], 1)  # loads LAPACK at its first posterior; not reported
