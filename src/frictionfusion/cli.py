@@ -30,6 +30,8 @@ _PRIOR = fusion.calibrate_prior()
 DEFAULT_ERRORS = ("worst-over", "worst-under")
 # Single-run selection field -> what ``--matrix`` runs unless its plural flag is given.
 SELECTIONS = {"scenario": SCENARIO_NAMES, "config": CONFIG_NAMES, "error": DEFAULT_ERRORS}
+# The configurations whose estimate reads the local error; gt and p never do.
+LOCAL_ERROR_CONFIGS = ("l", "f")
 
 
 class UsageError(ValueError):
@@ -135,7 +137,8 @@ def _parse(argv):
     if picked and not matrix:
         raise UsageError(f"{_flag(next(iter(picked)) + 's')} requires --matrix")
     for name, values in picked.items():
-        _check((name + "s",), _check_selection, values)
+        same = resolve_error if name == "error" else None
+        _check((name + "s",), _check_selection, values, same)
     rc = RunConfig(**given)
     if matrix:
         for name in SELECTIONS:
@@ -147,6 +150,9 @@ def _parse(argv):
         scenarios, configs, errors = [rc.scenario], [rc.config], [rc.error]
     if "turn_radius" in given and "turn" not in scenarios:
         raise UsageError("--turn-radius applies only to the turn scenario")
+    if "error" in given and rc.config not in LOCAL_ERROR_CONFIGS:
+        raise UsageError(f"--error applies only to the configurations that read the "
+                         f"local estimate: {' and '.join(LOCAL_ERROR_CONFIGS)}")
     for name in ("l", "sigma_f", "eta", "s_l"):  # the fused prior and local reach
         if name in given and "f" not in configs:
             raise UsageError(f"{_flag(name)} applies only to the fused configuration f")
@@ -295,26 +301,32 @@ def _matrix_cell(rc):
     return ",".join([rc.scenario, rc.config, rc.error, *values])
 
 
-def _check_selection(values):
-    """Raise ValueError unless a matrix selection is non-empty and names each value once."""
+def _check_selection(values, same=None):
+    """Raise ValueError unless a matrix selection is non-empty and names each value
+    once. ``same`` maps a value to what it selects (by default the value itself), so
+    error modes compare by ``resolve_error``: ``fixed=0.01`` repeats ``fixed=0.010``."""
     if not values:
         raise ValueError("a selection must be non-empty")
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ValueError(f"{repeated[0]} is selected more than once")
+    selected = list(values) if same is None else [same(v) for v in values]
+    for i, value in enumerate(selected):
+        first = selected.index(value)
+        if first < i:
+            also = "" if values[first] == values[i] else f" (as {values[first]})"
+            raise ValueError(f"{values[i]} is selected more than once{also}")
 
 
 def run_matrix(scenarios, configs, error_modes, base=None):
     """Run every combination in selection order and return summary.csv text.
 
     Per-run outputs land in ``<out>/<scenario>_<config>_<error>/`` when the
-    base config has an output directory. An empty selection, or one that
-    repeats a value, is a ValueError before any run. A run that fails with a
-    ValueError, FactorizationError or OSError is reported on stderr and gets a
-    ``failed: <Type>`` row; any other exception propagates.
+    base config has an output directory. An empty selection, one that repeats
+    a value, or an error mode ``resolve_error`` rejects is a ValueError before
+    any run. A run that fails with a ValueError, FactorizationError or OSError
+    is reported on stderr and gets a ``failed: <Type>`` row; any other
+    exception propagates.
     """
-    for values in (scenarios, configs, error_modes):
-        _check_selection(values)
+    for values, same in ((scenarios, None), (configs, None), (error_modes, resolve_error)):
+        _check_selection(values, same)
     base = base if base is not None else RunConfig()
     cells = []
     for scenario in scenarios:

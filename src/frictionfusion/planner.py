@@ -43,6 +43,22 @@ _BASIS_COEF = np.array([[1.0, 1.0, 10.0, -60.0, -36.0, 60.0],
 _BASIS_T5_COEF = np.array([[-6.0], [-3.0]])
 
 
+def _quintic_basis(tau):
+    """Rows h0, h1, h3, ddh0, ddh1, ddh3 of the quintic blend at the flat
+    normalized positions ``tau``."""
+    powers = np.empty((6, tau.size))
+    powers[0] = 1.0
+    powers[1] = tau
+    for k in range(2, 6):
+        np.multiply(powers[k - 1], powers[1], out=powers[k])
+    terms = powers[_BASIS_POWER]
+    terms *= _BASIS_COEF
+    basis = terms[0] + terms[1]
+    basis += terms[2]
+    basis[:2] += _BASIS_T5_COEF * powers[5]
+    return basis
+
+
 @dataclass(frozen=True)
 class QuinticBlend:
     """Quintic lateral blend from (d0, slope0, curv 0) to (d1, slope 0, curv 0)."""
@@ -56,19 +72,9 @@ class QuinticBlend:
     def eval(self, tau):
         """Offset and curvature contribution at normalized positions."""
         tau = np.asarray(tau, dtype=np.float64)
-        powers = np.empty((6, tau.size))
-        powers[0] = 1.0
-        powers[1] = tau.reshape(-1)
-        for k in range(2, 6):
-            np.multiply(powers[k - 1], powers[1], out=powers[k])
-        terms = powers[_BASIS_POWER]
-        terms *= _BASIS_COEF
-        basis = terms[0] + terms[1]
-        basis += terms[2]
-        basis[:2] += _BASIS_T5_COEF * powers[5]
         # d and curv sum d0 * h0 + rate * h1 + d1 * h3 over h and over ddh.
         span = self.s1 - self.s0
-        parts = basis.reshape(2, 3, -1)
+        parts = _quintic_basis(tau.reshape(-1)).reshape(2, 3, -1)
         parts *= np.array([[self.d0], [self.slope0 * span], [self.d1]])
         total = parts[:, 0] + parts[:, 1]
         total += parts[:, 2]
@@ -131,16 +137,20 @@ class LateralReference:
 
 @dataclass
 class PlannerMemory:
-    """Per-run planner state: the committed dodge geometry and its scale.
+    """Per-run planner state: the committed dodge geometry and its scale, and
+    the return blend's basis on the planning grid.
 
     Committing the maneuver once keeps successive replans tracking the same
     polynomial instead of restarting a zero-curvature blend every cycle; the
     scale remembers how much of the target a least-violating plan conceded.
+    ``return_basis`` is ``(grid, *_return_basis(grid.points))``, built at the
+    first return-to-center plan and rebuilt only on another grid.
     """
 
     full_blend: QuinticBlend = None
     active_blend: QuinticBlend = None
     scale: float = 1.0
+    return_basis: tuple = None
 
 
 @dataclass(frozen=True)
@@ -173,17 +183,40 @@ def _dodge_reference(blend, s_obs):
     return LateralReference(blends=(blend, return_blend))
 
 
-def _return_reference(s_now, d_now, slope_now):
-    if abs(d_now) < 0.01 and abs(slope_now) < 1e-3:
-        return LateralReference(blends=(), base_level=0.0)
-    # Anchor the blend behind the vehicle: the quintic starts with zero
-    # curvature, so a blend starting exactly at the vehicle would command
-    # no correction at the point where the plant samples the plan.
-    s0 = s_now - RETURN_BACKSET
-    blend = QuinticBlend(s0=s0, s1=s0 + RETURN_LENGTH,
-                         d0=d_now - slope_now * RETURN_BACKSET,
-                         slope0=slope_now, d1=0.0)
-    return LateralReference(blends=(blend,))
+def _return_basis(points):
+    """The return blend's columns at grid ``points`` ahead of the vehicle, as
+    ``_return_shape`` combines them: (h0, ddh0), (h1, ddh1) and the d1 = 0
+    term 0 * (h3, ddh3), each a 2 x n array.
+
+    The blend starts ``RETURN_BACKSET`` behind the vehicle and spans
+    ``RETURN_LENGTH`` on every replan, so its normalized positions on the grid
+    are the same on every replan. Points at or past its end hold 0.0 offset
+    and 0.0 curvature, as ``LateralReference.eval`` holds a blend's end.
+    """
+    inside = int(np.searchsorted(points, RETURN_LENGTH - RETURN_BACKSET))
+    tau = (RETURN_BACKSET + points[:inside]) / RETURN_LENGTH
+    columns = np.zeros((3, 2, len(points)))
+    columns[:, :, :inside] = _quintic_basis(tau).reshape(2, 3, -1).transpose(1, 0, 2)
+    columns[2] *= 0.0
+    return tuple(columns)
+
+
+def _return_shape(memory, grid, d_now, slope_now):
+    """Offset and curvature of the return-to-center blend on ``grid``.
+
+    The blend is anchored behind the vehicle: the quintic starts with zero
+    curvature, so a blend starting exactly at the vehicle would command no
+    correction at the point where the plant samples the plan. Only its start
+    offset d0 and rate r change between replans; the sums run in
+    ``QuinticBlend.eval``'s order, d0 * h0 + r * h1, then + 0 * h3.
+    """
+    if memory.return_basis is None or memory.return_basis[0] != grid:
+        memory.return_basis = (grid, *_return_basis(grid.points))
+    _, h0, h1, d1_term = memory.return_basis
+    total = h0 * (d_now - slope_now * RETURN_BACKSET)
+    total += h1 * (slope_now * RETURN_LENGTH)
+    total += d1_term
+    return total[0], total[1] / (RETURN_LENGTH * RETURN_LENGTH)
 
 
 def _blend_peak_curvature(blend, kappa_path_fn, s_from):
@@ -197,11 +230,10 @@ def _blend_peak_curvature(blend, kappa_path_fn, s_from):
     return total[idx], s_fine[idx]
 
 
-def _envelope(ref, positions, mg, kappa_path, v_des, ds):
+def _envelope(d_ref, curv, mg, kappa_path, v_des, ds):
     """Offset reference, effective curvature, |effective curvature| as a list and
-    the backward pass for a reference: everything ``_kernels.forward_pass`` needs
-    besides the circle shares and the brake region."""
-    d_ref, curv = ref.eval(positions)
+    the backward pass for a reference's offset and curvature: everything
+    ``_kernels.forward_pass`` needs besides the circle shares and the brake region."""
     kappa_eff = kappa_path + curv
     kappa_abs = np.abs(kappa_eff).tolist()
     v_bw, v_cap = _kernels.backward_pass(kappa_abs, mg, v_des, ds)
@@ -246,10 +278,12 @@ def plan(state, scenario, mu_hat, grid, memory=None):
 
     if not dodging:
         if scenario.obstacle is not None and state.s < scenario.obstacle[0] + PASS_HOLD:
-            ref = LateralReference(blends=(), base_level=state.d)
+            shape = LateralReference(blends=(), base_level=state.d).eval(positions)
+        elif abs(state.d) < 0.01 and abs(slope_now) < 1e-3:
+            shape = LateralReference(blends=(), base_level=0.0).eval(positions)
         else:
-            ref = _return_reference(state.s, state.d, slope_now)
-        envelope = _envelope(ref, positions, mg, kappa_path, v_des, ds)
+            shape = _return_shape(memory, grid, state.d, slope_now)
+        envelope = _envelope(*shape, mg, kappa_path, v_des, ds)
         shares = (CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE)
         feasible = envelope[3][0] >= state.v - FEASIBILITY_TOL
     else:
@@ -271,7 +305,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         # only when its envelope shows it feasible.
         feasible = False
         if abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
-            envelope = _envelope(_dodge_reference(full_blend, s_obs), positions, mg,
+            envelope = _envelope(*_dodge_reference(full_blend, s_obs).eval(positions), mg,
                                  kappa_path, v_des, ds)
             feasible = envelope[3][0] >= state.v - FEASIBILITY_TOL
         blend = full_blend
@@ -304,7 +338,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
                 target = full_blend.d0 + scale * (full_target - full_blend.d0)
                 blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
                                      slope0=slope_now, d1=target)
-            envelope = _envelope(_dodge_reference(blend, s_obs), positions, mg,
+            envelope = _envelope(*_dodge_reference(blend, s_obs).eval(positions), mg,
                                  kappa_path, v_des, ds)
             # Positions ascend, so the segments before the obstacle are a prefix.
             brake_until = int(np.searchsorted(positions, s_obs))

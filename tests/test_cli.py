@@ -30,12 +30,14 @@ from helpers import fresh_process_env, load_workloads, repin_message
 # The default 16-run matrix, pinned byte for byte: a change meant to alter
 # only speed must leave every digit of it alone. Re-pinned when the GP std
 # came to be taken from the column sums of v**2 on scipy's LAPACK factor: the
-# fused turns' max_abs_d moved in the 9th digit.
+# fused turns' max_abs_d moved in the 9th digit; and when the return blend
+# came to be evaluated from a per-run basis on the planning grid: turn/l/
+# worst-over's max_abs_d moved in the 9th digit.
 GOLDEN_SUMMARY = """\
 scenario,config,error_mode,outcome,max_abs_d,min_clearance,impact_velocity,mean_utilization
 turn,gt,worst-over,ok,0.17383469,,0,1
 turn,gt,worst-under,ok,0.17383469,,0,1
-turn,l,worst-over,lane_departure,9.78600889,,0,1
+turn,l,worst-over,lane_departure,9.7860089,,0,1
 turn,l,worst-under,lane_departure,15.771938,,0,0.875
 turn,p,worst-over,ok,0.17383469,,0,1
 turn,p,worst-under,ok,0.17383469,,0,1
@@ -54,37 +56,38 @@ collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
 # Pass 0 of perfbench's ``patchy_roads`` workload (16 runs on seeded patchy
 # friction), by seed: the fingerprint covers every run's metrics and trace. Measured
 # before the plant stepped a whole replan interval per call; re-pinned when the
-# GP std came to be taken from column sums on scipy's LAPACK factor.
+# GP std came to be taken from column sums on scipy's LAPACK factor, and when
+# the return blend came to be evaluated from a per-run basis.
 GOLDEN_PATCHY_FINGERPRINTS = {
-    0: "f4c11f087d75e0cce2272738fafb6ef70f22b4d0e988695d7d1fdf6fddb10f78",
-    5: "ed5396984b6e3bca4290d340d8d514bab115d98f31923fea1cb3b499e5fdc773",
+    0: "5d8aadb624e448ff788111c89c216ffac88ea9c9dc5576daa9552dcdf7f4d9bd",
+    5: "bcb2df94a747b5e4353ab58ecba2dec74d276e832f1991d617f0dd7b019af792",
 }
 
 # sha256 of the files three runs write, keyed by their command line without
 # ``--out``: one lane departure (turn), one collision, and a fused turn on a
 # finer grid. Each digest was measured before the code that writes the file
 # was rewritten; the fused fine-grid files were re-pinned when fusion came to
-# observe at 1 m on a finer grid. An estimate digest covers every estimate_<i>.csv,
-# concatenated in name order.
+# observe at 1 m on a finer grid, and the turns' files when the return blend
+# came to be evaluated from a per-run basis. An estimate digest covers every
+# estimate_<i>.csv, concatenated in name order.
 FINE_GRID_KEY = ("--scenario", "turn", "--config", "f", "--error", "worst-under",
                  "--ds", "0.5", "--dump-estimates")
 GOLDEN_FILE_DIGESTS = {
-    ("--scenario", "collision", "--config", "p", "--error", "worst-over",
-     "--dump-estimates"): {
+    ("--scenario", "collision", "--config", "p", "--dump-estimates"): {
         "trace.csv": "b9975d77c79482af261c66a341653c1454988fdf02181a7e4a9567d9b54af6e1",
         "trace.json": "f05e212724d20a2862dddeb22feaaa07b128e4efd66c8abb168b67ced74521aa",
         "metrics.json": "af21a7db396de8804a0956cbbbbf52d54eb2c8f4262baf7b7548c3ccb425730e",
         "estimate_*.csv": "997bb262c927f6bf7aee92acf940397b4335baee0f9fdb44a36f88f529c6fdf2",
     },
     ("--scenario", "turn", "--config", "l", "--error", "worst-under"): {
-        "trace.csv": "e0f6e123d9a3bd6e9ca53d419c55caba7610260c9c47d420d0724761686c0f26",
-        "trace.json": "632686ece8d065ea2ddd4794e6a89d7aee998ad77a44285e03f5126887f91b11",
-        "metrics.json": "2b15fc77ff4ef7c6493ae89ca8aae97ec8ff8a85e1e381a9d003c65dcb30ce5b",
+        "trace.csv": "736f7ccc49fb0739ecd1d877acf6a0fcc6d2b5e4f27bdc9452d41d28b5c10e8d",
+        "trace.json": "0167b2f8271d2abc924c137dc3332e75cc43bd9aecb857a663d6d31cdf16aead",
+        "metrics.json": "8b58a8765605a99ee843d2ffb6ea86715490b4ac2ec3a27e06ba74f3406daf54",
     },
     FINE_GRID_KEY: {
-        "trace.csv": "ff88d53cd7e0bf815149d09beadbe94fe0cc8f30aba8a84b81159376fc8c367c",
-        "trace.json": "999b5b77e6fbb5fa67ce9557154597470c0adf7af85c697136017e1162d0d3d2",
-        "metrics.json": "e0b39db0537acabd685c7c82e8998c08586be22884ab4df2ffa524271fb3b12b",
+        "trace.csv": "d59bbe99a31907c1f50000df156a620b695caad4a358725797edbff1c9d59711",
+        "trace.json": "040ca92967bde522c79b23ae34efcb32a8f71c691ef0a5b447e78d028bcebcb1",
+        "metrics.json": "a72b479924632ce79bafa2c0d5639da0cdd10f5845aaaaba89a8cd40b18484c7",
         "estimate_*.csv": "2931ad72996bf66e1294826b5651dd24628033fb7f167a145db26f0d65b372fc",
     },
 }
@@ -159,8 +162,7 @@ class TestDefaultsComeFromTheLibrary:
 
 class TestEmitTraces:
     def test_metrics_schema(self, tmp_path):
-        rc = parse_args(["--scenario", "collision", "--config", "p",
-                         "--error", "worst-under", "--out", str(tmp_path)])
+        rc = parse_args(["--scenario", "collision", "--config", "p", "--out", str(tmp_path)])
         result = execute(rc)
         emit_traces(result, rc)
         metrics = json.loads((tmp_path / "metrics.json").read_text())
@@ -394,8 +396,7 @@ class TestMain:
             cli.main(["--scenario", "collision", "--config", "p"])
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
-        code = cli.main(["--scenario", "collision", "--config", "p",
-                         "--error", "worst-under", "--out", str(tmp_path)])
+        code = cli.main(["--scenario", "collision", "--config", "p", "--out", str(tmp_path)])
         assert code == 0
         assert "collision" in capsys.readouterr().out
 
@@ -500,3 +501,30 @@ class TestMain:
         summary = (tmp_path / "summary.csv").read_bytes()
         assert capsys.readouterr().out.encode() == summary
         assert len(summary.splitlines()) == 3
+
+    @pytest.mark.parametrize("config", ["gt", "p"])
+    @pytest.mark.parametrize("error", ["worst-over", "worst-under", "fixed=0"])
+    def test_error_on_a_run_that_never_reads_it_is_usage_error(self, config, error,
+                                                               monkeypatch, capsys):
+        monkeypatch.setattr(cli, "execute", lambda rc: pytest.fail("a run started"))
+        assert cli.main(["--scenario", "collision", "--config", config, "--error", error]) == 1
+        assert capsys.readouterr().err == "usage error: --error applies only to the " \
+                                          "configurations that read the local estimate: l and f\n"
+
+    @pytest.mark.parametrize("config", ["l", "f"])
+    def test_error_is_taken_on_a_run_that_reads_it(self, config):
+        assert parse_args(["--config", config, "--error", "worst-under"]).error == "worst-under"
+
+    def test_matrix_still_runs_both_error_modes_for_every_configuration(self):
+        assert cli._parse(["--matrix", "--configs", "gt", "p"])[1][2] == DEFAULT_ERRORS
+
+    def test_one_local_error_spelled_twice_is_refused_before_any_run(self, monkeypatch,
+                                                                     capsys):
+        monkeypatch.setattr(cli, "execute", lambda rc: pytest.fail("a run started"))
+        argv = ["--matrix", "--scenarios", "turn", "--configs", "gt",
+                "--errors", "fixed=0.01", "fixed=0.010"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "usage error: --errors: fixed=0.010 is selected " \
+                                          "more than once (as fixed=0.01)\n"
+        with pytest.raises(ValueError, match="selected more than once"):
+            run_matrix(["turn"], ["gt"], ["worst-over", "fixed=0.025"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from frictionfusion import _kernels, simulator
+from frictionfusion import _kernels, planner, simulator
 from frictionfusion.estimators import Configuration
 from frictionfusion.fusion import SGrid
 from frictionfusion.planner import (
@@ -19,10 +19,13 @@ from frictionfusion.planner import (
     GRAVITY,
     MIN_DODGE_RUN,
     REBASE_DEVIATION,
+    RETURN_BACKSET,
+    RETURN_LENGTH,
     LateralReference,
     PlannerMemory,
     QuinticBlend,
     _finalize,
+    _return_shape,
     plan,
 )
 from frictionfusion.simulator import (
@@ -608,3 +611,81 @@ class TestLateralReferenceContract:
         ref = LateralReference(blends=(self.FIRST,)[:blend_count])
         with pytest.raises(ValueError, match="ascending"):
             ref.eval(np.array(positions))
+
+
+def blend_return_reference(s, d, slope, positions):
+    """The return-to-center reference as a blend in the world frame, starting
+    ``RETURN_BACKSET`` behind the vehicle at ``s``: what the per-run basis stands in for."""
+    blend = QuinticBlend(s - RETURN_BACKSET, s + RETURN_LENGTH - RETURN_BACKSET,
+                         d - slope * RETURN_BACKSET, slope, 0.0)
+    return LateralReference(blends=(blend,)).eval(positions)
+
+
+class TestReturnBasis:
+    # Offsets and slopes of both signs, on and off the return threshold, and
+    # equal signs, where a product with a held 0.0 would be -0.0.
+    CASES = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.05), (0.3, -0.02), (-1.2, -0.3),
+             (-0.005, 0.002), (2.5, 0.7), (-4.9, -0.99), (0.01, 1e-3)]
+
+    @pytest.mark.parametrize("ds", [0.25, 0.5, 1.0, 2.0])
+    def test_bit_identical_to_the_blend_at_the_start(self, ds):
+        grid = SGrid(ds=ds)
+        memory = PlannerMemory()
+        for d, slope in self.CASES:
+            got = _return_shape(memory, grid, d, slope)
+            want = blend_return_reference(0.0, d, slope, grid.points)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), (d, slope)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_floats(0.0, 500.0), _floats(-5.0, 5.0), _floats(-1.0, 1.0),
+           st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    def test_matches_the_blend_anywhere_on_the_road(self, s, d, slope, ds):
+        grid = SGrid(ds=ds)
+        got = _return_shape(PlannerMemory(), grid, d, slope)
+        want = blend_return_reference(s, d, slope, s + grid.points)
+        scale = 1.0 + abs(d - slope * RETURN_BACKSET) + abs(slope * RETURN_LENGTH)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * scale)
+
+    def test_past_the_blend_end_holds_exactly_zero(self):
+        grid = SGrid(ds=0.5)
+        d_ref, curv = _return_shape(PlannerMemory(), grid, -1.0, -0.2)
+        end = grid.points >= RETURN_LENGTH - RETURN_BACKSET
+        assert end.any()
+        assert (d_ref[end] == 0.0).all() and not np.signbit(d_ref[end]).any()
+        assert (curv[end] == 0.0).all() and not np.signbit(curv[end]).any()
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        grids = []
+        real = planner._return_basis
+
+        def counting(points):
+            grids.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(planner, "_return_basis", counting)
+        return grids
+
+    def test_a_run_builds_the_basis_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        shapes = []
+        real_shape = planner._return_shape
+        monkeypatch.setattr(planner, "_return_shape",
+                            lambda *args: shapes.append(1) or real_shape(*args))
+        run(turn_scenario(), Configuration("gt"))
+        assert len(shapes) > 10 and builds == [51]
+
+    def test_a_memory_reused_on_another_grid_rebuilds_it(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        scenario, memory = straight_scenario(), PlannerMemory()
+        state = VehicleState(s=40.0, d=0.4, v=12.0, t=0.0, d_rate=-0.3)
+        for ds in (1.0, 1.0, 0.5, 0.5, 1.0):
+            grid = SGrid(ds=ds)
+            mu_hat = np.full(grid.n_points, 0.4)
+            got = plan(state, scenario, mu_hat, grid, memory=memory)
+            want = plan(state, scenario, mu_hat, grid)  # a fresh memory
+            assert _same_bits(got.d_ref, want.d_ref) and _same_bits(got.v, want.v)
+            assert memory.return_basis[0] == grid
+        # Each plan on a fresh memory builds it too: one build per plan there.
+        assert builds == [51, 51, 51, 101, 101, 101, 51, 51]

@@ -31,3 +31,19 @@ def test_fewer_than_one_road_is_a_usage_error(roads, monkeypatch, capsys):
         module.main(["--roads", roads])
     assert caught.value.code == 2
     assert "argument --roads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacings, message", [
+    (["1", "0"], "ds must be > 0, got 0.0"),
+    (["0.5", "0.3"], "must be a positive whole multiple of ds (0.3)"),
+    (["1e-300"], "more than the limit of"),
+])
+def test_a_spacing_the_grid_rejects_is_a_usage_error_before_any_run(spacings, message,
+                                                                     monkeypatch, capsys):
+    module = _load()
+    monkeypatch.setattr(module, "replan_ms", lambda ds, roads: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as caught:
+        module.main(["--ds", *spacings])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ds: " in err and message in err

@@ -208,17 +208,19 @@ STOCK_RUNS = {
 # the stock runs, in corpus order. Measured while the per-step plant, planner
 # and run loop that ``step``, ``plan`` and ``run`` replaced still gave the same
 # bits; re-pinned when the GP std came to be taken from column sums on scipy's
-# LAPACK factor (the ``f`` runs' bits moved, no outcome did).
+# LAPACK factor (the ``f`` runs' bits moved, no outcome did), and when the
+# return blend came to be evaluated from a per-run basis on the planning grid
+# (bits moved in the last places, no outcome, replan count or duration did).
 CORPUS_DIGESTS = {
-    0: "1cd8fa6a761dc5d1d0bf6a77dfbb7db7e4977d8668e09ab76298e1d7986a7ef1",
-    1: "9579f883a3849f314ec226183380ad25aa6ba88488ce006327475e88c5bfc466",
-    2: "090f47f110387c6e5f50643595ea440fdbb017598f5f57c2ddc882f76ed6afc0",
-    3: "1e0550aa0c30c22b198c97856108f10c86a47e86ce705f8dfa1b4481c70a6e78",
-    4: "fcc8e60fd5009815f0e63bdbb433361dd4b0051d01745351a622da9a2714c553",
-    5: "4b88fcc8ac150e143b5b743d7228df0a59830cc77d34c2fc8515c5c6f701812e",
-    6: "b8b507b870c218e1d9e2d34aca5fb2d144c0d899609c4e8e4c2bfa01d351dfb0",
-    7: "6f91efc16946f4d76a6665d31c360310a41b7841888c1bdfcf9acbd12830d0cf",
-    "stock": "2613f65d6129ed8a71aa4c47806e5fbc30349c8cec182636d57a7bf2b4f6aad0",
+    0: "6449aebf4e2edecd182ff0f49edebaa4e7f17cd27f03f91866596ffa64265b5d",
+    1: "5255196c981897310b82a5775e3413c53be00b5e8be398a1100fceec4e587257",
+    2: "80c518c0b3d34cae8d6285787429dab23847a401965879c9c9bbd1725ebcddc8",
+    3: "c08d7cc6f3fbaf4bb8a3323cb3ffdc0148c5349988d6614a42a00db3ffb396d9",
+    4: "384f95c184ba1d6e2a87a50051c7612ad8d950c1399d065035a0aacd1757cb26",
+    5: "48ba6d943ce46e1a09147396e387f2ac0160b9298f7522a90c965dd3daaa74a2",
+    6: "f073a7d03ec6b0f7c87017b09a93d3bbd260b05f8c48f1ddcd7104c20b51e8a0",
+    7: "5a9aace3e19875bfe7b564a430e18fe20d072abda2caa2d9a8c35d45827d4efe",
+    "stock": "252a51bdf068260a51b94e74be9163fbb7524179d0eed80bbbfda120699ad746",
 }
 
 

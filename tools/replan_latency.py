@@ -69,6 +69,16 @@ def replan_ms(ds, roads):
     return times
 
 
+def _spacing(text):
+    """A ``--ds`` value that ``SGrid`` accepts on the default horizon."""
+    ds = float(text)
+    try:
+        SGrid(ds=ds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return ds
+
+
 def _road_count(text):
     roads = int(text)
     if roads < 1:
@@ -78,7 +88,7 @@ def _road_count(text):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--ds", type=float, nargs="+", default=[1.0, 0.5, 0.1, 0.05, 0.025])
+    p.add_argument("--ds", type=_spacing, nargs="+", default=[1.0, 0.5, 0.1, 0.05, 0.025])
     p.add_argument("--roads", type=_road_count, default=13, help="seeded roads per geometry")
     args = p.parse_args(argv)
     period_ms = 1e3 * simulator.REPLAN_DT
