@@ -4,7 +4,7 @@ Each pass walks the horizon one grid segment at a time and every step
 depends on the previous speed, so the loops stay scalar Python. They run on
 Python floats: the planner hands them its |effective curvature| and its
 grip ``mu * g`` as lists, ``backward_pass`` returns lists, and
-``forward_pass`` returns one array. Indexing a numpy array element by
+``forward_pass`` appends to a list of speeds. Indexing a numpy array element by
 element would make every product, ``sqrt`` and comparison a numpy-scalar
 operation, which costs several times the same IEEE-754 double arithmetic on
 floats and gives the same bits. For the same reason ``min``/``max`` of two values are written
@@ -13,6 +13,12 @@ builtins (including which operand a tie or a NaN returns). The forward
 pass's commanded braking covers a prefix of the grid segments: those before
 the obstacle, over ascending positions.
 
+The backward pass covers the whole horizon on every plan. The forward pass
+is resumable: it continues a plan's speeds from the last one computed up to
+a stop count, so a plan integrates only as far as it is read (see
+``planner.PlannedTrajectory``), and a speed has the same bits however the
+horizon is split into calls.
+
 They live in their own module so ``planner`` can call them as
 ``_kernels.backward_pass`` and ``_kernels.forward_pass``:
 ``perfbench/tracer.py`` wraps those names to time the passes apart from the
@@ -20,8 +26,6 @@ rest of planning.
 """
 
 import math
-
-import numpy as np
 
 
 # Curvatures at or below this count as straight: no curvature speed cap.
@@ -67,8 +71,12 @@ PREBRAKE_LATERAL_SHARE = 0.98
 CAP_VIOLATION_TOL = 0.1
 
 
-def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_until):
-    """Integrate the speed profile forward from the current speed.
+def forward_pass(v, stop, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_until):
+    """Integrate the speed profile forward, appending to the speeds ``v`` in
+    place until it holds ``stop`` points, or the whole horizon if fewer.
+
+    ``v`` starts as ``[current speed]``; each call continues from its last
+    speed, so any sequence of stops gives the speeds of one call to the last.
 
     Three regimes per segment: commanded violation braking (the first
     ``brake_until`` segments) sheds speed at bounded lateral/brake shares of
@@ -82,9 +90,9 @@ def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_
     ds = float(ds)
     f_lat = float(f_lat)
     f_brake = float(f_brake)
-    vi = float(v0)
-    v = [vi]
-    for i in range(len(v_bound) - 1):
+    vi = v[-1]
+    n = len(v_bound)
+    for i in range(len(v) - 1, (stop if stop < n else n) - 1):
         vi2 = vi * vi
         lat_demand = vi2 * kappa_abs[i]
         m = mu_g[i]
@@ -116,4 +124,3 @@ def forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_
             vn = math.sqrt(vi2 + 2.0 * accel * ds)
             vi = vn if vn < nxt else nxt
         v.append(vi)
-    return np.array(v)

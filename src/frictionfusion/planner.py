@@ -8,6 +8,7 @@ least-violating plan that sheds speed at a bounded braking share while
 steering toward the largest reachable lateral offset.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,7 +156,19 @@ class PlannerMemory:
 
 @dataclass(frozen=True)
 class PlannedTrajectory:
-    """Grid-sampled plan: lateral target, speed profile and planar accelerations.
+    """Grid-sampled plan: lateral target, velocity envelope and the speeds
+    integrated so far.
+
+    ``plan`` runs the backward pass over the whole horizon and stops there:
+    ``v_bw``, ``v_cap``, ``kappa_abs`` (|effective curvature|) and ``mu_g``
+    (grip ``mu * g``) are the envelope as lists of floats, with the circle
+    ``shares`` and the ``brake_until`` segments the forward pass reads.
+    ``speeds`` starts as ``[current speed]`` and is the plan's own list (a
+    ``dataclasses.replace`` copy that changes the envelope needs a new one):
+    the forward pass extends it in place only as far as the plan is read, and
+    a speed once computed never changes. ``accelerations(count)`` finishes the
+    first points for the plant; ``v``, ``a_long`` and ``lat_bound`` finish the
+    whole horizon on first read, as numpy arrays with the same bits.
 
     ``feasible`` is False when the friction-circle limits derived from the
     estimate could not honor the objective and the plan is the flagged
@@ -166,13 +179,82 @@ class PlannedTrajectory:
     ds: float
     positions: np.ndarray
     d_ref: np.ndarray
-    v: np.ndarray
-    a_long: np.ndarray
     kappa_eff: np.ndarray
-    lat_bound: np.ndarray
     kappa_path: np.ndarray
+    v_bw: list
+    v_cap: list
+    kappa_abs: list
+    mu_g: list
+    shares: tuple
+    brake_until: int
+    speeds: list
     feasible: bool
     dodge_scale: float = 1.0
+
+    def accelerations(self, count):
+        """``a_long`` and ``lat_bound`` at the first ``count`` grid points (at
+        most the horizon), as lists, integrating the speeds they need."""
+        n = len(self.mu_g)
+        count = count if count < n else n
+        stop = count + 1 if count < n else n
+        if len(self.speeds) < stop:
+            _kernels.forward_pass(self.speeds, stop, self.v_bw, self.v_cap, self.kappa_abs,
+                                  self.mu_g, self.ds, *self.shares, self.brake_until)
+        return _accelerations(self.speeds, self.mu_g, self.ds, count)
+
+    @functools.cached_property
+    def _full(self):
+        a_long, lat_bound = self.accelerations(len(self.mu_g))
+        return np.array(self.speeds), np.array(a_long), np.array(lat_bound)
+
+    @property
+    def v(self):
+        """Planned speed at every grid point."""
+        return self._full[0]
+
+    @property
+    def a_long(self):
+        """Planned longitudinal acceleration at every grid point."""
+        return self._full[1]
+
+    @property
+    def lat_bound(self):
+        """Circle leftover for the lateral demand at every grid point."""
+        return self._full[2]
+
+
+def _accelerations(v, mu_g, ds, count):
+    """``a_long`` and ``lat_bound`` at the first ``count`` points of the speeds
+    ``v`` on the grip ``mu_g``, as lists.
+
+    The passes already split the circle between braking and cornering; this
+    recovers that split with longitudinal priority, so planned braking is
+    never zeroed out by a saturated lateral demand. ``a_long`` is the
+    one-segment difference of ``v**2`` (the last grid point repeats the one
+    before it), clipped to +-mu_g; ``lat_bound`` is the circle's leftover. The
+    operations are numpy's on the whole arrays, in the same order, on floats:
+    ``np.maximum(x, y)`` is ``x if x > y else y`` and ``np.minimum`` ``x if x
+    < y else y``, except that a NaN ``x`` is returned, so either operand's NaN
+    and a tie's signed zero come out as numpy's. ``v`` holds at least
+    ``count + 1`` speeds, or all of them when ``count`` is the horizon.
+    """
+    last = len(mu_g) - 1
+    den = 2.0 * ds
+    a_long = [0.0] * count
+    lat_bound = [0.0] * count
+    for j in range(count):
+        k = j if j < last else last - 1
+        a = (v[k + 1] * v[k + 1] - v[k] * v[k]) / den
+        m = mu_g[j]
+        lo = -m
+        if not (a > lo or a != a):
+            a = lo
+        if not (a < m or a != a):
+            a = m
+        a_long[j] = a
+        left = m * m - a * a
+        lat_bound[j] = math.sqrt(left) if not left <= 0.0 else 0.0
+    return a_long, lat_bound
 
 
 def _dodge_reference(blend, s_obs):
@@ -253,7 +335,8 @@ def plan(state, scenario, mu_hat, grid, memory=None):
 
     The branches only choose the envelope (reference and backward pass), the
     circle shares, the brake region, feasibility, the concession scale and
-    the dodge memory; one forward pass and one ``_finalize`` finish every plan.
+    the dodge memory. The plan holds the envelope; its speeds and
+    accelerations are integrated only as far as they are read.
     """
     mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
     pts = grid.points
@@ -347,32 +430,20 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         memory.scale = scale
 
     d_ref, kappa_eff, kappa_abs, v_bw, v_cap = envelope
-    v = _kernels.forward_pass(state.v, v_bw, v_cap, kappa_abs, mg, ds, *shares, brake_until)
-    return _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path,
-                     v, mu_g, feasible, scale)
-
-
-def _finalize(state, grid, positions, d_ref, kappa_eff, kappa_path, v, mu_g,
-              feasible, dodge_scale):
-    # The passes already split the circle between braking and cornering;
-    # recover that split with longitudinal priority so planned braking is
-    # never zeroed out by a saturated lateral demand.
-    a_long = np.empty_like(v)
-    a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * grid.ds)
-    a_long[-1] = a_long[-2]
-    # np.clip's semantics, signed zeros included, without its Python wrapper.
-    a_long = np.minimum(np.maximum(a_long, -mu_g), mu_g)
-    lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
     return PlannedTrajectory(
         s_anchor=state.s,
-        ds=grid.ds,
+        ds=ds,
         positions=positions,
         d_ref=d_ref,
-        v=v,
-        a_long=a_long,
         kappa_eff=kappa_eff,
-        lat_bound=lat_bound,
         kappa_path=kappa_path,
+        v_bw=v_bw,
+        v_cap=v_cap,
+        kappa_abs=kappa_abs,
+        mu_g=mg,
+        shares=shares,
+        brake_until=brake_until,
+        speeds=[float(state.v)],
         feasible=bool(feasible),
-        dodge_scale=dodge_scale,
+        dodge_scale=scale,
     )

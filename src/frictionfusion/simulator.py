@@ -178,7 +178,8 @@ def replan_substeps(replan_dt, sim_dt):
 def step(state, trajectory, profile, dt, substeps=1, rows=None):
     """Advance the plant ``substeps`` Euler steps of ``dt`` on one plan.
 
-    Each step reads the plan at the grid index nearest the current position:
+    Each step reads the plan at the grid index nearest the current position,
+    and the plan is finished only over the points the interval can reach:
     the demanded acceleration is the plan's ``a_long`` and its
     effective-curvature tracking term at the actual speed, clipped to the
     circle share the plan reserved for it (executing the geometry
@@ -195,19 +196,28 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     _check_sim_dt(dt)
     if not substeps >= 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    a_long, kappa_eff, lat_bound, kappa_path, d_ref = (
-        col.tolist() for col in (trajectory.a_long, trajectory.kappa_eff, trajectory.lat_bound,
-                                 trajectory.kappa_path, trajectory.d_ref))
-    anchor, ds, last = trajectory.s_anchor, trajectory.ds, len(a_long) - 1
+    kappa_eff, kappa_path, d_ref = (
+        col.tolist() for col in (trajectory.kappa_eff, trajectory.kappa_path, trajectory.d_ref))
+    anchor, ds, last = trajectory.s_anchor, trajectory.ds, len(d_ref) - 1
     out = rows if rows is not None else []
     s, d, v, t, d_rate = state.s, state.d, state.v, state.t, state.d_rate
     # The grid index nearest s, clamped to the plan: here and after each step.
     i = round((s - anchor) / ds)
     i = 0 if i < 0 else last if i > last else i
+    # a_long is clipped to +-mu_g, so a step raises the speed by at most
+    # max(mu_g) * dt, and every demand is read at or before s + reach, at an
+    # index at most floor(far) + 1. Outside [0, last) (or NaN) read them all.
+    reach = (substeps - 1) * dt * (v + 0.5 * (substeps - 2) * max(trajectory.mu_g) * dt)
+    far = (s + reach - anchor) / ds
+    a_long, lat_bound = trajectory.accelerations(int(far) + 2 if 0.0 <= far < last else last + 1)
+    count = len(a_long)
     # The friction segment [lo, hi) holding s, looked up again only when s
     # leaves it; NaN bounds make the first step look it up.
     lo = hi = math.nan
     for _ in range(substeps):
+        if i >= count:  # a guard only: the bound above covers every step
+            a_long, lat_bound = trajectory.accelerations(i + 1)
+            count = len(a_long)
         a_long_dem = a_long[i]
         a_lat_dem = v * v * kappa_eff[i]
         bound = lat_bound[i]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -22,9 +23,10 @@ from frictionfusion.planner import (
     RETURN_BACKSET,
     RETURN_LENGTH,
     LateralReference,
+    PlannedTrajectory,
     PlannerMemory,
     QuinticBlend,
-    _finalize,
+    _accelerations,
     _return_shape,
     plan,
 )
@@ -204,9 +206,11 @@ class TestPlanDodge:
         assert len(calls) == len(result.replans)
 
     def test_pass_counts_of_each_kind_of_plan(self, monkeypatch):
-        # Lane keeping, a feasible dodge and a least-violating dodge off the full
-        # blend integrate one envelope; a least-violating dodge on the full blend
-        # first finds the full blend's envelope infeasible, then integrates its own.
+        # Per replan cycle (a plan and its interval's step): lane keeping, a
+        # feasible dodge and a least-violating dodge off the full blend build
+        # one envelope; a least-violating dodge on the full blend first finds
+        # the full blend's envelope infeasible, then builds its own. The step
+        # integrates the plan forward once.
         counts = [0, 0]
 
         def counted(slot, real):
@@ -217,7 +221,7 @@ class TestPlanDodge:
 
         monkeypatch.setattr(_kernels, "backward_pass", counted(0, _kernels.backward_pass))
         monkeypatch.setattr(_kernels, "forward_pass", counted(1, _kernels.forward_pass))
-        real_plan, kinds = simulator.plan, {}
+        real_plan, real_step, kinds, cycle = simulator.plan, simulator.step, {}, []
 
         def counting_plan(state, scenario, mu_hat, grid, memory):
             counts[:] = [0, 0]
@@ -230,10 +234,16 @@ class TestPlanDodge:
                 kind = "least-violating on the full blend"
             else:
                 kind = "least-violating off the full blend"
-            kinds.setdefault(kind, set()).add(tuple(counts))
+            cycle[:] = [kind]
             return traj
 
+        def counting_step(*args):
+            result = real_step(*args)
+            kinds.setdefault(cycle.pop(), set()).add(tuple(counts))
+            return result
+
         monkeypatch.setattr(simulator, "plan", counting_plan)
+        monkeypatch.setattr(simulator, "step", counting_step)
         stock = collision_scenario()
         profile = load_workloads().patchy_profile(random.Random("corpus:7:collision"),
                                                   stock.end_s + 50.0)
@@ -366,12 +376,132 @@ class TestVelocityPassesMatchNumpyScalarReference:
             v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
         else:
             v_bound = v_cap[::-1].copy()
-        got = _kernels.forward_pass(v0, v_bound.tolist(), v_cap.tolist(), kappa_abs.tolist(),
-                                    mu_g.tolist(), ds, f_lat, f_brake, brake_until)
+        got = [float(v0)]
+        _kernels.forward_pass(got, len(v_cap), v_bound.tolist(), v_cap.tolist(),
+                              kappa_abs.tolist(), mu_g.tolist(), ds, f_lat, f_brake, brake_until)
         brake_mask = np.arange(len(v_cap)) < brake_until  # the prefix as a mask
         want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
                                       f_lat, f_brake)
-        assert _same_bits(got, want)
+        assert _same_bits(np.array(got), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pass_inputs(), st.lists(st.integers(0, 220), max_size=6))
+    def test_forward_pass_split_at_any_stops_is_bit_identical(self, inputs, stops):
+        kappa_abs, mu_g, v_cap, brake_until, ds, v0, shares = inputs
+        n = len(v_cap)
+        v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
+        args = (v_bound.tolist(), v_cap.tolist(), kappa_abs.tolist(), mu_g.tolist(), ds,
+                *shares, brake_until)
+        whole, split = [float(v0)], [float(v0)]
+        _kernels.forward_pass(whole, n, *args)
+        # Stops in any order: below what is computed (a no-op), inside, past the end.
+        computed = 1
+        for stop in stops:
+            _kernels.forward_pass(split, stop, *args)
+            computed = max(computed, min(stop, n))
+            assert len(split) == computed
+            assert _same_bits(np.array(split), np.array(whole[:computed]))
+        _kernels.forward_pass(split, n, *args)
+        brake_mask = np.arange(n) < brake_until
+        want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
+                                      *shares)
+        assert _same_bits(np.array(split), np.array(whole))
+        assert _same_bits(np.array(split), want)
+
+
+def _plan_cases():
+    """(state, scenario, mu_hat, grid) of a lane-keeping plan on the turn and
+    of a least-violating dodge that brakes until the obstacle."""
+    for ds in (1.0, 0.25):
+        grid = SGrid(ds=ds)
+        yield (VehicleState(s=14.3, d=0.1, v=11.0, t=1.2, d_rate=0.05), turn_scenario(),
+               np.full(grid.n_points, 0.4), grid)
+        yield (VehicleState(s=0.0, d=0.0, v=20.0, t=0.0), collision_scenario(),
+               np.full(grid.n_points, 0.6), grid)
+
+
+def _step_bits(state, traj, profile):
+    rows = []
+    end, lam = step(state, traj, profile, 0.01, 10, rows)
+    return np.array([end.s, end.d, end.v, end.t, end.d_rate, lam, *rows]).tobytes()
+
+
+class TestPlanFinishedWhereRead:
+    """A plan integrates its speeds only as far as it is read; what it gives
+    does not depend on what was read before."""
+
+    @pytest.mark.parametrize("case", list(_plan_cases()), ids=lambda case: str(case[3].ds))
+    def test_reads_in_any_order_give_the_same_bits(self, case):
+        state, scenario, mu_hat, grid = case
+        want = None
+        for order in itertools.permutations(("v", "a_long", "lat_bound", "step")):
+            traj = plan(state, scenario, mu_hat, grid)
+            assert len(traj.speeds) == 1
+            got = {name: _step_bits(state, traj, scenario.profile) if name == "step"
+                   else getattr(traj, name).tobytes() for name in order}
+            assert len(traj.speeds) == grid.n_points
+            if want is None:
+                want = got
+                assert traj.brake_until > 0 or scenario.obstacle is None
+            assert got == want, order
+
+    def test_step_extends_a_plan_read_in_part(self):
+        state, scenario, mu_hat, grid = next(_plan_cases())
+        whole = plan(state, scenario, mu_hat, grid)
+        want = _step_bits(state, whole, scenario.profile), whole.v.tobytes()
+        traj = plan(state, scenario, mu_hat, grid)
+        traj.accelerations(1)
+        assert len(traj.speeds) == 2
+        assert (_step_bits(state, traj, scenario.profile), traj.v.tobytes()) == want
+
+    def test_the_guard_reads_past_a_prefix_that_falls_short(self, monkeypatch):
+        # The bound always covers the interval, so cut the first prefix short.
+        state, scenario, mu_hat, grid = next(_plan_cases())
+        want = _step_bits(state, plan(state, scenario, mu_hat, grid), scenario.profile)
+        real, asked = PlannedTrajectory.accelerations, []
+
+        def short_first(self, count):
+            asked.append(count)
+            a_long, lat_bound = real(self, count)
+            return (a_long[:1], lat_bound[:1]) if len(asked) == 1 else (a_long, lat_bound)
+
+        monkeypatch.setattr(PlannedTrajectory, "accelerations", short_first)
+        assert _step_bits(state, plan(state, scenario, mu_hat, grid), scenario.profile) == want
+        assert len(asked) == 2 and asked[1] == 2
+
+    @pytest.mark.parametrize("ds", [1.0, 0.5, 0.25])
+    def test_one_forward_pass_per_replan_within_the_bound(self, ds, monkeypatch):
+        calls, intervals = [], []
+        real_pass, real_step = _kernels.forward_pass, simulator.step
+        monkeypatch.setattr(_kernels, "forward_pass",
+                            lambda *args: calls.append(1) or real_pass(*args))
+
+        def recording_step(state, traj, profile, dt, substeps, rows):
+            calls.clear()
+            result = real_step(state, traj, profile, dt, substeps, rows)
+            intervals.append((state, traj, dt, substeps, len(calls)))
+            return result
+
+        monkeypatch.setattr(simulator, "step", recording_step)
+        patchy_profile = load_workloads().patchy_profile
+        for name, build in simulator.SCENARIOS.items():
+            stock = build()
+            patchy = dataclasses.replace(stock, profile=patchy_profile(
+                random.Random(f"finish:{name}"), stock.end_s + 50.0))
+            for scenario in (stock, patchy):
+                for kind in ("gt", "l", "p", "f"):
+                    replans = run(scenario, Configuration(kind), local_error=-0.025,
+                                  grid=SGrid(ds=ds)).replans
+                    assert len(intervals) == len(replans) > 9
+                    for state, traj, dt, substeps, passes in intervals:
+                        assert passes == 1
+                        # The speed rises by at most max(mu_g) * dt a step, so
+                        # the demands lie at or before s + reach.
+                        grip = max(traj.mu_g)
+                        reach = dt * sum(state.v + k * grip * dt for k in range(substeps - 1))
+                        bound = math.floor((state.s + reach - traj.s_anchor) / ds) + 3
+                        assert 2 < len(traj.speeds) <= bound
+                    intervals.clear()
 
 
 class TestStepOnPlan:
@@ -555,25 +685,37 @@ def speeds_and_grip(draw):
     return v, mu_g, ds
 
 
-class TestFinalizeMatchesClipReference:
+class TestAccelerationsMatchClipReference:
     @settings(max_examples=300, deadline=None)
-    @given(speeds_and_grip())
-    def test_acceleration_bounds_are_bit_identical(self, case):
+    @given(speeds_and_grip(), st.data())
+    def test_prefix_and_full_arrays_are_bit_identical(self, case, data):
         v, mu_g, ds = case
-        grid = SGrid(ds=ds, s_f=ds * (len(v) - 1))
-        state = VehicleState(s=0.0, d=0.0, v=v.item(0), t=0.0)
-        traj = _finalize(state, grid, grid.points, v, v, v, v, mu_g, True, 1.0)
+        n = len(v)
         a_long, lat_bound = reference_acceleration_bounds(v, mu_g, ds)
-        assert _same_bits(traj.a_long, a_long) and _same_bits(traj.lat_bound, lat_bound)
+        full = _accelerations(v.tolist(), mu_g.tolist(), ds, n)
+        assert _same_bits(np.array(full[0]), a_long) and _same_bits(np.array(full[1]), lat_bound)
+        # A prefix reads one speed past its last point, and nothing further.
+        count = data.draw(st.integers(0, n - 1))
+        prefix = _accelerations(v[:count + 1].tolist(), mu_g.tolist(), ds, count)
+        assert _same_bits(np.array(prefix[0]), a_long[:count])
+        assert _same_bits(np.array(prefix[1]), lat_bound[:count])
 
     def test_no_grip_clips_to_positive_zero(self):
         v = np.array([10.0, 8.0, 8.0, 9.0])
         mu_g = np.zeros(4)
-        traj = _finalize(VehicleState(s=0.0, d=0.0, v=10.0, t=0.0), SGrid(ds=1.0, s_f=3.0),
-                         np.arange(4.0), v, v, v, v, mu_g, True, 1.0)
+        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 1.0, 4)[0])
         a_long, _ = reference_acceleration_bounds(v, mu_g, 1.0)
-        assert _same_bits(traj.a_long, a_long)
-        assert not np.signbit(traj.a_long).any()
+        assert _same_bits(got, a_long)
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("where", ["speed", "grip"])
+    def test_nan_from_either_operand(self, where):
+        v, mu_g = np.array([10.0, 8.0, 8.0, 9.0]), np.full(4, 5.0)
+        (v if where == "speed" else mu_g)[[1, 3]] = [math.nan, -math.nan]
+        got = _accelerations(v.tolist(), mu_g.tolist(), 0.5, 4)
+        want = reference_acceleration_bounds(v, mu_g, 0.5)
+        assert _same_bits(np.array(got[0]), want[0]) and _same_bits(np.array(got[1]), want[1])
+        assert np.isnan(want[0]).sum() == (4 if where == "speed" else 2)
 
 
 class TestCurvatureCapsMatchMaskReference:

@@ -24,20 +24,48 @@ from helpers import load_workloads, reference_curvature_at, repin_message
 
 
 def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
-              lat_bound=20.0):
-    arr = np.full(n, float(v))
+              lat_bound=20.0, speeds=None):
+    """A plan on grid points from s = 0, built from complete speeds and a grip.
+
+    By default ``v**2`` is linear in s from ``v`` at ``a_long`` (down to a
+    stop), so the plan's ``a_long`` is ``a_long`` to rounding; a NaN
+    ``a_long`` gives NaN speeds. The grip mu*g is hypot(a_long, lat_bound),
+    so the circle's leftover after ``a_long`` is ``lat_bound``.
+    """
+    if speeds is None:
+        squares = [v * v + 2.0 * a_long * ds * j for j in range(n)]
+        speeds = [math.sqrt(sq) if not sq <= 0.0 else 0.0 for sq in squares]
     return PlannedTrajectory(
         s_anchor=0.0,
         ds=ds,
         positions=np.arange(n) * ds,
         d_ref=np.zeros(n),
-        v=arr,
-        a_long=np.full(n, float(a_long)),
         kappa_eff=np.full(n, float(kappa_eff)),
-        lat_bound=np.full(n, float(lat_bound)),
         kappa_path=np.full(n, float(kappa_path)),
+        v_bw=list(speeds),
+        v_cap=list(speeds),
+        kappa_abs=[abs(kappa_eff)] * n,
+        mu_g=[math.hypot(a_long, lat_bound)] * n,
+        shares=(0.0, 0.0),
+        brake_until=0,
+        speeds=list(speeds),
         feasible=True,
     )
+
+
+class TestFlatPlan:
+    @pytest.mark.parametrize("v, a_long", [(10.0, 0.0), (10.0, -4.0), (12.5, 1.5)])
+    def test_demands_are_the_ones_asked_for(self, v, a_long):
+        traj = flat_plan(v=v, a_long=a_long)
+        assert traj.v[0] == v
+        np.testing.assert_allclose(traj.a_long[:10], a_long, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(traj.lat_bound[:10], 20.0, rtol=1e-15)
+
+    def test_speeds_down_to_a_stop_and_nan(self):
+        stopping = flat_plan(speeds=[math.sqrt(10.0)] + [0.0] * 50)
+        assert stopping.a_long[0] == pytest.approx(-5.0, abs=1e-12)
+        assert (stopping.a_long[1:] == 0.0).all()
+        assert np.isnan(flat_plan(a_long=math.nan).a_long).all()
 
 
 class TestStep:
@@ -77,7 +105,7 @@ class TestStep:
 
     def test_speed_never_negative(self):
         state = VehicleState(s=0.0, d=0.0, v=0.01, t=0.0)
-        plan_ = flat_plan(v=0.0, a_long=-5.0)
+        plan_ = flat_plan(speeds=[math.sqrt(10.0)] + [0.0] * 50)  # a_long[0] = -5
         new, _ = step(state, plan_, FrictionProfile(((-1e6, 0.8),)), 0.01)
         assert new.v >= 0.0
 
@@ -126,10 +154,8 @@ class TestInterval:
         real = simulator.plan
 
         def nan_plan(*args, **kwargs):
-            traj = real(*args, **kwargs)
-            a_long = traj.a_long.copy()
-            a_long[:] = math.nan
-            return dataclasses.replace(traj, a_long=a_long)
+            traj = real(*args, **kwargs)  # NaN speeds give a NaN a_long everywhere
+            return dataclasses.replace(traj, speeds=[math.nan] * len(traj.mu_g))
 
         monkeypatch.setattr(simulator, "plan", nan_plan)
         with pytest.raises(ValueError, match="state must be finite with speed >= 0"):
