@@ -245,8 +245,10 @@ def emit_traces(result, rc):
         _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         written.append(path)
 
+    # gt and p never read the local error: their files name no error mode.
+    reads_error = result.config_kind in LOCAL_ERROR_CONFIGS
     metrics_payload = {"scenario": result.scenario.name, "config": result.config_kind,
-                       "error": rc.error}
+                       "error": rc.error if reads_error else None}
     for name, value in dataclasses.asdict(result.metrics).items():
         metrics_payload[name] = _column((value,), text=False)[0]  # the outcome passes too
     path = out_dir / "metrics.json"
@@ -367,7 +369,8 @@ def main(argv=None):
         return 2
     m = result.metrics
     clearance = "" if math.isnan(m.min_clearance) else f" min_clearance={m.min_clearance:.3f}"
-    print(f"{rc.scenario} {rc.config} {rc.error}: outcome={m.outcome} "
+    mode = f" {rc.error}" if rc.config in LOCAL_ERROR_CONFIGS else ""
+    print(f"{rc.scenario} {rc.config}{mode}: outcome={m.outcome} "
           f"max|d|={m.max_abs_d:.3f}{clearance} "
           f"impact_velocity={m.impact_velocity:.3f}")
     return 0

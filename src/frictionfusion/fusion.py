@@ -33,11 +33,6 @@ DEFAULT_LOCAL_REACH = 5.0
 # a few percent of its period; ten times the points would, extrapolated
 # linearly, put the p99 near 55 ms, more than half of it.
 MAX_GRID_POINTS = 2001
-# A stock fused run fuses two distinct series, over and over (with and without
-# the local estimate); a memo of the two most recent hits as often as an
-# unbounded one there, while on patchy roads, where series rarely repeat, it
-# stays small.
-FUSE_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -159,34 +154,23 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     return EstimateSeries(grid=grid, mu_prime=mu, margin=mg)
 
 
-def fuse(prior, series, grid=None, memo=None):
+def fuse(prior, series, grid=None, grams=None):
     """Run GP regression on the series and take the lower 95% confidence bound.
 
     Observations sit at the series' grid points with noise std =
     margin/1.96; the marginals are evaluated on ``grid`` (default: the
     series' own grid), so the cost is O(m^3 + n m^2) for m observations and
     n planning points. The bound is reported as-is, with no clamping, since
-    downstream planners treat it as a constraint level.
-
-    ``memo`` is the caller's dict (``simulator.run`` keeps one per run; by
-    default an empty one). It holds the read-only estimates of the
-    ``FUSE_MEMO_SIZE`` series fused most recently: one whose prior, grids and
-    exact (mu', m') bytes are among them returns the stored estimate without
-    a new posterior. ``posterior`` keeps its prior blocks there too.
+    downstream planners treat it as a constraint level. Every call computes
+    a posterior: the estimate memo lives in ``estimators.emulate``, in front
+    of the assembly. ``grams`` is handed to ``posterior``, which keeps its
+    prior blocks there (``simulator.run`` keeps one dict per run).
     """
     grid = series.grid if grid is None else grid
-    memo = {} if memo is None else memo
-    key = (prior, series.grid, grid, series.mu_prime.tobytes(), series.margin.tobytes())
-    fused = memo.pop(key, None)
-    if fused is None:
-        obs = ObservationSet(series.grid.points, series.mu_prime, margin_to_std(series.margin))
-        summary = posterior(prior, obs, grid.points, memo)
-        fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
-                              mean=summary.mean, std=summary.std, jitter=summary.jitter)
-        for arr in (fused.mu_hat, fused.mean, fused.std):
-            arr.flags.writeable = False
-    memo[key] = fused  # now the most recent
-    stored = [k for k, v in memo.items() if isinstance(v, FusedEstimate)]
-    for old in stored[:-FUSE_MEMO_SIZE]:
-        del memo[old]
+    obs = ObservationSet(series.grid.points, series.mu_prime, margin_to_std(series.margin))
+    summary = posterior(prior, obs, grid.points, grams)
+    fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
+                          mean=summary.mean, std=summary.std, jitter=summary.jitter)
+    for arr in (fused.mu_hat, fused.mean, fused.std):
+        arr.flags.writeable = False
     return fused

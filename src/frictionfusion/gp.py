@@ -225,10 +225,11 @@ def posterior(prior, obs, test_locations, grams=None):
     std comes from the column sums of ``v**2``, and the n x n covariance is
     built only if ``covariance`` is read.
 
-    ``grams`` (by default an empty dict; ``fusion.fuse`` passes its per-run
-    memo) keeps the prior blocks K(x, x) and K(x*, x), read-only and built on
-    first use, under the kernel and the exact bytes of the observation and
-    test locations, so a run builds each block once.
+    ``grams`` (by default an empty dict; ``fusion.fuse`` passes on the dict
+    ``simulator.run`` keeps per run, which also holds ``estimators.emulate``'s
+    estimate memo) keeps the prior blocks K(x, x) and K(x*, x), read-only and
+    built on first use, under the kernel and the exact bytes of the
+    observation and test locations, so a run builds each block once.
     """
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
     if x_star.size == 0 or not np.isfinite(x_star).all():

@@ -76,7 +76,7 @@ GOLDEN_FILE_DIGESTS = {
     ("--scenario", "collision", "--config", "p", "--dump-estimates"): {
         "trace.csv": "b9975d77c79482af261c66a341653c1454988fdf02181a7e4a9567d9b54af6e1",
         "trace.json": "f05e212724d20a2862dddeb22feaaa07b128e4efd66c8abb168b67ced74521aa",
-        "metrics.json": "af21a7db396de8804a0956cbbbbf52d54eb2c8f4262baf7b7548c3ccb425730e",
+        "metrics.json": "8c8f51eb089b60217d313ae6658146160c30dde61ccc09942d9b8aa28194c0ef",
         "estimate_*.csv": "997bb262c927f6bf7aee92acf940397b4335baee0f9fdb44a36f88f529c6fdf2",
     },
     ("--scenario", "turn", "--config", "l", "--error", "worst-under"): {
@@ -394,6 +394,25 @@ class TestMain:
         monkeypatch.setattr(cli, "execute", broken)
         with pytest.raises(TypeError, match="bug in the program"):
             cli.main(["--scenario", "collision", "--config", "p"])
+
+    @pytest.mark.parametrize("config, mode", [("gt", None), ("p", None), ("l", "worst-over"),
+                                              ("f", "worst-over")])
+    def test_only_a_run_that_reads_the_local_error_names_its_mode(self, config, mode,
+                                                                   tmp_path, capsys):
+        assert cli.main(["--scenario", "collision", "--config", config,
+                         "--out", str(tmp_path)]) == 0
+        head = capsys.readouterr().out.split(":")[0]
+        assert head == " ".join(filter(None, ("collision", config, mode)))
+        assert json.loads((tmp_path / "metrics.json").read_text())["error"] == mode
+
+    def test_the_matrix_names_every_cell_s_mode_in_its_summary_only(self, tmp_path):
+        text = run_matrix(["collision"], ["p", "l"], ["worst-under"],
+                          base=RunConfig(out=str(tmp_path)))
+        assert [row.split(",")[:3] for row in text.splitlines()[1:]] == [
+            ["collision", "p", "worst-under"], ["collision", "l", "worst-under"]]
+        for config, mode in (("p", None), ("l", "worst-under")):
+            path = tmp_path / f"collision_{config}_worst-under" / "metrics.json"
+            assert json.loads(path.read_text())["error"] == mode
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = cli.main(["--scenario", "collision", "--config", "p", "--out", str(tmp_path)])

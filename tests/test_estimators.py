@@ -4,12 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from frictionfusion import estimators
 from frictionfusion.estimators import (
     CLASS_STATS,
     DRY,
+    FUSE_MEMO_SIZE,
     SNOW_ICE,
     WET,
     Configuration,
+    EstimateReport,
     FrictionProfile,
     LocalEstimator,
     classify,
@@ -18,7 +21,7 @@ from frictionfusion.estimators import (
     _class_stats,
     resolve_error,
 )
-from frictionfusion.fusion import SGrid, assemble_input, fuse
+from frictionfusion.fusion import SGrid, assemble_input, calibrate_prior, fuse
 from helpers import load_workloads, random_profile, reference_class_stats
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
@@ -396,6 +399,105 @@ class TestBuildEstimate:
     def test_negative_local_reach_rejected(self):
         with pytest.raises(ValueError, match="local_reach"):
             Configuration("f", local_reach=-1.0)
+
+
+@pytest.fixture
+def fuse_calls(monkeypatch):
+    """The arguments of every ``fuse`` that ``emulate`` makes."""
+    calls, real = [], estimators.fuse
+    monkeypatch.setattr(estimators, "fuse", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _nudged(name):
+    """A variant whose class statistic ``name`` reads 0.01 higher."""
+    def vary(monkeypatch):
+        real = estimators._class_stats
+
+        def stats(profile, positions, *names):
+            columns = real(profile, positions, *names)
+            return tuple(c + 0.01 if n == name else c for n, c in zip(names, columns))
+
+        monkeypatch.setattr(estimators, "_class_stats", stats)
+        return {}
+    return vary
+
+
+def _other_observation_grid(monkeypatch):
+    # The same planning grid with another 51-point observation grid: on a
+    # uniform road the class statistics keep their bytes.
+    grid = SGrid(ds=0.5)
+    grid.__dict__["observation_grid"] = SGrid(ds=0.5, s_f=25.0)
+    return {"grid": grid}
+
+
+class TestFusedMemo:
+    """``emulate`` looks a fused input up before assembling it."""
+
+    UNIFORM = FrictionProfile(((-1e6, 0.45),))
+    BASE = {"config": Configuration("f"), "grid": SGrid(ds=0.5), "lambda_t": 0.9, "e_l": 0.01}
+    # Each changes one thing that assembly or fusion reads.
+    VARIANTS = {
+        "means": _nudged("mean"),
+        "margins": _nudged("margin"),
+        "local value": lambda mp: {"e_l": 0.02},
+        "local availability": lambda mp: {"lambda_t": 0.1},
+        "local_reach": lambda mp: {"config": Configuration("f", local_reach=4.0)},
+        "prior": lambda mp: {"config": Configuration("f", prior=calibrate_prior(5.0))},
+        "planning grid": lambda mp: {"grid": SGrid(ds=0.25)},
+        "observation grid": _other_observation_grid,
+    }
+
+    def _emulate(self, memo=None, **changes):
+        args = {**self.BASE, **changes}
+        return emulate(args["config"], self.UNIFORM, args["grid"], args["lambda_t"],
+                       LocalEstimator(e_l=args["e_l"]), memo)
+
+    def test_a_repeated_input_returns_the_stored_report(self, fuse_calls):
+        memo = {}
+        first = self._emulate(memo)
+        again = self._emulate(memo)
+        assert again is first and len(fuse_calls) == 1
+        assert first.series is fuse_calls[0][1]
+        # Beside the report, the prior blocks of ``posterior``.
+        stored = [v for v in memo.values() if isinstance(v, EstimateReport)]
+        assert len(stored) == 1 and stored[0] is first
+        # Shared by every record of a hit, so no array of it can be written.
+        for arr in (first.series.mu_prime, first.series.margin, first.mu_hat):
+            assert not arr.flags.writeable
+        plain = self._emulate()  # no memo: assembled and fused again, the same bits
+        assert plain is not first and len(fuse_calls) == 2
+        for name in ("mu_prime", "margin"):
+            assert getattr(plain.series, name).tobytes() == getattr(first.series, name).tobytes()
+        assert plain.mu_hat.tobytes() == first.mu_hat.tobytes()
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_changing_one_key_component_misses(self, name, fuse_calls, monkeypatch):
+        memo = {}
+        first = self._emulate(memo)
+        changes = self.VARIANTS[name](monkeypatch)
+        other = self._emulate(memo, **changes)
+        assert other is not first and len(fuse_calls) == 2
+        assert any(v is first for v in memo.values())  # kept: the memo holds two
+        fresh = self._emulate(**changes)
+        assert other.mu_hat.tobytes() == fresh.mu_hat.tobytes()
+        assert other.series.grid == fresh.series.grid
+        assert other.series.mu_prime.tobytes() == fresh.series.mu_prime.tobytes()
+
+    def test_the_memo_keeps_the_two_most_recent_inputs(self, fuse_calls):
+        memo = {}
+        a, b, c = ({"e_l": e_l, "grid": SGrid()} for e_l in (0.0, 0.01, 0.02))
+        first = self._emulate(memo, **a)
+        self._emulate(memo, **b)
+        assert self._emulate(memo, **a) is first  # a is now the most recent
+        self._emulate(memo, **c)  # evicts b, the least recent
+        stored = [v for v in memo.values() if isinstance(v, EstimateReport)]
+        assert len(stored) == FUSE_MEMO_SIZE == 2
+        assert len(memo) == FUSE_MEMO_SIZE + 1  # and the grid's prior blocks
+        assert self._emulate(memo, **a) is first
+        assert len(fuse_calls) == 3
+        again = self._emulate(memo, **b)  # a new posterior
+        assert len(fuse_calls) == 4 and all(again is not v for v in stored)
 
 
 class TestConservatism:

@@ -6,7 +6,6 @@ import pytest
 from frictionfusion import gp
 from frictionfusion.estimators import Configuration, FrictionProfile, LocalEstimator, emulate
 from frictionfusion.fusion import (
-    FUSE_MEMO_SIZE,
     MAX_GRID_POINTS,
     EstimateSeries,
     FusedEstimate,
@@ -257,50 +256,23 @@ class TestFuse:
         np.testing.assert_allclose(lcb, 0.1, atol=1e-12)
 
 
-class TestFuseMemo:
-    def test_repeated_series_returns_the_stored_estimate(self):
+class TestFuseKeepsNoEstimate:
+    def test_each_call_is_a_new_posterior_with_the_same_bits(self):
+        # The estimate memo is ``estimators.emulate``'s: ``fuse`` keeps only the
+        # prior blocks in the dict it is given.
         grid = SGrid()
         prior = calibrate_prior()
-        memo = {}
-        first = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), memo=memo)
-        again = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), memo=memo)
-        other = fuse(prior, assemble_input(grid, 0.8, 0.2), memo=memo)
-        assert again is first
-        assert other is not first
-        # The memo also keeps the grid's prior Gram, under a key of its own.
-        assert sum(isinstance(v, FusedEstimate) for v in memo.values()) == 2
-        # Without a memo, a new posterior with the same bits, read-only all the same.
+        grams = {}
+        first = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), grams=grams)
+        again = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)), grams=grams)
         plain = fuse(prior, assemble_input(grid, 0.8, 0.2, local=(0.4, 0.025)))
-        assert plain is not first
+        assert again is not first and plain is not first
+        assert len(grams) == 1
+        assert all(not isinstance(v, FusedEstimate) for v in grams.values())
         for name in ("mu_hat", "mean", "std"):
-            assert getattr(plain, name).tobytes() == getattr(first, name).tobytes()
-            assert not getattr(plain, name).flags.writeable
-            assert not getattr(first, name).flags.writeable
-
-    def test_prior_is_part_of_the_key(self):
-        grid = SGrid()
-        series = assemble_input(grid, 0.8, 0.2)
-        memo = {}
-        a = fuse(calibrate_prior(10.0), series, memo=memo)
-        b = fuse(calibrate_prior(5.0), series, memo=memo)
-        assert a is not b
-        assert not np.array_equal(a.mu_hat, b.mu_hat)
-
-    def test_memo_keeps_the_two_most_recent_series_and_the_gram(self):
-        grid = SGrid()
-        prior = calibrate_prior()
-        a, b, c = (assemble_input(grid, mu, 0.2) for mu in (0.5, 0.6, 0.7))
-        memo = {}
-        first = fuse(prior, a, memo=memo)
-        fuse(prior, b, memo=memo)
-        assert fuse(prior, a, memo=memo) is first  # a is now the most recent
-        fuse(prior, c, memo=memo)  # evicts b, the least recent
-        stored = [v for v in memo.values() if isinstance(v, FusedEstimate)]
-        assert len(stored) == FUSE_MEMO_SIZE == 2
-        assert len(memo) == FUSE_MEMO_SIZE + 1  # and the grid's prior Gram
-        assert fuse(prior, a, memo=memo) is first
-        again = fuse(prior, b, memo=memo)  # a new posterior
-        assert all(again is not v for v in stored)
+            for fused in (again, plain):
+                assert getattr(fused, name).tobytes() == getattr(first, name).tobytes()
+                assert not getattr(fused, name).flags.writeable
 
 
 class TestFixedObservationSpacing:

@@ -503,14 +503,14 @@ class TestFusedMemo:
     def _count(monkeypatch, name, error, ds):
         """(replans, posteriors, most estimates the memo held) of one stock fused run."""
         posteriors, held = [], []
-        real_fuse, real_posterior = estimators.fuse, fusion.posterior
+        real_emulate, real_posterior = simulator.emulate, fusion.posterior
 
-        def fuse(prior, series, grid, memo):
-            fused = real_fuse(prior, series, grid, memo=memo)
-            held.append(sum(isinstance(v, fusion.FusedEstimate) for v in memo.values()))
-            return fused
+        def emulate(*args, memo):
+            report = real_emulate(*args, memo=memo)
+            held.append(sum(isinstance(v, estimators.EstimateReport) for v in memo.values()))
+            return report
 
-        monkeypatch.setattr(estimators, "fuse", fuse)
+        monkeypatch.setattr(simulator, "emulate", emulate)
         monkeypatch.setattr(fusion, "posterior",
                             lambda *args: posteriors.append(args) or real_posterior(*args))
         result = run(simulator.SCENARIOS[name](), Configuration("f"), local_error=error,
@@ -521,12 +521,46 @@ class TestFusedMemo:
     def test_stock_runs_hit_as_pinned(self, monkeypatch, key):
         replans, posteriors, held = self._count(monkeypatch, *key)
         assert (replans, posteriors) == self.STOCK_POSTERIORS[key]
-        assert held == fusion.FUSE_MEMO_SIZE == 2
+        assert held == estimators.FUSE_MEMO_SIZE == 2
 
     def test_one_entry_memo_misses_on_the_collision(self, monkeypatch):
         # The two series alternate there, so a memo of one recomputes them.
-        monkeypatch.setattr(fusion, "FUSE_MEMO_SIZE", 1)
+        monkeypatch.setattr(estimators, "FUSE_MEMO_SIZE", 1)
         assert self._count(monkeypatch, "collision", 0.025, 1.0) == (21, 7, 1)
+
+    @pytest.mark.parametrize("ds", [1.0, 0.5])
+    def test_no_hit_is_lost_against_a_memo_of_series_bytes(self, monkeypatch, ds):
+        # Replayed over each run's series, a two-entry memo keyed on their
+        # bytes computes as many posteriors as the run did.
+        posteriors = []
+        real_posterior = fusion.posterior
+        monkeypatch.setattr(fusion, "posterior",
+                            lambda *args: posteriors.append(args) or real_posterior(*args))
+        patchy_profile = load_workloads().patchy_profile
+        scenarios = []
+        for name, build in simulator.SCENARIOS.items():
+            stock = build()
+            scenarios.append(stock)
+            scenarios += [dataclasses.replace(stock, profile=patchy_profile(
+                random.Random(f"memo:{seed}:{name}"), stock.end_s + 50.0)) for seed in range(10)]
+        replans = hits = 0
+        for scenario in scenarios:
+            for error in (0.025, -0.025):
+                posteriors.clear()
+                result = run(scenario, Configuration("f"), local_error=error,
+                             grid=fusion.SGrid(ds=ds))
+                held, misses = [], 0
+                for rec in result.replans:
+                    key = (rec.series.mu_prime.tobytes(), rec.series.margin.tobytes())
+                    if key in held:
+                        held.remove(key)
+                    else:
+                        misses += 1
+                    held = (held + [key])[-2:]
+                assert len(posteriors) == misses, scenario.name
+                replans += len(result.replans)
+                hits += len(result.replans) - misses
+        assert 0 < hits < replans  # the stock runs hit on all but 2 replans each
 
     def test_posterior_once_per_distinct_series_and_per_run(self, monkeypatch):
         calls = []
@@ -572,7 +606,8 @@ class TestRetainedMemory:
     def test_replans_keep_no_matrix(self, kind):
         result = run(turn_scenario(), Configuration(kind), local_error=0.025)
         arrays = list(_reachable_arrays(result.replans, set()))
-        assert len(arrays) >= len(result.replans)
+        # The walk reaches every record (memo hits share their arrays).
+        assert {id(r.mu_hat) for r in result.replans} <= {id(a) for a in arrays}
         assert [a.shape for a in arrays if a.ndim != 1] == []
 
 
