@@ -167,8 +167,10 @@ class PlannedTrajectory:
     ``dataclasses.replace`` copy that changes the envelope needs a new one):
     the forward pass extends it in place only as far as the plan is read, and
     a speed once computed never changes. ``accelerations(count)`` finishes the
-    first points for the plant; ``v``, ``a_long`` and ``lat_bound`` finish the
-    whole horizon on first read, as numpy arrays with the same bits.
+    first points for the plant; ``v`` and ``a_long`` finish the whole horizon
+    on first read, as numpy arrays with the same bits. The plan hands the
+    plant ``a_long`` and the effective curvature only: the plant's one limit
+    on the demand is the true grip (``simulator.step``).
 
     ``feasible`` is False when the friction-circle limits derived from the
     estimate could not honor the objective and the plan is the flagged
@@ -192,8 +194,9 @@ class PlannedTrajectory:
     dodge_scale: float = 1.0
 
     def accelerations(self, count):
-        """``a_long`` and ``lat_bound`` at the first ``count`` grid points (at
-        most the horizon), as lists, integrating the speeds they need."""
+        """``a_long`` at the first ``count`` grid points (at most the horizon),
+        as a list, integrating the speeds it needs: the plant's longitudinal
+        demand, which it limits only at the true grip, keeping direction."""
         n = len(self.mu_g)
         count = count if count < n else n
         stop = count + 1 if count < n else n
@@ -204,8 +207,8 @@ class PlannedTrajectory:
 
     @functools.cached_property
     def _full(self):
-        a_long, lat_bound = self.accelerations(len(self.mu_g))
-        return np.array(self.speeds), np.array(a_long), np.array(lat_bound)
+        a_long = self.accelerations(len(self.mu_g))
+        return np.array(self.speeds), np.array(a_long)
 
     @property
     def v(self):
@@ -217,22 +220,16 @@ class PlannedTrajectory:
         """Planned longitudinal acceleration at every grid point."""
         return self._full[1]
 
-    @property
-    def lat_bound(self):
-        """Circle leftover for the lateral demand at every grid point."""
-        return self._full[2]
-
 
 def _accelerations(v, mu_g, ds, count):
-    """``a_long`` and ``lat_bound`` at the first ``count`` points of the speeds
-    ``v`` on the grip ``mu_g``, as lists.
+    """``a_long`` at the first ``count`` points of the speeds ``v`` on the grip
+    ``mu_g``, as a list.
 
-    The passes already split the circle between braking and cornering; this
-    recovers that split with longitudinal priority, so planned braking is
-    never zeroed out by a saturated lateral demand. ``a_long`` is the
-    one-segment difference of ``v**2`` (the last grid point repeats the one
-    before it), clipped to +-mu_g; ``lat_bound`` is the circle's leftover. The
-    operations are numpy's on the whole arrays, in the same order, on floats:
+    ``a_long`` is the one-segment difference of ``v**2`` (the last grid point
+    repeats the one before it), clipped to +-mu_g. Nothing here bounds the
+    lateral demand: the plant's one limit is the true grip, which keeps the
+    demand's direction. The operations are
+    numpy's on the whole arrays, in the same order, on floats:
     ``np.maximum(x, y)`` is ``x if x > y else y`` and ``np.minimum`` ``x if x
     < y else y``, except that a NaN ``x`` is returned, so either operand's NaN
     and a tie's signed zero come out as numpy's. ``v`` holds at least
@@ -241,7 +238,6 @@ def _accelerations(v, mu_g, ds, count):
     last = len(mu_g) - 1
     den = 2.0 * ds
     a_long = [0.0] * count
-    lat_bound = [0.0] * count
     for j in range(count):
         k = j if j < last else last - 1
         a = (v[k + 1] * v[k + 1] - v[k] * v[k]) / den
@@ -252,9 +248,7 @@ def _accelerations(v, mu_g, ds, count):
         if not (a < m or a != a):
             a = m
         a_long[j] = a
-        left = m * m - a * a
-        lat_bound[j] = math.sqrt(left) if not left <= 0.0 else 0.0
-    return a_long, lat_bound
+    return a_long
 
 
 def _dodge_reference(blend, s_obs):

@@ -163,11 +163,16 @@ def replan_substeps(replan_dt, sim_dt):
     """Plant steps per replan interval.
 
     Raises ValueError unless ``sim_dt`` lies in (0, MAX_SIM_DT] and ``replan_dt``
-    is a finite, positive whole multiple of it.
+    is a positive whole multiple of it, at most ``TIME_LIMIT``.
     """
     _check_sim_dt(sim_dt)
     if not 0.0 < replan_dt < math.inf:
         raise ValueError(f"replan_dt must be finite and > 0, got {replan_dt}")
+    # The last interval is stepped whole, so a longer one only computes steps
+    # past the end of every run.
+    if replan_dt > TIME_LIMIT:
+        raise ValueError(f"replan_dt must be at most the time limit {TIME_LIMIT}, "
+                         f"got {replan_dt}")
     substeps = round(replan_dt / sim_dt)
     if substeps < 1 or abs(substeps * sim_dt - replan_dt) > 1e-9:
         raise ValueError(
@@ -181,11 +186,11 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     Each step reads the plan at the grid index nearest the current position,
     and the plan is finished only over the points the interval can reach:
     the demanded acceleration is the plan's ``a_long`` and its
-    effective-curvature tracking term at the actual speed, clipped to the
-    circle share the plan reserved for it (executing the geometry
-    speed-consistently avoids the drift a fixed acceleration profile
-    accumulates when tracked off-speed). The demand's magnitude saturates at
-    mu_gt*g preserving direction. Lateral shortfall relative to the
+    effective-curvature tracking term ``v**2 * kappa_eff`` at the actual speed
+    (executing the geometry speed-consistently avoids the drift a fixed
+    acceleration profile accumulates when tracked off-speed). The plant has
+    one limit, the tire's: the demand's magnitude saturates at the true
+    mu_gt*g, keeping its direction. Lateral shortfall relative to the
     centripetal need drifts the vehicle outward; longitudinal shortfall slows
     the speed change. Every step's state is checked like a ``VehicleState``.
 
@@ -209,22 +214,17 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     # index at most floor(far) + 1. Outside [0, last) (or NaN) read them all.
     reach = (substeps - 1) * dt * (v + 0.5 * (substeps - 2) * max(trajectory.mu_g) * dt)
     far = (s + reach - anchor) / ds
-    a_long, lat_bound = trajectory.accelerations(int(far) + 2 if 0.0 <= far < last else last + 1)
+    a_long = trajectory.accelerations(int(far) + 2 if 0.0 <= far < last else last + 1)
     count = len(a_long)
     # The friction segment [lo, hi) holding s, looked up again only when s
     # leaves it; NaN bounds make the first step look it up.
     lo = hi = math.nan
     for _ in range(substeps):
         if i >= count:  # a guard only: the bound above covers every step
-            a_long, lat_bound = trajectory.accelerations(i + 1)
+            a_long = trajectory.accelerations(i + 1)
             count = len(a_long)
         a_long_dem = a_long[i]
         a_lat_dem = v * v * kappa_eff[i]
-        bound = lat_bound[i]
-        if a_lat_dem > bound:
-            a_lat_dem = bound
-        elif a_lat_dem < -bound:
-            a_lat_dem = -bound
         if not lo <= s < hi:
             mu, lo, hi = profile.segment_at(s)
         limit = mu * GRAVITY

@@ -32,35 +32,38 @@ from helpers import fresh_process_env, load_workloads, repin_message
 # came to be taken from the column sums of v**2 on scipy's LAPACK factor: the
 # fused turns' max_abs_d moved in the 9th digit; and when the return blend
 # came to be evaluated from a per-run basis on the planning grid: turn/l/
-# worst-over's max_abs_d moved in the 9th digit.
+# worst-over's max_abs_d moved in the 9th digit; and when the plant stopped
+# clipping the lateral demand at the estimate's circle leftover: every turn's
+# max_abs_d and the l and f collision clearances moved, no outcome did.
 GOLDEN_SUMMARY = """\
 scenario,config,error_mode,outcome,max_abs_d,min_clearance,impact_velocity,mean_utilization
-turn,gt,worst-over,ok,0.17383469,,0,1
-turn,gt,worst-under,ok,0.17383469,,0,1
-turn,l,worst-over,lane_departure,9.7860089,,0,1
-turn,l,worst-under,lane_departure,15.771938,,0,0.875
-turn,p,worst-over,ok,0.17383469,,0,1
-turn,p,worst-under,ok,0.17383469,,0,1
-turn,f,worst-over,ok,0.253553802,,0,1.0082689
-turn,f,worst-under,ok,1.65035482,,0,0.879120839
+turn,gt,worst-over,ok,0.0576802207,,0,1
+turn,gt,worst-under,ok,0.0576802207,,0,1
+turn,l,worst-over,lane_departure,12.1451114,,0,1
+turn,l,worst-under,lane_departure,13.0546479,,0,0.875
+turn,p,worst-over,ok,0.0576802207,,0,1
+turn,p,worst-under,ok,0.0576802207,,0,1
+turn,f,worst-over,ok,0.249856898,,0,1.0082689
+turn,f,worst-under,ok,0.499144212,,0,0.879120839
 collision,gt,worst-over,ok,1.4812875,0.4812875,0,1
 collision,gt,worst-under,ok,1.4812875,0.4812875,0,1
-collision,l,worst-over,ok,1.38589102,0.382600774,0,0.979545455
-collision,l,worst-under,ok,1.38615318,0.382885387,0,0.934090909
+collision,l,worst-over,ok,1.38659345,0.383338789,0,0.979545455
+collision,l,worst-under,ok,1.38725806,0.384047138,0,0.934090909
 collision,p,worst-over,collision,0.891273835,-0.109108882,16.1580445,0.6
 collision,p,worst-under,collision,0.891273835,-0.109108882,16.1580445,0.6
-collision,f,worst-over,ok,1.46641487,0.451545516,0,0.884394928
-collision,f,worst-under,ok,1.46801335,0.452694111,0,0.852445025
+collision,f,worst-over,ok,1.36479265,0.355431174,0,0.884394928
+collision,f,worst-under,ok,1.36564441,0.356268786,0,0.852445025
 """
 
 # Pass 0 of perfbench's ``patchy_roads`` workload (16 runs on seeded patchy
 # friction), by seed: the fingerprint covers every run's metrics and trace. Measured
 # before the plant stepped a whole replan interval per call; re-pinned when the
-# GP std came to be taken from column sums on scipy's LAPACK factor, and when
-# the return blend came to be evaluated from a per-run basis.
+# GP std came to be taken from column sums on scipy's LAPACK factor, when
+# the return blend came to be evaluated from a per-run basis, and when the
+# plant stopped clipping the lateral demand at the estimate's circle leftover.
 GOLDEN_PATCHY_FINGERPRINTS = {
-    0: "5d8aadb624e448ff788111c89c216ffac88ea9c9dc5576daa9552dcdf7f4d9bd",
-    5: "bcb2df94a747b5e4353ab58ecba2dec74d276e832f1991d617f0dd7b019af792",
+    0: "859d6f534f78b46218976422d2701122169ee5b3ed367fe20e0d1f1664c8c5e7",
+    5: "4e0080988e2d8cedc25de21fa7d6b0e384191de54c891107baec6b77fd28b8d4",
 }
 
 # sha256 of the files three runs write, keyed by their command line without
@@ -68,8 +71,9 @@ GOLDEN_PATCHY_FINGERPRINTS = {
 # finer grid. Each digest was measured before the code that writes the file
 # was rewritten; the fused fine-grid files were re-pinned when fusion came to
 # observe at 1 m on a finer grid, and the turns' files when the return blend
-# came to be evaluated from a per-run basis. An estimate digest covers every
-# estimate_<i>.csv, concatenated in name order.
+# came to be evaluated from a per-run basis and again when the plant stopped
+# clipping the lateral demand at the estimate's circle leftover. An estimate
+# digest covers every estimate_<i>.csv, concatenated in name order.
 FINE_GRID_KEY = ("--scenario", "turn", "--config", "f", "--error", "worst-under",
                  "--ds", "0.5", "--dump-estimates")
 GOLDEN_FILE_DIGESTS = {
@@ -80,15 +84,15 @@ GOLDEN_FILE_DIGESTS = {
         "estimate_*.csv": "997bb262c927f6bf7aee92acf940397b4335baee0f9fdb44a36f88f529c6fdf2",
     },
     ("--scenario", "turn", "--config", "l", "--error", "worst-under"): {
-        "trace.csv": "736f7ccc49fb0739ecd1d877acf6a0fcc6d2b5e4f27bdc9452d41d28b5c10e8d",
-        "trace.json": "0167b2f8271d2abc924c137dc3332e75cc43bd9aecb857a663d6d31cdf16aead",
-        "metrics.json": "8b58a8765605a99ee843d2ffb6ea86715490b4ac2ec3a27e06ba74f3406daf54",
+        "trace.csv": "3d8781875354057cb45640bb36238fb9f10bbcb4c63b19a666c5c1d1f8509f65",
+        "trace.json": "5f569d9c3f84dfcd0fc87b0a8d40edbaa9db8624fb081389db1f7236aebc16f2",
+        "metrics.json": "3b7ce65d09e483589b618f6b6bf3d5082f3bc30361ad56c38f2e109b8b883292",
     },
     FINE_GRID_KEY: {
-        "trace.csv": "d59bbe99a31907c1f50000df156a620b695caad4a358725797edbff1c9d59711",
-        "trace.json": "040ca92967bde522c79b23ae34efcb32a8f71c691ef0a5b447e78d028bcebcb1",
-        "metrics.json": "a72b479924632ce79bafa2c0d5639da0cdd10f5845aaaaba89a8cd40b18484c7",
-        "estimate_*.csv": "2931ad72996bf66e1294826b5651dd24628033fb7f167a145db26f0d65b372fc",
+        "trace.csv": "d1861c5daea63d3a5168e28f50b843da729f90a6c141b42578030f05a5d5d78d",
+        "trace.json": "67adcaa901aeb8eac6da36388f79a2f7699c3c11e1f4715dca0c5af6e67dc5ea",
+        "metrics.json": "ae2f0cd6f6f2e909cd302b045f75053dfdca49e688f0e066fa3f27fc89f0dfff",
+        "estimate_*.csv": "7a9db05f3e181e0f0fa23cac654b74108dcb598dc29144da49bc6cccea0e8acd",
     },
 }
 
@@ -123,6 +127,12 @@ class TestParseArgs:
     def test_dt_multiple_check(self):
         with pytest.raises(UsageError, match="--replan-dt"):
             parse_args(["--replan-dt", "0.05", "--sim-dt", "0.02"])
+
+    @pytest.mark.parametrize("replan_dt", ["60.01", "6000", "1e6"])
+    def test_replan_interval_over_the_time_limit_rejected(self, replan_dt):
+        # Parsing only: the plant would step the whole last interval.
+        with pytest.raises(UsageError, match="--replan-dt.*at most the time limit"):
+            parse_args(["--replan-dt", replan_dt])
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(UsageError):

@@ -55,12 +55,10 @@ def straight_scenario(v0=12.0):
     )
 
 
-def demand_on(traj, speeds):
-    """(a_long, a_lat) arrays of the plant's demand at every grid index, at
-    ``speeds``: ``a_long`` and the effective-curvature tracking term, clipped
-    to ``lat_bound``."""
-    v = np.asarray(speeds, dtype=np.float64)
-    return traj.a_long, np.clip(v * v * traj.kappa_eff, -traj.lat_bound, traj.lat_bound)
+def demand_on(traj):
+    """(a_long, a_lat) arrays of the plant's demand at every grid index, at the
+    planned speed: ``a_long`` and the effective-curvature tracking term."""
+    return traj.a_long, traj.v * traj.v * traj.kappa_eff
 
 
 def fine_step_corner_speed(mu, radius, ds=0.01):
@@ -109,7 +107,7 @@ class TestPlanCruise:
         assert traj.feasible
         np.testing.assert_allclose(traj.v, 12.0, atol=1e-9)
         np.testing.assert_allclose(traj.a_long, 0.0, atol=1e-9)
-        np.testing.assert_allclose(demand_on(traj, traj.v)[1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(demand_on(traj)[1], 0.0, atol=1e-12)
         np.testing.assert_allclose(traj.d_ref, 0.0, atol=1e-12)
 
 
@@ -158,7 +156,7 @@ class TestPlanDodge:
         # The commanded braking stops at the obstacle: from its grid point on,
         # the plan speeds up or holds.
         assert (traj.a_long[~approach] >= 0.0).all()
-        total = np.hypot(*demand_on(traj, traj.v))
+        total = np.hypot(*demand_on(traj))
         assert total.max() <= 0.6 * GRAVITY * (1 + 1e-9)
         assert total.max() >= 0.6 * GRAVITY * 0.99
 
@@ -255,8 +253,12 @@ class TestPlanDodge:
 
 class TestCircleInvariant:
     def test_every_plan_respects_friction_circle(self):
+        # What the velocity passes establish at the planned speed, axis by
+        # axis: |a_long| within the grip everywhere, and the cornering demand
+        # within it wherever the speed keeps to its curvature cap. The combined
+        # demand is not bounded by the grip: it reaches sqrt(2) times it at or
+        # below the cap, and more on plans that start above their cap.
         rng = np.random.RandomState(12)
-        speed_rng = np.random.RandomState(13)
         grid = SGrid()
         scenarios = [turn_scenario(), collision_scenario(), straight_scenario()]
         for _ in range(60):
@@ -271,12 +273,11 @@ class TestCircleInvariant:
             )
             traj = plan(state, scenario, mu_hat, grid)
             budget = np.maximum(mu_hat, 0.0) * GRAVITY
-            # The plant tracks the plan off-speed, so check the demand at
-            # the planned speed and at random speeds.
-            for speeds in (traj.v, speed_rng.uniform(0.0, 30.0, 51)):
-                a_long, a_lat = demand_on(traj, speeds)
-                total_sq = a_long**2 + a_lat**2
-                assert (total_sq <= budget**2 * (1 + 1e-12) + 1e-15).all()
+            a_long, a_lat = demand_on(traj)
+            assert (np.abs(a_long) <= budget).all()
+            capped = traj.v <= np.array(traj.v_cap)
+            assert capped.any()
+            assert (np.abs(a_lat[capped]) <= budget[capped] * (1 + 1e-12)).all()
 
     def test_mu_hat_length_checked(self):
         with pytest.raises(ValueError):
@@ -434,7 +435,7 @@ class TestPlanFinishedWhereRead:
     def test_reads_in_any_order_give_the_same_bits(self, case):
         state, scenario, mu_hat, grid = case
         want = None
-        for order in itertools.permutations(("v", "a_long", "lat_bound", "step")):
+        for order in itertools.permutations(("v", "a_long", "step")):
             traj = plan(state, scenario, mu_hat, grid)
             assert len(traj.speeds) == 1
             got = {name: _step_bits(state, traj, scenario.profile) if name == "step"
@@ -462,8 +463,8 @@ class TestPlanFinishedWhereRead:
 
         def short_first(self, count):
             asked.append(count)
-            a_long, lat_bound = real(self, count)
-            return (a_long[:1], lat_bound[:1]) if len(asked) == 1 else (a_long, lat_bound)
+            a_long = real(self, count)
+            return a_long[:1] if len(asked) == 1 else a_long
 
         monkeypatch.setattr(PlannedTrajectory, "accelerations", short_first)
         assert _step_bits(state, plan(state, scenario, mu_hat, grid), scenario.profile) == want
@@ -563,13 +564,11 @@ def reference_lateral_eval(ref, positions):
 
 
 def reference_acceleration_bounds(v, mu_g, ds):
-    """``_finalize``'s a_long and lat_bound, clipped with ``np.clip``."""
+    """``_finalize``'s a_long, clipped to the grip with ``np.clip``."""
     a_long = np.empty_like(v)
     a_long[:-1] = (v[1:] ** 2 - v[:-1] ** 2) / (2.0 * ds)
     a_long[-1] = a_long[-2]
-    a_long = np.clip(a_long, -mu_g, mu_g)
-    lat_bound = np.sqrt(np.maximum(mu_g**2 - a_long**2, 0.0))
-    return a_long, lat_bound
+    return np.clip(a_long, -mu_g, mu_g)
 
 
 def reference_curvature_caps(mu_g, kappa_abs, v_des):
@@ -691,31 +690,28 @@ class TestAccelerationsMatchClipReference:
     def test_prefix_and_full_arrays_are_bit_identical(self, case, data):
         v, mu_g, ds = case
         n = len(v)
-        a_long, lat_bound = reference_acceleration_bounds(v, mu_g, ds)
-        full = _accelerations(v.tolist(), mu_g.tolist(), ds, n)
-        assert _same_bits(np.array(full[0]), a_long) and _same_bits(np.array(full[1]), lat_bound)
+        a_long = reference_acceleration_bounds(v, mu_g, ds)
+        assert _same_bits(np.array(_accelerations(v.tolist(), mu_g.tolist(), ds, n)), a_long)
         # A prefix reads one speed past its last point, and nothing further.
         count = data.draw(st.integers(0, n - 1))
         prefix = _accelerations(v[:count + 1].tolist(), mu_g.tolist(), ds, count)
-        assert _same_bits(np.array(prefix[0]), a_long[:count])
-        assert _same_bits(np.array(prefix[1]), lat_bound[:count])
+        assert _same_bits(np.array(prefix), a_long[:count])
 
     def test_no_grip_clips_to_positive_zero(self):
         v = np.array([10.0, 8.0, 8.0, 9.0])
         mu_g = np.zeros(4)
-        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 1.0, 4)[0])
-        a_long, _ = reference_acceleration_bounds(v, mu_g, 1.0)
-        assert _same_bits(got, a_long)
+        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 1.0, 4))
+        assert _same_bits(got, reference_acceleration_bounds(v, mu_g, 1.0))
         assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("where", ["speed", "grip"])
     def test_nan_from_either_operand(self, where):
         v, mu_g = np.array([10.0, 8.0, 8.0, 9.0]), np.full(4, 5.0)
         (v if where == "speed" else mu_g)[[1, 3]] = [math.nan, -math.nan]
-        got = _accelerations(v.tolist(), mu_g.tolist(), 0.5, 4)
+        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 0.5, 4))
         want = reference_acceleration_bounds(v, mu_g, 0.5)
-        assert _same_bits(np.array(got[0]), want[0]) and _same_bits(np.array(got[1]), want[1])
-        assert np.isnan(want[0]).sum() == (4 if where == "speed" else 2)
+        assert _same_bits(got, want)
+        assert np.isnan(want).sum() == (4 if where == "speed" else 2)
 
 
 class TestCurvatureCapsMatchMaskReference:

@@ -24,13 +24,13 @@ from helpers import load_workloads, reference_curvature_at, repin_message
 
 
 def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
-              lat_bound=20.0, speeds=None):
-    """A plan on grid points from s = 0, built from complete speeds and a grip.
+              mu_g=20.0, speeds=None):
+    """A plan on grid points from s = 0, built from complete speeds and the
+    grip ``mu_g`` (mu * g) at every point.
 
     By default ``v**2`` is linear in s from ``v`` at ``a_long`` (down to a
-    stop), so the plan's ``a_long`` is ``a_long`` to rounding; a NaN
-    ``a_long`` gives NaN speeds. The grip mu*g is hypot(a_long, lat_bound),
-    so the circle's leftover after ``a_long`` is ``lat_bound``.
+    stop), so the plan's ``a_long`` is ``a_long`` to rounding while
+    ``|a_long| < mu_g``; a NaN ``a_long`` gives NaN speeds.
     """
     if speeds is None:
         squares = [v * v + 2.0 * a_long * ds * j for j in range(n)]
@@ -45,7 +45,7 @@ def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
         v_bw=list(speeds),
         v_cap=list(speeds),
         kappa_abs=[abs(kappa_eff)] * n,
-        mu_g=[math.hypot(a_long, lat_bound)] * n,
+        mu_g=[float(mu_g)] * n,
         shares=(0.0, 0.0),
         brake_until=0,
         speeds=list(speeds),
@@ -59,7 +59,6 @@ class TestFlatPlan:
         traj = flat_plan(v=v, a_long=a_long)
         assert traj.v[0] == v
         np.testing.assert_allclose(traj.a_long[:10], a_long, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(traj.lat_bound[:10], 20.0, rtol=1e-15)
 
     def test_speeds_down_to_a_stop_and_nan(self):
         stopping = flat_plan(speeds=[math.sqrt(10.0)] + [0.0] * 50)
@@ -97,6 +96,22 @@ class TestStep:
         assert lam == 1.0
         # applied lateral is half the centripetal need, the rest is drift
         assert new.d_rate == pytest.approx(-mu_gt * GRAVITY * 0.01, abs=1e-12)
+
+    def test_grip_left_to_the_tires_is_used(self):
+        # The estimate's grip leaves sqrt(4**2 - 3**2) = 2.65 m/s^2 for
+        # cornering after a_long = -3, below the 5 m/s^2 the path needs; the
+        # true grip holds the combined demand, so the plant follows the path.
+        mu_gt = 0.8
+        kappa = 5.0 / 100.0
+        state = VehicleState(s=0.0, d=0.0, v=10.0, t=0.0)
+        plan_ = flat_plan(v=10.0, a_long=-3.0, kappa_eff=kappa, kappa_path=kappa, mu_g=4.0)
+        a_long = plan_.a_long[0]
+        assert math.sqrt(4.0**2 - a_long**2) < 10.0**2 * kappa
+        demand = math.hypot(a_long, 10.0**2 * kappa)
+        assert demand <= mu_gt * GRAVITY
+        new, lam = step(state, plan_, FrictionProfile(((-1e6, mu_gt),)), 0.01)
+        assert new.d_rate == 0.0
+        assert lam == pytest.approx(demand / (mu_gt * GRAVITY), rel=1e-12)
 
     def test_dt_bounds(self):
         state = VehicleState(s=0.0, d=0.0, v=10.0, t=0.0)
@@ -236,17 +251,19 @@ STOCK_RUNS = {
 # bits; re-pinned when the GP std came to be taken from column sums on scipy's
 # LAPACK factor (the ``f`` runs' bits moved, no outcome did), and when the
 # return blend came to be evaluated from a per-run basis on the planning grid
-# (bits moved in the last places, no outcome, replan count or duration did).
+# (bits moved in the last places, no outcome, replan count or duration did),
+# and when the plant stopped clipping the lateral demand at the estimate's
+# circle leftover (the true grip is its one limit).
 CORPUS_DIGESTS = {
-    0: "6449aebf4e2edecd182ff0f49edebaa4e7f17cd27f03f91866596ffa64265b5d",
-    1: "5255196c981897310b82a5775e3413c53be00b5e8be398a1100fceec4e587257",
-    2: "80c518c0b3d34cae8d6285787429dab23847a401965879c9c9bbd1725ebcddc8",
-    3: "c08d7cc6f3fbaf4bb8a3323cb3ffdc0148c5349988d6614a42a00db3ffb396d9",
-    4: "384f95c184ba1d6e2a87a50051c7612ad8d950c1399d065035a0aacd1757cb26",
-    5: "48ba6d943ce46e1a09147396e387f2ac0160b9298f7522a90c965dd3daaa74a2",
-    6: "f073a7d03ec6b0f7c87017b09a93d3bbd260b05f8c48f1ddcd7104c20b51e8a0",
-    7: "5a9aace3e19875bfe7b564a430e18fe20d072abda2caa2d9a8c35d45827d4efe",
-    "stock": "252a51bdf068260a51b94e74be9163fbb7524179d0eed80bbbfda120699ad746",
+    0: "99767a8eef2662358e53457e80b6b7cadb8dccda54c758313c6a873c0ce559dd",
+    1: "92320c6d0522add2457de8d16787f2d014fe3f7f1b48aee1e2f0834f877044c4",
+    2: "e469132c2a767626fea8233e4cf4a398ad25bc4af64eede2af02c919f6badc9d",
+    3: "16982bab545911ae93f6a4bf8fa657b1559e4702f28e62853ad9d8466666356a",
+    4: "481f1ea1af043a62e185022391e5a2ed997ebea8ba5765a3f0c02fcd9ba0d559",
+    5: "4647f3564f61cce4b85bc51be4decd39e6b5f863bb081342f841e3585c991078",
+    6: "0c66655e3e90b47459c5dfae4d05521ce7428250815396a8c88b829087d6f1fc",
+    7: "b4fa8e7225223e3a2344243577a6009aaab9d95936fc239abe44578bd35c3b1c",
+    "stock": "9ca36eef34ab53b1d602d8d8d45bd801e78f597e5e94aced48f73a3b777b78f1",
 }
 
 
@@ -491,11 +508,13 @@ class TestFusedMemo:
 
     # (scenario, local error, ds) -> (replans, posteriors) of each stock fused
     # run: every one fuses two distinct series, so the two-entry memo computes
-    # each once and hits on every other replan.
+    # each once and hits on every other replan. The turns' replan counts fell
+    # when the plant stopped clipping the lateral demand at the estimate's
+    # circle leftover: those runs reach the end sooner.
     STOCK_POSTERIORS = {
-        ("turn", 0.025, 1.0): (67, 2), ("turn", -0.025, 1.0): (73, 2),
+        ("turn", 0.025, 1.0): (67, 2), ("turn", -0.025, 1.0): (70, 2),
         ("collision", 0.025, 1.0): (21, 2), ("collision", -0.025, 1.0): (21, 2),
-        ("turn", 0.025, 0.5): (68, 2), ("turn", -0.025, 0.5): (75, 2),
+        ("turn", 0.025, 0.5): (67, 2), ("turn", -0.025, 0.5): (71, 2),
         ("collision", 0.025, 0.5): (21, 2), ("collision", -0.025, 0.5): (21, 2),
     }
 
@@ -629,6 +648,13 @@ class TestRunValidation:
     def test_non_finite_replan_interval_rejected(self, replan_dt):
         with pytest.raises(ValueError, match=f"replan_dt must be finite and > 0, got {replan_dt}"):
             replan_substeps(replan_dt, 0.01)
+
+    def test_replan_interval_up_to_the_time_limit(self):
+        # Checked before any step: a longer last interval is stepped whole.
+        assert replan_substeps(TIME_LIMIT, 0.05) == round(TIME_LIMIT / 0.05)
+        with pytest.raises(ValueError, match=f"replan_dt must be at most the time limit "
+                                             f"{TIME_LIMIT}, got 60.05"):
+            replan_substeps(60.05, 0.05)
 
 
 class TestTurnRuns:
