@@ -8,7 +8,7 @@ class means/margins with the local estimate through the GP pipeline.
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,7 +94,12 @@ class FrictionProfile:
         # The min of an array holding NaN is NaN, which fails the check.
         if arr.size and not arr.min() >= self._starts[0]:
             raise ValueError(f"profile undefined below s={self._starts[0]}")
-        return np.searchsorted(self._start_array, arr, side="right") - 1
+        return self._start_array.searchsorted(arr, side="right") - 1
+
+    def grid_index(self, grid):
+        """``segment_index`` of a grid's points, which need no check: they are
+        finite and >= 0 (``SGrid``), and every profile starts below 0."""
+        return self._start_array.searchsorted(grid.points, side="right") - 1
 
     def mu_on(self, positions):
         return self._mu_array[self.segment_index(positions)]
@@ -140,13 +145,14 @@ def classify(mu_gt_value):
     return SNOW_ICE
 
 
-def _class_stats(profile, positions, *names):
-    """Per-position surface class statistics, read from the profile's class table.
+def _class_stats(profile, grid, *names):
+    """Surface class statistics at each point of ``grid``, read from the
+    profile's class table.
 
     Returns one array per attribute name in ``names``, e.g. ``"mu_min"``;
     each is its own 1-D array, not a view of the per-segment table.
     """
-    idx = profile.segment_index(positions)
+    idx = profile.grid_index(grid)
     return tuple(profile._class_table[name][idx] for name in names)
 
 
@@ -224,6 +230,19 @@ class EstimateReport:
     fused: object = None
 
 
+@dataclass
+class FusionState:
+    """What one run's fused estimates reuse; ``simulator.run`` makes one per run.
+
+    ``reports`` holds the ``EstimateReport`` of each of the ``FUSE_MEMO_SIZE``
+    fused inputs seen most recently, least recent first, under the key
+    ``emulate`` builds; ``grams`` holds ``gp.posterior``'s ``PriorBlocks``.
+    """
+
+    reports: dict = field(default_factory=dict)
+    grams: dict = field(default_factory=dict)
+
+
 def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     """Produce the horizon estimate for one configuration, with diagnostics.
 
@@ -232,14 +251,12 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     on ``grid.observation_grid`` (1 m spacing on a finer grid), and ``fuse``
     evaluates the estimate on ``grid``.
 
-    ``memo`` is the caller's dict (``simulator.run`` keeps one per run; by
-    default an empty one; fused config only). It holds the reports of the
-    ``FUSE_MEMO_SIZE`` fused inputs seen most recently, keyed on everything
-    ``assemble_input`` and ``fuse`` read: the arguments of both (arrays by
-    their exact bytes) apart from the series, which the rest determine. A
-    repeated input returns the stored report, its series and estimate shared
-    and read-only, without assembling or fusing; ``fuse`` keeps its prior
-    blocks there too.
+    ``memo`` is the caller's ``FusionState`` (fused config only; by default
+    a new one). Its reports are keyed on everything ``assemble_input`` and
+    ``fuse`` read: the arguments of both (arrays by their exact bytes) apart
+    from the series, which the rest determine. A repeated input returns the
+    stored report, its series and estimate shared and read-only, without
+    assembling or fusing; ``fuse`` keeps its prior blocks in ``memo.grams``.
     """
     pts = grid.points
     loc = local_estimate(profile, lambda_t, estimator)
@@ -255,27 +272,26 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
     if config.kind == "p":
-        (mu_hat,) = _class_stats(profile, pts, "mu_min")
+        (mu_hat,) = _class_stats(profile, grid, "mu_min")
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
     observed = grid.observation_grid
-    mean, margin = _class_stats(profile, observed.points, "mean", "margin")
-    assembly = (observed, mean, margin, loc, config.local_reach)
-    key = (*(a.tobytes() if isinstance(a, np.ndarray) else a for a in assembly),
+    mean, margin = _class_stats(profile, observed, "mean", "margin")
+    key = (observed, mean.tobytes(), margin.tobytes(), loc, config.local_reach,
            config.prior, grid)
-    memo = {} if memo is None else memo
-    report = memo.pop(key, None)
+    memo = FusionState() if memo is None else memo
+    reports = memo.reports
+    report = reports.pop(key, None)
     if report is None:
-        series = assemble_input(*assembly)
-        for arr in (series.mu_prime, series.margin):  # shared by every hit
+        series = assemble_input(observed, mean, margin, loc, config.local_reach)
+        for arr in (series.mu_prime, series.margin, series.noise_std):  # shared by every hit
             arr.flags.writeable = False
-        fused = fuse(config.prior, series, grid, memo)
+        fused = fuse(config.prior, series, grid, memo.grams)
         report = EstimateReport(
             mu_hat=fused.mu_hat, local_available=available, series=series, fused=fused
         )
         # Room for the entry added below: drop the least recent beyond the size.
-        stored = [k for k, v in memo.items() if isinstance(v, EstimateReport)]
-        for old in stored[:len(stored) - FUSE_MEMO_SIZE + 1]:
-            del memo[old]
-    memo[key] = report  # now the most recent
+        while reports and len(reports) >= FUSE_MEMO_SIZE:
+            del reports[next(iter(reports))]
+    reports[key] = report  # now the most recent
     return report

@@ -79,8 +79,15 @@ class SGrid:
 
 
 @dataclass(frozen=True)
-class EstimateSeries:
-    """Assembled input samples (mu', m') on the grid, one pair per point."""
+class EstimateSeries(ObservationSet):
+    """Assembled input samples (mu', m') on the grid, one pair per point.
+
+    The series is the observation set ``fuse`` conditions on: samples
+    ``mu_prime`` at the grid points with noise std ``margin / 1.96``. Its
+    checks imply those of ``ObservationSet`` (a margin that is finite and
+    >= 0 gives such a noise std; a mu' in (0, 1.5] is finite), so the
+    observations are checked once, here.
+    """
 
     grid: SGrid
     mu_prime: np.ndarray
@@ -99,6 +106,9 @@ class EstimateSeries:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "mu_prime", mu)
         object.__setattr__(self, "margin", mg)
+        object.__setattr__(self, "locations", grid.points)
+        object.__setattr__(self, "values", mu)
+        object.__setattr__(self, "noise_std", margin_to_std(mg))
 
 
 @dataclass(frozen=True)
@@ -144,13 +154,14 @@ def assemble_input(grid, predictive_mu, predictive_margin, local=None,
     """
     check_local_reach(local_reach)
     n = grid.n_points
-    mu = np.full(n, predictive_mu, dtype=np.float64)
-    mg = np.full(n, predictive_margin, dtype=np.float64)
+    mu, mg = np.empty(n), np.empty(n)
+    mu[:], mg[:] = predictive_mu, predictive_margin  # scalars broadcast
     if local is not None:
         mu_l, m_l = local
-        near = grid.points < local_reach
-        mu[near] = mu_l
-        mg[near] = m_l
+        # The grid points ascend, so those below the reach are a prefix.
+        near = grid.points.searchsorted(local_reach)
+        mu[:near] = mu_l
+        mg[:near] = m_l
     return EstimateSeries(grid=grid, mu_prime=mu, margin=mg)
 
 
@@ -164,11 +175,11 @@ def fuse(prior, series, grid=None, grams=None):
     downstream planners treat it as a constraint level. Every call computes
     a posterior: the estimate memo lives in ``estimators.emulate``, in front
     of the assembly. ``grams`` is handed to ``posterior``, which keeps its
-    prior blocks there (``simulator.run`` keeps one dict per run).
+    prior blocks there (``simulator.run`` keeps one per run, in its
+    ``estimators.FusionState``).
     """
     grid = series.grid if grid is None else grid
-    obs = ObservationSet(series.grid.points, series.mu_prime, margin_to_std(series.margin))
-    summary = posterior(prior, obs, grid.points, grams)
+    summary = posterior(prior, series, grid.points, grams)
     fused = FusedEstimate(mu_hat=summary.mean - Z_95 * summary.std,
                           mean=summary.mean, std=summary.std, jitter=summary.jitter)
     for arr in (fused.mu_hat, fused.mean, fused.std):

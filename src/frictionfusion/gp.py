@@ -103,10 +103,19 @@ class SquaredExponentialKernel:
     length_scale: float
 
     def __post_init__(self):
+        # The constants ``gram_matrix`` builds from them, sigma_f**2 and
+        # 0.5 / length_scale**2, must be finite too; an infinite length scale,
+        # the constant kernel, gives 0.0.
         if not 0.0 < self.sigma_f < math.inf:
             raise ValueError(f"sigma_f must be finite and > 0, got {self.sigma_f}")
+        if not self.sigma_f * self.sigma_f < math.inf:
+            raise ValueError(f"sigma_f**2 must be finite, got sigma_f = {self.sigma_f}")
         if not self.length_scale > 0.0:
             raise ValueError(f"length_scale must be > 0, got {self.length_scale}")
+        squared = self.length_scale * self.length_scale
+        if not (squared > 0.0 and 0.5 / squared < math.inf):
+            raise ValueError(f"0.5 / length_scale**2 must be finite, "
+                             f"got length_scale = {self.length_scale}")
 
 
 @dataclass(frozen=True)
@@ -191,21 +200,66 @@ def gram_matrix(kernel, xs_a, xs_b):
     return (kernel.sigma_f * kernel.sigma_f) * np.exp(-(diff * diff) * inv)
 
 
+@dataclass(frozen=True)
+class PriorBlocks:
+    """The prior covariance blocks of one kernel and pair of location lists,
+    read-only: K(x, x) of the m observation locations, K(x*, x) of the n test
+    locations, and the prior variances, the diagonal of K(x*, x*).
+
+    ``_prior_blocks`` checks, once per entry, that the test locations are
+    finite and that K(x, x) is; the same bytes give the same verdict.
+    """
+
+    k_obs: np.ndarray
+    k_cross: np.ndarray
+    prior_var: np.ndarray
+
+
+def _prior_blocks(kernel, xs, x_star, grams):
+    """The blocks of ``kernel`` for observation locations ``xs`` and test
+    locations ``x_star`` (float64 1-D arrays), from ``grams``, a dict keyed
+    by the kernel and the exact bytes of both arrays, or built and stored
+    there on first use."""
+    key = (kernel, xs.tobytes(), x_star.tobytes())
+    blocks = grams.get(key)
+    if blocks is None:
+        if x_star.size == 0 or not np.isfinite(x_star).all():
+            raise ValueError("test_locations must be non-empty and finite")
+        k_obs = gram_matrix(kernel, xs, xs)
+        # Every entry of the regularized Gram but its diagonal (see ``_factorize``).
+        if not np.isfinite(k_obs).all():
+            raise FactorizationError("regularized Gram matrix contains non-finite entries")
+        # The diagonal of K(x*, x*): the squared-exponential kernel's value at distance 0.
+        blocks = PriorBlocks(k_obs, gram_matrix(kernel, x_star, xs),
+                             np.full(x_star.size, kernel.sigma_f * kernel.sigma_f))
+        for block in (blocks.k_obs, blocks.k_cross, blocks.prior_var):
+            block.flags.writeable = False
+        grams[key] = blocks
+    return blocks
+
+
 def _factorize(k_obs, noise_var):
     """Upper Cholesky factor U (U.T U = the Gram, F-ordered, from LAPACK ``dpotrf``)
-    of a copy of ``k_obs`` whose diagonal holds ``(K_ii + noise_var_i) + jitter``,
-    and that jitter, escalated until the factor is finite or the jitter is exhausted."""
+    of a copy of ``k_obs`` (symmetric) whose diagonal holds ``(K_ii + noise_var_i) + jitter``,
+    and that jitter, escalated until the factor is finite or the jitter is exhausted.
+
+    ``k_obs`` is checked finite already (``_prior_blocks``), so only the
+    regularized diagonal is checked here.
+    """
     n = k_obs.shape[0]
-    gram = k_obs.copy()
-    diag = gram.diagonal() + noise_var
-    gram.flat[::n + 1] = diag
-    if not np.isfinite(gram).all():
+    diag = k_obs.diagonal() + noise_var
+    if not np.isfinite(diag).all():
         raise FactorizationError("regularized Gram matrix contains non-finite entries")
+    gram = np.empty_like(k_obs)
+    diagonal = gram.reshape(-1)[::n + 1]  # a writable view of its diagonal
     dpotrf = (_lapack or _load_lapack()).dpotrf
     jitter = JITTER_INITIAL
     while True:
-        gram.flat[::n + 1] = diag + jitter
-        upper, info = dpotrf(gram)
+        np.copyto(gram, k_obs)
+        np.add(diag, jitter, out=diagonal)
+        # The Gram is symmetric, so its transpose, an F-ordered view, is the
+        # same matrix: dpotrf factorizes it in place, with no copy to F order.
+        upper, info = dpotrf(gram.T, overwrite_a=1)
         if info == 0 and np.isfinite(upper).all():
             return upper, jitter
         if jitter >= JITTER_MAX:
@@ -225,34 +279,21 @@ def posterior(prior, obs, test_locations, grams=None):
     std comes from the column sums of ``v**2``, and the n x n covariance is
     built only if ``covariance`` is read.
 
-    ``grams`` (by default an empty dict; ``fusion.fuse`` passes on the dict
-    ``simulator.run`` keeps per run, which also holds ``estimators.emulate``'s
-    estimate memo) keeps the prior blocks K(x, x) and K(x*, x), read-only and
-    built on first use, under the kernel and the exact bytes of the
-    observation and test locations, so a run builds each block once.
+    ``grams`` (by default an empty dict; ``simulator.run`` keeps one per run
+    in its ``estimators.FusionState``) holds the ``PriorBlocks`` of each
+    kernel and pair of location lists (see ``_prior_blocks``), so a run
+    builds and checks them once.
     """
     x_star = np.asarray(test_locations, dtype=np.float64).reshape(-1)
-    if x_star.size == 0 or not np.isfinite(x_star).all():
-        raise ValueError("test_locations must be non-empty and finite")
     kernel = prior.kernel
-    # The diagonal of K(x*, x*): the squared-exponential kernel's value at distance 0.
-    prior_var = np.full(x_star.size, kernel.sigma_f * kernel.sigma_f)
+    blocks = _prior_blocks(kernel, obs.locations, x_star, {} if grams is None else grams)
 
     if len(obs) == 0:
-        return _summarize(x_star, np.full(x_star.size, prior.mean), prior_var,
+        return _summarize(x_star, np.full(x_star.size, prior.mean), blocks.prior_var,
                           np.zeros((0, x_star.size)), kernel, 0.0)
 
-    xs = obs.locations
-    grams = {} if grams is None else grams
-    key = (kernel, xs.tobytes(), x_star.tobytes())
-    blocks = grams.get(key)
-    if blocks is None:
-        blocks = grams[key] = (gram_matrix(kernel, xs, xs), gram_matrix(kernel, x_star, xs))
-        for block in blocks:
-            block.flags.writeable = False
-    k_obs, k_cross = blocks
-
-    upper, jitter = _factorize(k_obs, obs.noise_std**2)
+    k_cross = blocks.k_cross
+    upper, jitter = _factorize(blocks.k_obs, obs.noise_std**2)
     # dtrtrs as solve_triangular calls it for the F-ordered U (trans=1: U.T x = b), minus
     # wrappers and finiteness scans (inputs are finite); b is copied; info is 0 as diag(U) > 0.
     dtrtrs = (_lapack or _load_lapack()).dtrtrs
@@ -260,17 +301,18 @@ def posterior(prior, obs, test_locations, grams=None):
     alpha = dtrtrs(upper, dtrtrs(upper, resid, trans=1)[0])[0]
     mean = prior.mean + k_cross @ alpha
     v = dtrtrs(upper, k_cross.T, trans=1)[0]
-    return _summarize(x_star, mean, prior_var, v, kernel, jitter)
+    return _summarize(x_star, mean, blocks.prior_var, v, kernel, jitter)
 
 
 def _summarize(x_star, mean, prior_var, v, kernel, jitter):
     """The summary whose variances are ``prior_var`` minus the column sums of ``v**2``."""
     var = prior_var - (v**2).sum(axis=0)
-    if var.min() < -DIAG_CLAMP_TOL:
+    lowest = var.min()
+    if lowest < -DIAG_CLAMP_TOL:
         raise FactorizationError(
             f"posterior covariance diagonal fell below -{DIAG_CLAMP_TOL:g} "
-            f"(min {var.min():.3e}); inputs are numerically degenerate"
+            f"(min {lowest:.3e}); inputs are numerically degenerate"
         )
-    np.clip(var, 0.0, None, out=var)
-    return PosteriorSummary(test_locations=x_star, mean=mean, std=np.sqrt(var),
+    np.maximum(var, 0.0, out=var)  # the bits of np.clip(var, 0.0, None), NaN and -0.0 too
+    return PosteriorSummary(test_locations=x_star, mean=mean, std=np.sqrt(var, out=var),
                             jitter=jitter, kernel=kernel, v=v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FrictionProfile, LocalEstimator, classify, emulate
+from .estimators import FrictionProfile, FusionState, LocalEstimator, classify, emulate
 from .fusion import SGrid
 from .planner import GRAVITY, PlannerMemory, plan
 
@@ -308,7 +308,7 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
     approach = classify(scenario.profile.mu_at(scenario.initial.s - 1e-6))
     estimator = LocalEstimator(e_l=local_error, initial_estimate=approach.mean)
     memory = PlannerMemory()
-    fused_memo = {}
+    fusion_state = FusionState()
 
     profile, end_s, obstacle = scenario.profile, scenario.end_s, scenario.obstacle
     state = scenario.initial
@@ -321,7 +321,7 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
 
     while running:
         relative_profile = profile.shifted(-state.s)
-        report = emulate(config, relative_profile, grid, lam, estimator, memo=fused_memo)
+        report = emulate(config, relative_profile, grid, lam, estimator, memo=fusion_state)
         trajectory = plan(state, scenario, report.mu_hat, grid, memory=memory)
         mu_gt0 = profile.mu_at(state.s)
         replans.append(ReplanRecord(

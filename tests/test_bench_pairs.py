@@ -39,6 +39,72 @@ def test_a_range_that_ends_below_its_start_is_a_usage_error(seeds, monkeypatch, 
     assert "argument --seeds: range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--seconds", "-1"], "argument --seconds: must be finite and > 0"),
+    (["--seconds", "0"], "argument --seconds: must be finite and > 0"),
+    (["--seconds", "nan"], "argument --seconds: must be finite and > 0"),
+    (["--traced-seconds", "-1"], "argument --traced-seconds: must be finite and >= 0"),
+    (["--seeds", "x"], "argument --seeds: 'x' is not a seed or a range of seeds"),
+    (["--seeds", "1-2,3-y"], "argument --seeds: '3-y' is not a seed or a range of seeds"),
+    (["--seeds", ""], "argument --seeds: '' is not a seed or a range of seeds"),
+])
+def test_bad_arguments_are_usage_errors_before_any_copy(args, message, monkeypatch,
+                                                        capsys, tmp_path):
+    def no_copy(*args):
+        pytest.fail("a tree was copied")
+
+    monkeypatch.setattr(bench_pairs, "archive_tree", no_copy)
+    monkeypatch.setattr(bench_pairs, "working_tree", no_copy)
+    argv = ["--parent", "HEAD", "--seeds", "1-2", "--out", str(tmp_path / "x.json"), *args]
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "parse_seeds" not in err
+
+
+def test_zero_traced_seconds_means_no_traced_runs(tmp_path):
+    args = bench_pairs._parse(["--parent", "HEAD", "--seeds", "1", "--traced-seconds", "0",
+                               "--out", str(tmp_path / "x.json")])
+    assert [run[1] for run in bench_pairs.schedule(["fine_grid"], [1], args.traced_seconds)] \
+        == [0, 0]
+
+
+def test_an_existing_report_is_never_overwritten(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "BENCH_1.json"
+    out.write_text("earlier\n")
+
+    def no_copy(*args):
+        pytest.fail("a tree was copied")
+
+    monkeypatch.setattr(bench_pairs, "archive_tree", no_copy)
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--out", str(out)])
+    assert caught.value.code == 2
+    assert f"argument --out: {out} exists" in capsys.readouterr().err
+    assert out.read_text() == "earlier\n"
+
+
+def test_a_report_that_appears_during_the_runs_is_kept(tmp_path, monkeypatch):
+    # The report is written with mode "x": a file made after the check stays.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _stub_repo(repo)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "report.json"
+    real = bench_pairs.run_bench
+
+    def run_and_write(*args):
+        out.write_text("meanwhile\n")
+        return real(*args)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_and_write)
+    with pytest.raises(FileExistsError):
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--workloads", "fine_grid",
+                          "--out", str(out)])
+    assert out.read_text() == "meanwhile\n"
+
+
 def test_quartiles_inclusive():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)

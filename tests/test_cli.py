@@ -436,7 +436,8 @@ class TestMain:
         ["--lane-half-width", "0"], ["--turn-radius", "0"], ["--ds", "1e12", "--s-f", "1"],
         ["--s-f", "inf"], ["--replan-dt", "inf"], ["--replan-dt", "nan"],
         ["--turn-radius", "inf"], ["--lane-half-width", "inf"],
-        ["--sigma-f", "inf", "--config", "f"],
+        ["--sigma-f", "inf", "--config", "f"], ["--sigma-f", "1e200", "--config", "f"],
+        ["--l", "1e-300", "--config", "f"], ["--l", "1e-160", "--config", "f"],
     ])
     def test_out_of_range_value_names_its_flag(self, argv, capsys):
         assert cli.main(argv) == 1

@@ -12,8 +12,8 @@ from frictionfusion.estimators import (
     SNOW_ICE,
     WET,
     Configuration,
-    EstimateReport,
     FrictionProfile,
+    FusionState,
     LocalEstimator,
     classify,
     emulate,
@@ -22,6 +22,7 @@ from frictionfusion.estimators import (
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, calibrate_prior, fuse
+from frictionfusion.gp import PriorBlocks
 from helpers import load_workloads, random_profile, reference_class_stats
 
 TURN_PROFILE = FrictionProfile(((-1e6, 0.8), (0.0, 0.4)))
@@ -145,15 +146,21 @@ class TestClassTable:
         assert shifted._class_table is profile._class_table
 
     def test_class_stats_match_the_per_segment_classification(self):
+        # Read on grids, with the grid's first point at, just below and just
+        # above each segment start in turn, and at a random shift.
         rng = random.Random(9)
+        grids = (SGrid(), SGrid(ds=0.5), SGrid(ds=0.025, s_f=2.0), SGrid(ds=25.0, s_f=150.0))
         for profile in self._profiles(5):
-            for prof in (profile, profile.shifted(-rng.uniform(0.0, 100.0))):
-                pts = np.concatenate([np.linspace(-30.0, 140.0, 341), _around_starts(prof)])
-                for names in (("mu_min",), ("mean", "margin")):
-                    got = _class_stats(prof, pts, *names)
-                    want = reference_class_stats(prof, pts, *names)
-                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-                    assert all(a.ndim == 1 and a.base is None for a in got)
+            shifts = [-rng.uniform(0.0, 100.0), *(-_around_starts(profile))]
+            for prof in (profile, *(profile.shifted(offset) for offset in shifts)):
+                for grid in grids:
+                    assert prof.grid_index(grid).tobytes() == \
+                        prof.segment_index(grid.points).tobytes()
+                    for names in (("mu_min",), ("mean", "margin")):
+                        got = _class_stats(prof, grid, *names)
+                        want = reference_class_stats(prof, grid.points, *names)
+                        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+                        assert all(a.ndim == 1 and a.base is None for a in got)
 
 
 def _around_starts(profile):
@@ -414,8 +421,8 @@ def _nudged(name):
     def vary(monkeypatch):
         real = estimators._class_stats
 
-        def stats(profile, positions, *names):
-            columns = real(profile, positions, *names)
+        def stats(profile, grid, *names):
+            columns = real(profile, grid, *names)
             return tuple(c + 0.01 if n == name else c for n, c in zip(names, columns))
 
         monkeypatch.setattr(estimators, "_class_stats", stats)
@@ -454,16 +461,17 @@ class TestFusedMemo:
                        LocalEstimator(e_l=args["e_l"]), memo)
 
     def test_a_repeated_input_returns_the_stored_report(self, fuse_calls):
-        memo = {}
+        memo = FusionState()
         first = self._emulate(memo)
         again = self._emulate(memo)
         assert again is first and len(fuse_calls) == 1
         assert first.series is fuse_calls[0][1]
-        # Beside the report, the prior blocks of ``posterior``.
-        stored = [v for v in memo.values() if isinstance(v, EstimateReport)]
-        assert len(stored) == 1 and stored[0] is first
+        # The report, and beside it the prior blocks of ``posterior``.
+        assert list(memo.reports.values()) == [first]
+        assert [type(v) for v in memo.grams.values()] == [PriorBlocks]
         # Shared by every record of a hit, so no array of it can be written.
-        for arr in (first.series.mu_prime, first.series.margin, first.mu_hat):
+        series = first.series
+        for arr in (series.mu_prime, series.margin, series.noise_std, first.mu_hat):
             assert not arr.flags.writeable
         plain = self._emulate()  # no memo: assembled and fused again, the same bits
         assert plain is not first and len(fuse_calls) == 2
@@ -473,27 +481,28 @@ class TestFusedMemo:
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_changing_one_key_component_misses(self, name, fuse_calls, monkeypatch):
-        memo = {}
+        memo = FusionState()
         first = self._emulate(memo)
         changes = self.VARIANTS[name](monkeypatch)
         other = self._emulate(memo, **changes)
         assert other is not first and len(fuse_calls) == 2
-        assert any(v is first for v in memo.values())  # kept: the memo holds two
+        assert list(memo.reports.values()) == [first, other]  # kept: the memo holds two
         fresh = self._emulate(**changes)
         assert other.mu_hat.tobytes() == fresh.mu_hat.tobytes()
         assert other.series.grid == fresh.series.grid
         assert other.series.mu_prime.tobytes() == fresh.series.mu_prime.tobytes()
 
     def test_the_memo_keeps_the_two_most_recent_inputs(self, fuse_calls):
-        memo = {}
+        memo = FusionState()
         a, b, c = ({"e_l": e_l, "grid": SGrid()} for e_l in (0.0, 0.01, 0.02))
         first = self._emulate(memo, **a)
-        self._emulate(memo, **b)
+        second = self._emulate(memo, **b)
         assert self._emulate(memo, **a) is first  # a is now the most recent
-        self._emulate(memo, **c)  # evicts b, the least recent
-        stored = [v for v in memo.values() if isinstance(v, EstimateReport)]
-        assert len(stored) == FUSE_MEMO_SIZE == 2
-        assert len(memo) == FUSE_MEMO_SIZE + 1  # and the grid's prior blocks
+        third = self._emulate(memo, **c)  # evicts b, the least recent
+        stored = list(memo.reports.values())
+        assert stored == [first, third] and FUSE_MEMO_SIZE == 2
+        assert all(second is not v for v in stored)
+        assert len(memo.grams) == 1  # and the grid's prior blocks, built once
         assert self._emulate(memo, **a) is first
         assert len(fuse_calls) == 3
         again = self._emulate(memo, **b)  # a new posterior

@@ -22,6 +22,7 @@ from frictionfusion.gp import (
     FactorizationError,
     GpPrior,
     ObservationSet,
+    PriorBlocks,
     SquaredExponentialKernel,
     gram_matrix,
     posterior,
@@ -45,9 +46,29 @@ class TestKernel:
         with pytest.raises(ValueError, match=f"sigma_f must be finite and > 0, got {sigma_f}"):
             SquaredExponentialKernel(sigma_f, 10.0)
 
+    @pytest.mark.parametrize("sigma_f, length_scale, message", [
+        # 1e-300**2 is 0.0, and 0.5 / 1e-160**2 overflows: both gave a
+        # non-finite Gram (or a ZeroDivisionError) at the first posterior.
+        (0.2, 1e-300, "0.5 / length_scale\\*\\*2 must be finite, got length_scale = 1e-300"),
+        (0.2, 1e-160, "0.5 / length_scale\\*\\*2 must be finite, got length_scale = 1e-160"),
+        (1e200, 10.0, "sigma_f\\*\\*2 must be finite, got sigma_f = 1e\\+200"),
+    ], ids=["l=1e-300", "l=1e-160", "sigma_f=1e200"])
+    def test_constants_of_the_gram_must_be_finite(self, sigma_f, length_scale, message):
+        with pytest.raises(ValueError, match=message):
+            SquaredExponentialKernel(sigma_f, length_scale)
+
+    def test_the_largest_constants_are_accepted(self):
+        big, small = math.sqrt(sys.float_info.max), math.sqrt(0.5 / sys.float_info.max)
+        for k in (SquaredExponentialKernel(big, 10.0), SquaredExponentialKernel(0.2, small * 2)):
+            assert np.isfinite(gram_matrix(k, [0.0, 1.0], [0.0, 1.0])).all()
+
     def test_infinite_length_scale_is_the_constant_kernel(self):
         k = SquaredExponentialKernel(0.5, math.inf)
         assert kernel_eval(k, 0.0, 50.0) == 0.25
+        # Its posterior runs: every observation is one shared value.
+        summary = posterior(GpPrior(0.5, k), ObservationSet([0.0, 1.0], [0.4, 0.4],
+                                                            [0.1, 0.1]), [0.0, 50.0])
+        assert np.isfinite(summary.mean).all() and summary.mean[0] == summary.mean[1]
 
     def test_diagonal_value(self):
         k = SquaredExponentialKernel(0.2296, 10.0)
@@ -293,6 +314,63 @@ class TestPosterior:
             with pytest.raises(ValueError, match="test_locations must be non-empty and finite"):
                 posterior(make_prior(), obs, [0.0, bad])
 
+
+class TestChecksOnStoredBlocks:
+    """The checks a posterior makes once per stored entry still reject, on a
+    fresh store and on one that already holds the blocks of good inputs."""
+
+    XS = np.arange(51.0)
+    OBS = ObservationSet(XS, np.full(51, 0.4), np.full(51, 0.1))
+
+    def _stores(self):
+        warm = {}
+        posterior(make_prior(), self.OBS, self.XS, warm)
+        assert len(warm) == 1
+        return {}, warm
+
+    def test_noise_whose_square_overflows(self):
+        # The regularized diagonal, K_ii + 1e400, is the only non-finite entry.
+        # numpy warns of the overflow in the square; the error is the point here.
+        loud = ObservationSet(self.XS, self.OBS.values, np.full(51, 1e200))
+        for grams in self._stores():
+            for _ in range(2):
+                with pytest.raises(FactorizationError, match="regularized Gram matrix "
+                                                             "contains non-finite entries"), \
+                        np.errstate(over="ignore"):
+                    posterior(make_prior(), loud, self.XS, grams)
+
+    @pytest.mark.parametrize("far, length_scale", [
+        (math.nan, 10.0),
+        # The constant kernel's off-diagonal entry at a distance whose square
+        # overflows is inf * 0.0, NaN, under a finite diagonal.
+        (1e200, math.inf),
+    ])
+    def test_non_finite_gram_entry(self, far, length_scale):
+        xs = self.XS.copy()
+        xs[7] = far
+        obs = ObservationSet(xs, self.OBS.values, self.OBS.noise_std)
+        prior = make_prior(length_scale=length_scale)
+        for grams in self._stores():
+            stored = dict(grams)
+            for _ in range(2):  # a failing entry is not stored, so it fails again
+                with pytest.raises(FactorizationError, match="regularized Gram matrix "
+                                                             "contains non-finite entries"), \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    posterior(prior, obs, self.XS, grams)
+            assert grams == stored
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_test_locations(self, bad):
+        test = self.XS.copy()
+        test[-1] = bad
+        for grams in self._stores():
+            stored = dict(grams)
+            for obs in (self.OBS, ObservationSet([], [], [])):
+                with pytest.raises(ValueError,
+                                   match="test_locations must be non-empty and finite"):
+                    posterior(make_prior(), obs, test, grams)
+            assert grams == stored
+
     def test_duplicate_zero_noise_observations_survive_via_jitter(self):
         prior = make_prior()
         obs = ObservationSet([5.0] * 6, [0.4] * 6, [0.0] * 6)
@@ -393,12 +471,17 @@ class TestPosteriorMatchesSolveTriangularReference:
         for got in (first, again):
             _assert_same_posterior(got, (want.mean, want.covariance, want.std, want.jitter))
         xs, x_star = obs.locations, np.asarray(test, dtype=np.float64)
+        # One entry, built on the first posterior and read by the second.
         assert key == (prior.kernel, xs.tobytes(), x_star.tobytes())
-        # Both prior blocks, K(x, x) and K(x*, x), read-only, as ``gram_matrix`` builds them.
-        for block, (a, b) in zip(stored, [(xs, xs), (x_star, xs)], strict=True):
+        assert isinstance(stored, PriorBlocks) and list(grams.values()) == [stored]
+        # Both prior blocks, K(x, x) and K(x*, x), as ``gram_matrix`` builds
+        # them, and the prior variances, all read-only.
+        variance = prior.kernel.sigma_f * prior.kernel.sigma_f
+        for block, want in [(stored.k_obs, gram_matrix(prior.kernel, xs, xs)),
+                            (stored.k_cross, gram_matrix(prior.kernel, x_star, xs)),
+                            (stored.prior_var, np.full(x_star.size, variance))]:
             assert not block.flags.writeable
-            assert block.tobytes() == gram_matrix(prior.kernel, a, b).tobytes()
-        assert list(grams.values()) == [stored]
+            assert block.shape == want.shape and block.tobytes() == want.tobytes()
 
     def test_stored_gram_is_used_only_for_its_kernel_and_locations(self, monkeypatch):
         built = []

@@ -31,6 +31,7 @@ the last lines of its stderr, which are also printed; the exit code is 1.
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -55,14 +56,21 @@ class BenchFailed(RuntimeError):
 
 
 def parse_seeds(text):
-    """``"3-5"`` -> [3, 4, 5]; ``"1,7,9"`` -> [1, 7, 9]. A range that ends
-    below its start is an ``argparse.ArgumentTypeError``."""
+    """``"3-5"`` -> [3, 4, 5]; ``"1,7,9"`` -> [1, 7, 9]. A part that is not a
+    whole number or a range of them, or a range that ends below its start, is
+    an ``argparse.ArgumentTypeError``."""
     seeds = []
     for part in text.split(","):
         lo, sep, hi = part.partition("-")
-        if sep and int(hi) < int(lo):
+        try:
+            first, last = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} is not a seed or a range of seeds, e.g. 1501-1510 or 1,7,9"
+            ) from None
+        if last < first:
             raise argparse.ArgumentTypeError(f"range {part} ends below its start")
-        seeds += range(int(lo), int(hi) + 1) if sep else [int(lo)]
+        seeds += range(first, last + 1)
     return seeds
 
 
@@ -158,9 +166,16 @@ def _parse(argv):
     p.add_argument("--traced-seconds", type=float, default=0.0)
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
                    help="workloads to run, in the order given (default: all)")
-    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--out", required=True, help="JSON file to write; it must not exist")
     p.add_argument("--description", default="", help="what the change does")
     args = p.parse_args(argv)
+    if not 0.0 < args.seconds < math.inf:
+        p.error(f"argument --seconds: must be finite and > 0, got {args.seconds:g}")
+    if not 0.0 <= args.traced_seconds < math.inf:
+        p.error(f"argument --traced-seconds: must be finite and >= 0 (0: no traced runs), "
+                f"got {args.traced_seconds:g}")
+    if Path(args.out).exists():
+        p.error(f"argument --out: {args.out} exists; give a new file")
     args.workloads = list(dict.fromkeys(args.workloads))
     return args
 
@@ -235,7 +250,8 @@ def main(argv=None):
                 [r[m["name"]] for r in sides["parent"]],
                 [r[m["name"]] for r in sides["change"]], m["better"], m["bound"])}
             for m in metrics}
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    with open(args.out, "x", encoding="utf-8") as f:  # never over an earlier report
+        f.write(json.dumps(report, indent=1) + "\n")
     if failed is not None:
         print(f"{failed['workload']} pair {failed['pair']} {failed['side']} "
               f"(seed {failed['seed']}): perfbench/run.py exited {failed['exit_code']}; "
