@@ -258,12 +258,12 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     stored report, its series and estimate shared and read-only, without
     assembling or fusing; ``fuse`` keeps its prior blocks in ``memo.grams``.
     """
-    pts = grid.points
     loc = local_estimate(profile, lambda_t, estimator)
     available = loc is not None
 
     if config.kind == "gt":
-        return EstimateReport(mu_hat=profile.mu_on(pts), local_available=available)
+        return EstimateReport(mu_hat=profile._mu_array[profile.grid_index(grid)],
+                              local_available=available)
 
     if config.kind == "l":
         if estimator.last_available is None:

@@ -207,7 +207,7 @@ class PriorBlocks:
     locations, and the prior variances, the diagonal of K(x*, x*).
 
     ``_prior_blocks`` checks, once per entry, that the test locations are
-    finite and that K(x, x) is; the same bytes give the same verdict.
+    finite and that K(x, x) and K(x*, x) are; the same bytes give the same verdict.
     """
 
     k_obs: np.ndarray
@@ -229,9 +229,12 @@ def _prior_blocks(kernel, xs, x_star, grams):
         # Every entry of the regularized Gram but its diagonal (see ``_factorize``).
         if not np.isfinite(k_obs).all():
             raise FactorizationError("regularized Gram matrix contains non-finite entries")
+        k_cross = gram_matrix(kernel, x_star, xs)
+        # Finite locations can still give inf * 0.0 under the constant kernel.
+        if not np.isfinite(k_cross).all():
+            raise ValueError("prior covariance K(x*, x) contains non-finite entries")
         # The diagonal of K(x*, x*): the squared-exponential kernel's value at distance 0.
-        blocks = PriorBlocks(k_obs, gram_matrix(kernel, x_star, xs),
-                             np.full(x_star.size, kernel.sigma_f * kernel.sigma_f))
+        blocks = PriorBlocks(k_obs, k_cross, np.full(x_star.size, kernel.sigma_f * kernel.sigma_f))
         for block in (blocks.k_obs, blocks.k_cross, blocks.prior_var):
             block.flags.writeable = False
         grams[key] = blocks

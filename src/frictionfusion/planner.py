@@ -1,11 +1,13 @@
 """Friction-circle trajectory planner over an arc-length horizon.
 
 The lateral motion is a quintic-blend offset reference (lane keeping, return
-to center, or an obstacle dodge); the longitudinal motion is a curvature- and
-circle-limited velocity profile built with backward/forward passes. When no
-plan can satisfy the estimate-derived limits, the planner returns a flagged
-least-violating plan that sheds speed at a bounded braking share while
-steering toward the largest reachable lateral offset.
+to center, or an obstacle dodge), each blend evaluated by one basis
+(``_quintic_basis``) and one combination (``_quintic_shape``); the
+longitudinal motion is a curvature- and circle-limited velocity profile built
+with backward/forward passes. When no plan can satisfy the estimate-derived
+limits, the planner returns a flagged least-violating plan that sheds speed at
+a bounded braking share while steering toward the largest reachable lateral
+offset.
 """
 
 import functools
@@ -35,29 +37,35 @@ CURVE_LATERAL_SHARE = math.sqrt(1.0 - CURVE_BRAKE_SHARE**2)
 
 FEASIBILITY_TOL = 0.15
 
-# Columns h0, h1, h3, ddh0, ddh1, ddh3. Term k is _BASIS_COEF[k] * tau**_BASIS_POWER[k]; adding
-# them in k order, then -6 and -3 tau**5 to h0 and h1, gives each polynomial's own bits.
-_BASIS_POWER = np.array([[0, 1, 3, 1, 1, 1], [3, 3, 4, 2, 2, 2], [4, 4, 5, 3, 3, 3]])
-_BASIS_COEF = np.array([[1.0, 1.0, 10.0, -60.0, -36.0, 60.0],
-                        [-10.0, -6.0, -15.0, 180.0, 96.0, -180.0],
-                        [15.0, 8.0, 6.0, -120.0, -60.0, 120.0]])[:, :, None]
-_BASIS_T5_COEF = np.array([[-6.0], [-3.0]])
+# Row k holds the coefficients of tau**k in h0, ddh0, h1, ddh1, h3 and ddh3.
+_QUINTIC_COEF = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, -60.0, 1.0, -36.0, 0.0, 60.0],
+                          [0.0, 180.0, 0.0, 96.0, 0.0, -180.0],
+                          [-10.0, -120.0, -6.0, -60.0, 10.0, 120.0],
+                          [15.0, 0.0, 8.0, 0.0, -15.0, 0.0],
+                          [-6.0, 0.0, -3.0, 0.0, 6.0, 0.0]])[:, :, None]
 
 
 def _quintic_basis(tau):
-    """Rows h0, h1, h3, ddh0, ddh1, ddh3 of the quintic blend at the flat
-    normalized positions ``tau``."""
-    powers = np.empty((6, tau.size))
-    powers[0] = 1.0
-    powers[1] = tau
-    for k in range(2, 6):
-        np.multiply(powers[k - 1], powers[1], out=powers[k])
-    terms = powers[_BASIS_POWER]
-    terms *= _BASIS_COEF
-    basis = terms[0] + terms[1]
-    basis += terms[2]
-    basis[:2] += _BASIS_T5_COEF * powers[5]
+    """Rows h0, ddh0, h1, ddh1, h3, ddh3 of the quintic blend at the flat
+    normalized positions ``tau``: terms summed in ascending powers, with no BLAS
+    product. A zero coefficient adds +0.0, so each row keeps its polynomial's bits."""
+    powers = np.ones((6, tau.size))
+    for k in range(1, 6):
+        np.multiply(powers[k - 1], tau, out=powers[k])
+    terms = _QUINTIC_COEF * powers[:, None]
+    basis = terms[0]
+    for k in range(1, 6):
+        basis += terms[k]
     return basis
+
+
+def _quintic_shape(basis, d0, rate, d1, span):
+    """Offset and curvature ``d0 * h0 + rate * h1 + d1 * h3`` of a blend over ``span``."""
+    total = basis[0:2] * d0
+    total += basis[2:4] * rate
+    total += basis[4:6] * d1
+    return total[0], total[1] / (span * span)
 
 
 @dataclass(frozen=True)
@@ -70,20 +78,20 @@ class QuinticBlend:
     slope0: float
     d1: float
 
-    def eval(self, tau):
-        """Offset and curvature contribution at normalized positions."""
-        tau = np.asarray(tau, dtype=np.float64)
-        # d and curv sum d0 * h0 + rate * h1 + d1 * h3 over h and over ddh.
+    def __post_init__(self):
+        if not self.s0 < self.s1:  # false for a NaN end too
+            raise ValueError(f"a blend needs s0 < s1, got s0={self.s0}, s1={self.s1}")
+
+    def eval(self, positions):
+        """Offset and curvature at 1-D world ``positions``, held at the ends outside [s0, s1]."""
         span = self.s1 - self.s0
-        parts = _quintic_basis(tau.reshape(-1)).reshape(2, 3, -1)
-        parts *= np.array([[self.d0], [self.slope0 * span], [self.d1]])
-        total = parts[:, 0] + parts[:, 1]
-        total += parts[:, 2]
-        return total[0].reshape(tau.shape), (total[1] / (span * span)).reshape(tau.shape)
+        tau = (np.asarray(positions, dtype=np.float64) - self.s0) / span
+        basis = _quintic_basis(np.minimum(np.maximum(tau, 0.0), 1.0))
+        return _quintic_shape(basis, self.d0, self.slope0 * span, self.d1, span)
 
     def offset_at(self, s):
         """Offset at one position, clamped to the blend: ``eval``'s operations in
-        the same order, on Python floats."""
+        the same order, on Python floats, without the terms that add +0.0."""
         span = self.s1 - self.s0
         tau = min(max((s - self.s0) / span, 0.0), 1.0)
         t2 = tau * tau
@@ -96,46 +104,6 @@ class QuinticBlend:
         return self.d0 * h0 + self.slope0 * span * h1 + self.d1 * h3
 
 
-@dataclass(frozen=True)
-class LateralReference:
-    """Piecewise lateral offset profile: blends in order, ``s0 < s1 <= next.s0``,
-    joined by constant holds."""
-
-    blends: tuple
-    base_level: float = 0.0
-
-    def __post_init__(self):
-        prev_s1 = -math.inf
-        for blend in self.blends:
-            if not prev_s1 <= blend.s0 < blend.s1:  # false for a NaN edge too
-                raise ValueError(f"blends must satisfy s0 < s1 <= next s0, got {self.blends}")
-            prev_s1 = blend.s1
-
-    def eval(self, positions):
-        """Offset and curvature at ascending ``positions``; before the first blend the
-        offset extends along its start slope, after a blend it holds its end."""
-        s = np.asarray(positions, dtype=np.float64)
-        # A pair that holds a NaN compares false; only a lone NaN needs its own test.
-        if not (s[1:] >= s[:-1]).all() or (s.size == 1 and np.isnan(s[0])):
-            raise ValueError("positions must be ascending, with no NaN")
-        d = np.full(s.shape, self.base_level)
-        curv = np.zeros(s.shape)
-        if not self.blends:
-            return d, curv
-        # cut[k] counts the positions below edge k (s0, s1, next s0, ...); blend k
-        # covers cut[2k]:cut[2k+1], and its end holds until the next blend.
-        first = self.blends[0]
-        cut = np.searchsorted(s, [e for b in self.blends for e in (b.s0, b.s1)]).tolist()
-        d[:cut[0]] = first.d0 + first.slope0 * (s[:cut[0]] - first.s0)
-        for k, blend in enumerate(self.blends):
-            lo, hi = cut[2 * k], cut[2 * k + 1]
-            if hi > lo:
-                tau = (s[lo:hi] - blend.s0) / (blend.s1 - blend.s0)
-                d[lo:hi], curv[lo:hi] = blend.eval(tau)
-            d[hi:] = blend.d1
-        return d, curv
-
-
 @dataclass
 class PlannerMemory:
     """Per-run planner state: the committed dodge geometry and its scale, and
@@ -144,8 +112,8 @@ class PlannerMemory:
     Committing the maneuver once keeps successive replans tracking the same
     polynomial instead of restarting a zero-curvature blend every cycle; the
     scale remembers how much of the target a least-violating plan conceded.
-    ``return_basis`` is ``(grid, *_return_basis(grid.points))``, built at the
-    first return-to-center plan and rebuilt only on another grid.
+    ``return_basis`` is ``(grid, basis)``, the return blend's basis rows on the
+    grid, built at the first return-to-center plan and rebuilt only on another grid.
     """
 
     full_blend: QuinticBlend = None
@@ -251,30 +219,15 @@ def _accelerations(v, mu_g, ds, count):
     return a_long
 
 
-def _dodge_reference(blend, s_obs):
-    return_blend = QuinticBlend(
-        s0=s_obs + PASS_HOLD, s1=s_obs + PASS_HOLD + RETURN_LENGTH,
-        d0=blend.d1, slope0=0.0, d1=0.0,
-    )
-    return LateralReference(blends=(blend, return_blend))
-
-
-def _return_basis(points):
-    """The return blend's columns at grid ``points`` ahead of the vehicle, as
-    ``_return_shape`` combines them: (h0, ddh0), (h1, ddh1) and the d1 = 0
-    term 0 * (h3, ddh3), each a 2 x n array.
-
-    The blend starts ``RETURN_BACKSET`` behind the vehicle and spans
-    ``RETURN_LENGTH`` on every replan, so its normalized positions on the grid
-    are the same on every replan. Points at or past its end hold 0.0 offset
-    and 0.0 curvature, as ``LateralReference.eval`` holds a blend's end.
-    """
-    inside = int(np.searchsorted(points, RETURN_LENGTH - RETURN_BACKSET))
-    tau = (RETURN_BACKSET + points[:inside]) / RETURN_LENGTH
-    columns = np.zeros((3, 2, len(points)))
-    columns[:, :, :inside] = _quintic_basis(tau).reshape(2, 3, -1).transpose(1, 0, 2)
-    columns[2] *= 0.0
-    return tuple(columns)
+def _dodge_shape(blend, s_obs, positions):
+    """Offset and curvature at ascending ``positions`` from ``blend.s0``: the blend to
+    the obstacle at its end ``s_obs``, then the return blend, which holds its start
+    ``blend.d1`` for ``PASS_HOLD`` and its end 0.0, each with +0.0 curvature."""
+    d, curv = blend.eval(positions)
+    cut = int(np.searchsorted(positions, s_obs))
+    back = QuinticBlend(s_obs + PASS_HOLD, s_obs + PASS_HOLD + RETURN_LENGTH, blend.d1, 0.0, 0.0)
+    d[cut:], curv[cut:] = back.eval(positions[cut:])
+    return d, curv
 
 
 def _return_shape(memory, grid, d_now, slope_now):
@@ -282,25 +235,24 @@ def _return_shape(memory, grid, d_now, slope_now):
 
     The blend is anchored behind the vehicle: the quintic starts with zero
     curvature, so a blend starting exactly at the vehicle would command no
-    correction at the point where the plant samples the plan. Only its start
-    offset d0 and rate r change between replans; the sums run in
-    ``QuinticBlend.eval``'s order, d0 * h0 + r * h1, then + 0 * h3.
+    correction at the point where the plant samples the plan. Its normalized
+    positions on the grid are the same on every replan, so the basis is kept.
     """
     if memory.return_basis is None or memory.return_basis[0] != grid:
-        memory.return_basis = (grid, *_return_basis(grid.points))
-    _, h0, h1, d1_term = memory.return_basis
-    total = h0 * (d_now - slope_now * RETURN_BACKSET)
-    total += h1 * (slope_now * RETURN_LENGTH)
-    total += d1_term
-    return total[0], total[1] / (RETURN_LENGTH * RETURN_LENGTH)
+        tau = np.minimum((RETURN_BACKSET + grid.points) / RETURN_LENGTH, 1.0)
+        memory.return_basis = (grid, _quintic_basis(tau))
+    return _quintic_shape(memory.return_basis[1], d_now - slope_now * RETURN_BACKSET,
+                          slope_now * RETURN_LENGTH, 0.0, RETURN_LENGTH)
 
 
 def _blend_peak_curvature(blend, kappa_path_fn, s_from):
     """Largest |effective curvature| on the not-yet-traversed part of a blend."""
-    tau_from = min(max((s_from - blend.s0) / (blend.s1 - blend.s0), 0.0), 1.0)
+    span = blend.s1 - blend.s0
+    tau_from = min(max((s_from - blend.s0) / span, 0.0), 1.0)
     taus = np.linspace(tau_from, 1.0, 101)
-    _, curv = blend.eval(taus)
-    s_fine = blend.s0 + taus * (blend.s1 - blend.s0)
+    _, curv = _quintic_shape(_quintic_basis(taus), blend.d0, blend.slope0 * span, blend.d1,
+                             span)
+    s_fine = blend.s0 + taus * span
     total = np.abs(curv + kappa_path_fn(s_fine))
     idx = int(np.argmax(total))
     return total[idx], s_fine[idx]
@@ -355,9 +307,9 @@ def plan(state, scenario, mu_hat, grid, memory=None):
 
     if not dodging:
         if scenario.obstacle is not None and state.s < scenario.obstacle[0] + PASS_HOLD:
-            shape = LateralReference(blends=(), base_level=state.d).eval(positions)
+            shape = np.full(len(pts), state.d), np.zeros(len(pts))
         elif abs(state.d) < 0.01 and abs(slope_now) < 1e-3:
-            shape = LateralReference(blends=(), base_level=0.0).eval(positions)
+            shape = np.zeros(len(pts)), np.zeros(len(pts))
         else:
             shape = _return_shape(memory, grid, state.d, slope_now)
         envelope = _envelope(*shape, mg, kappa_path, v_des, ds)
@@ -382,8 +334,8 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         # only when its envelope shows it feasible.
         feasible = False
         if abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION:
-            envelope = _envelope(*_dodge_reference(full_blend, s_obs).eval(positions), mg,
-                                 kappa_path, v_des, ds)
+            envelope = _envelope(*_dodge_shape(full_blend, s_obs, positions), mg, kappa_path,
+                                 v_des, ds)
             feasible = envelope[3][0] >= state.v - FEASIBILITY_TOL
         blend = full_blend
         if not feasible:
@@ -415,8 +367,8 @@ def plan(state, scenario, mu_hat, grid, memory=None):
                 target = full_blend.d0 + scale * (full_target - full_blend.d0)
                 blend = QuinticBlend(s0=state.s, s1=s_obs, d0=state.d,
                                      slope0=slope_now, d1=target)
-            envelope = _envelope(*_dodge_reference(blend, s_obs).eval(positions), mg,
-                                 kappa_path, v_des, ds)
+            envelope = _envelope(*_dodge_shape(blend, s_obs, positions), mg, kappa_path,
+                                 v_des, ds)
             # Positions ascend, so the segments before the obstacle are a prefix.
             brake_until = int(np.searchsorted(positions, s_obs))
         memory.full_blend = full_blend

@@ -371,6 +371,21 @@ class TestChecksOnStoredBlocks:
                     posterior(make_prior(), obs, test, grams)
             assert grams == stored
 
+    def test_non_finite_cross_block_under_the_constant_kernel(self):
+        # Finite locations, but K(x*, x) at a distance whose square overflows is
+        # inf * 0.0, NaN, while K(x, x) of the one observation is finite.
+        prior = GpPrior(0.5, SquaredExponentialKernel(0.2, math.inf))
+        obs = ObservationSet([0.0], [0.4], [0.1])
+        warm = {}
+        posterior(prior, obs, [0.0, 1e100], warm)
+        for grams in ({}, warm):
+            stored = dict(grams)
+            for _ in range(2):  # a failing entry is not stored, so it fails again
+                with pytest.raises(ValueError, match=r"K\(x\*, x\) contains non-finite"), \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    posterior(prior, obs, [0.0, 1e200], grams)
+            assert grams == stored
+
     def test_duplicate_zero_noise_observations_survive_via_jitter(self):
         prior = make_prior()
         obs = ObservationSet([5.0] * 6, [0.4] * 6, [0.0] * 6)

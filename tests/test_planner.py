@@ -19,14 +19,17 @@ from frictionfusion.planner import (
     DODGE_LATERAL_SHARE,
     GRAVITY,
     MIN_DODGE_RUN,
+    PASS_HOLD,
     REBASE_DEVIATION,
     RETURN_BACKSET,
     RETURN_LENGTH,
-    LateralReference,
     PlannedTrajectory,
     PlannerMemory,
     QuinticBlend,
     _accelerations,
+    _dodge_shape,
+    _quintic_basis,
+    _quintic_shape,
     _return_shape,
     plan,
 )
@@ -68,34 +71,34 @@ def fine_step_corner_speed(mu, radius, ds=0.01):
 
 
 class TestQuinticBlend:
-    @staticmethod
-    def fd_slope(blend, tau, h=1e-6):
-        """Central-difference slope dd/ds of the offset at normalized position tau."""
-        d_plus, _ = blend.eval(np.array(tau + h))
-        d_minus, _ = blend.eval(np.array(tau - h))
-        return (d_plus - d_minus) / (2 * h * (blend.s1 - blend.s0))
-
     def test_boundary_conditions(self):
+        # The blend holds its end values outside [s0, s1], so the slopes at its
+        # ends are one-sided differences from inside.
         blend = QuinticBlend(s0=0.0, s1=20.0, d0=0.3, slope0=0.05, d1=1.5)
-        d0, c0 = blend.eval(np.array(0.0))
-        d1, c1 = blend.eval(np.array(1.0))
-        assert d0 == pytest.approx(0.3, abs=1e-12)
-        assert self.fd_slope(blend, 0.0) == pytest.approx(0.05, abs=1e-8)
-        assert c0 == pytest.approx(0.0, abs=1e-12)
-        assert d1 == pytest.approx(1.5, abs=1e-12)
-        assert self.fd_slope(blend, 1.0) == pytest.approx(0.0, abs=1e-8)
-        assert c1 == pytest.approx(0.0, abs=1e-12)
+        h = 1e-6
+        d, curv = blend.eval(np.array([0.0, h, 20.0 - h, 20.0]))
+        assert d[0] == pytest.approx(0.3, abs=1e-12)
+        assert (d[1] - d[0]) / h == pytest.approx(0.05, abs=1e-8)
+        assert curv[0] == pytest.approx(0.0, abs=1e-12)
+        assert d[3] == pytest.approx(1.5, abs=1e-12)
+        assert (d[3] - d[2]) / h == pytest.approx(0.0, abs=1e-8)
+        assert curv[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         blend = QuinticBlend(s0=5.0, s1=25.0, d0=0.0, slope0=0.02, d1=1.2)
-        taus = np.linspace(0.05, 0.95, 19)
-        h = 1e-6
-        d, curv = blend.eval(taus)
-        d_plus, _ = blend.eval(taus + h)
-        d_minus, _ = blend.eval(taus - h)
-        span = blend.s1 - blend.s0
-        fd_curv = (d_plus - 2 * d + d_minus) / (h * span) ** 2
+        positions = np.linspace(6.0, 24.0, 19)
+        h = 2e-5
+        d, curv = blend.eval(positions)
+        d_plus, _ = blend.eval(positions + h)
+        d_minus, _ = blend.eval(positions - h)
+        fd_curv = (d_plus - 2 * d + d_minus) / h**2
         np.testing.assert_allclose(curv, fd_curv, atol=1e-3)
+
+    def test_holds_its_end_values_outside_the_blend(self):
+        blend = QuinticBlend(s0=5.0, s1=25.0, d0=-0.4, slope0=0.02, d1=1.2)
+        d, curv = blend.eval(np.array([-10.0, 4.0, 5.0, 25.0, 26.0, 1e6]))
+        assert d.tolist() == [-0.4] * 3 + [1.2] * 3
+        assert (curv == 0.0).all()
 
 
 class TestPlanCruise:
@@ -538,18 +541,19 @@ def reference_quintic_eval(blend, tau):
     return d, curv
 
 
-def reference_lateral_eval(ref, positions):
-    """Boolean masks per region, in place of slices of ascending positions."""
+def reference_lateral_eval(blends, positions, base_level=0.0):
+    """The piecewise lateral reference of ``blends`` (in order, ``s0 < s1 <= next
+    s0``, joined by holds of each blend's end), with boolean masks per region."""
     s = np.asarray(positions, dtype=np.float64)
-    d = np.full(s.shape, ref.base_level)
+    d = np.full(s.shape, base_level)
     curv = np.zeros(s.shape)
-    if not ref.blends:
+    if not blends:
         return d, curv
-    first = ref.blends[0]
+    first = blends[0]
     before = s < first.s0
     d[before] = first.d0 + first.slope0 * (s[before] - first.s0)
     level = None
-    for blend in ref.blends:
+    for blend in blends:
         if level is not None:
             gap = (s >= level[0]) & (s < blend.s0)
             d[gap] = level[1]
@@ -592,64 +596,133 @@ def blends(draw, s0=None):
                         slope0=draw(_floats(-0.5, 0.5)), d1=draw(_floats(-3.0, 3.0)))
 
 
+def return_blend(blend):
+    """The blend a dodge returns to center on, from ``PASS_HOLD`` past its end."""
+    s_back = blend.s1 + PASS_HOLD
+    return QuinticBlend(s0=s_back, s1=s_back + RETURN_LENGTH, d0=blend.d1, slope0=0.0, d1=0.0)
+
+
 @st.composite
-def lateral_cases(draw):
-    """A reference with 0, 1 or 2 blends and the ascending positions a plan
-    samples it at: anchor + k * ds. Edges fall before, on, between and after
-    the positions, and the two blends may touch."""
+def dodge_cases(draw):
+    """A dodge blend and the ascending positions a plan samples it at: anchor +
+    k * ds, with the blend starting at or behind the anchor. The blend's end, the
+    hold's end and the return blend's end fall before, on, between and after the
+    positions."""
     n = draw(st.integers(1, 101))
     ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
     anchor = draw(_floats(-40.0, 40.0))
     positions = anchor + np.arange(n) * ds
-    edge = st.sampled_from(positions.tolist()) | _floats(anchor - 20.0, anchor + n * ds + 20.0)
-    count = draw(st.integers(0, 2))
-    chain = []
-    for _ in range(count):
-        start = draw(edge)
-        if chain:
-            start = max(start, chain[-1].s1) if draw(st.booleans()) else chain[-1].s1
-        blend = draw(blends(s0=start))
-        if draw(st.booleans()):  # end on a position when one lies past the start
-            later = [p for p in positions.tolist() if p > start]
-            if later:
-                blend = dataclasses.replace(blend, s1=draw(st.sampled_from(later)))
-        chain.append(blend)
-    ref = LateralReference(blends=tuple(chain), base_level=draw(_floats(-2.0, 2.0)))
-    return ref, positions
+    blend = draw(blends(s0=anchor - draw(st.just(0.0) | _floats(0.0, 30.0))))
+    if draw(st.booleans()):  # put an edge on a position when one lies past the start
+        back = draw(st.sampled_from([0.0, PASS_HOLD, PASS_HOLD + RETURN_LENGTH]))
+        # blends() spans at least 1e-3, so the curvature's span**2 stays normal.
+        ends = [p - back for p in positions.tolist() if p - back >= blend.s0 + 1e-3]
+        if ends:
+            blend = dataclasses.replace(blend, s1=draw(st.sampled_from(ends)))
+    # A target of -0.0 is held as +0.0 (test_a_negative_zero_target_holds_positive_zero).
+    return dataclasses.replace(blend, d1=blend.d1 + 0.0), positions
 
 
-class TestLateralReferenceMatchesMaskReference:
+class TestDodgeShapeMatchesMaskReference:
     @settings(max_examples=300, deadline=None)
-    @given(lateral_cases())
-    def test_eval_is_bit_identical(self, case):
-        ref, positions = case
-        got, want = ref.eval(positions), reference_lateral_eval(ref, positions)
+    @given(dodge_cases())
+    def test_is_bit_identical(self, case):
+        blend, positions = case
+        got = _dodge_shape(blend, blend.s1, positions)
+        want = reference_lateral_eval((blend, return_blend(blend)), positions)
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
     def test_every_region_is_sampled(self):
-        first = QuinticBlend(s0=3.0, s1=10.0, d0=0.2, slope0=0.1, d1=1.0)
-        second = QuinticBlend(s0=20.0, s1=30.0, d0=1.0, slope0=0.0, d1=0.0)
-        ref = LateralReference(blends=(first, second))
-        positions = np.arange(41) * 1.0  # before, inside, gap, inside, after
-        got, want = ref.eval(positions), reference_lateral_eval(ref, positions)
+        blend = QuinticBlend(s0=3.0, s1=10.0, d0=0.2, slope0=0.1, d1=-1.0)
+        positions = 3.0 + np.arange(48) * 1.0  # blend, hold, return blend, after
+        got = _dodge_shape(blend, 10.0, positions)
+        want = reference_lateral_eval((blend, return_blend(blend)), positions)
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-        assert got[0][0] == 0.2 - 0.1 * 3.0 and got[0][15] == 1.0 and got[0][40] == 0.0
+        assert got[0][0] == 0.2 and got[0][8] == -1.0 and got[0][45] == 0.0
+
+    def test_a_negative_zero_target_holds_positive_zero(self):
+        # The one input on which the dodge and the mask reference differ: the
+        # return blend holds -0.0 * 1.0 + 0.0 * h1 + 0.0 * h3, which is +0.0. A
+        # plan's target is the obstacle offset plus the clearance, never -0.0,
+        # or a concession d0 + scale * (target - d0), -0.0 only from d0 = -0.0.
+        blend = QuinticBlend(s0=0.0, s1=10.0, d0=-0.3, slope0=-0.1, d1=-0.0)
+        positions = np.arange(16.0)
+        got = _dodge_shape(blend, 10.0, positions)
+        want = reference_lateral_eval((blend, return_blend(blend)), positions)
+        assert _same_bits(got[0][:10], want[0][:10]) and _same_bits(got[1], want[1])
+        assert (got[0][10:] == 0.0).all() and not np.signbit(got[0][10:]).any()
+
+
+class TestDodgeJoins:
+    # Targets, start offsets and slopes of both signs: a product with a held
+    # +0.0 basis value is -0.0 when the other factor is negative.
+    BLENDS = [QuinticBlend(s0=0.0, s1=20.0, d0=0.0, slope0=0.0, d1=1.5),
+              QuinticBlend(s0=-3.7, s1=18.2, d0=-0.4, slope0=-0.1, d1=-1.25),
+              QuinticBlend(s0=5.0, s1=6.5, d0=0.7, slope0=0.3, d1=-0.2)]
+
+    @pytest.mark.parametrize("blend", BLENDS)
+    @pytest.mark.parametrize("join", ["obstacle", "hold end"])
+    def test_offset_slope_and_curvature_are_continuous(self, blend, join):
+        s = blend.s1 + (0.0 if join == "obstacle" else PASS_HOLD)
+        h = 1e-5
+        positions = np.concatenate(([blend.s0], s + h * np.arange(-2.0, 3.0)))
+        d, curv = (col[1:] for col in _dodge_shape(blend, blend.s1, positions))
+        assert abs(d[3] - d[1]) <= 1e-9  # the join at index 2
+        left, right = (d[2] - d[0]) / (2 * h), (d[4] - d[2]) / (2 * h)
+        assert left == pytest.approx(0.0, abs=1e-6) and right == pytest.approx(0.0, abs=1e-6)
+        fd_curv = (d[:-2] - 2 * d[1:-1] + d[2:]) / h**2
+        np.testing.assert_allclose(fd_curv, 0.0, atol=1e-3)
+        np.testing.assert_allclose(curv, 0.0, atol=1e-3)
+
+    @pytest.mark.parametrize("blend", BLENDS)
+    def test_the_hold_is_exactly_the_target(self, blend):
+        positions = np.linspace(blend.s1, blend.s1 + PASS_HOLD, 41)[:-1]
+        d, curv = _dodge_shape(blend, blend.s1, np.concatenate(([blend.s0], positions)))
+        assert (d[1:] == blend.d1).all()
+        assert (curv[1:] == 0.0).all() and not np.signbit(curv[1:]).any()
+
+    @pytest.mark.parametrize("blend", BLENDS)
+    def test_past_the_return_blend_holds_exactly_positive_zero(self, blend):
+        end = blend.s1 + PASS_HOLD + RETURN_LENGTH
+        positions = np.concatenate(([blend.s0], end + np.arange(20.0) * 0.5))
+        d, curv = _dodge_shape(blend, blend.s1, positions)
+        assert (d[1:] == 0.0).all() and not np.signbit(d[1:]).any()
+        assert (curv[1:] == 0.0).all() and not np.signbit(curv[1:]).any()
+
+
+def clamped_tau(blend, positions):
+    """The normalized positions ``QuinticBlend.eval`` evaluates, clamped to the blend."""
+    return np.clip((positions - blend.s0) / (blend.s1 - blend.s0), 0.0, 1.0)
+
+
+def blend_positions(blend, tau):
+    return blend.s0 + tau * (blend.s1 - blend.s0)
 
 
 class TestQuinticBlendMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(blends(), hnp.arrays(np.float64, st.integers(1, 101), elements=st.one_of(
         st.just(0.0), st.just(1.0), _floats(0.0, 1.0))))
+    def test_basis_and_shape_are_bit_identical(self, blend, tau):
+        span = blend.s1 - blend.s0
+        got = _quintic_shape(_quintic_basis(tau), blend.d0, blend.slope0 * span, blend.d1, span)
+        want = reference_quintic_eval(blend, tau)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(blends(), hnp.arrays(np.float64, st.integers(1, 101), elements=st.one_of(
+        st.just(0.0), st.just(1.0), _floats(-0.5, 1.5))))
     def test_eval_is_bit_identical(self, blend, tau):
-        got, want = blend.eval(tau), reference_quintic_eval(blend, tau)
+        positions = blend_positions(blend, tau)
+        got = blend.eval(positions)
+        want = reference_quintic_eval(blend, clamped_tau(blend, positions))
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
     @settings(max_examples=300, deadline=None)
     @given(blends(), st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]) | _floats(-2.0, 3.0))
-    def test_offset_at_is_eval_at_the_clamped_point(self, blend, tau):
-        s = blend.s0 + tau * (blend.s1 - blend.s0)
-        clamped = min(max((s - blend.s0) / (blend.s1 - blend.s0), 0.0), 1.0)
-        got, want = blend.offset_at(s), float(blend.eval(np.float64(clamped))[0])
+    def test_offset_at_is_eval_at_one_position(self, blend, tau):
+        s = float(blend_positions(blend, tau))
+        got, want = blend.offset_at(s), float(blend.eval(np.array([s]))[0][0])
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -661,15 +734,15 @@ class TestQuinticBlendMatchesReference:
         # Sums that round differently disagree on a few percent of points,
         # which a dense sweep finds where sampled points may not.
         span = blend.s1 - blend.s0
-        positions = np.linspace(blend.s0 - 0.5 * span, blend.s1 + 0.5 * span, 4001).tolist()
-        taus = [min(max((s - blend.s0) / span, 0.0), 1.0) for s in positions]
-        got = np.array([blend.offset_at(s) for s in positions])
-        assert _same_bits(got, blend.eval(np.array(taus))[0])
+        positions = np.linspace(blend.s0 - 0.5 * span, blend.s1 + 0.5 * span, 4001)
+        got = np.array([blend.offset_at(s) for s in positions.tolist()])
+        assert _same_bits(got, blend.eval(positions)[0])
 
     def test_zero_curvature_keeps_its_sign_at_both_ends(self):
         blend = QuinticBlend(s0=0.0, s1=10.0, d0=0.0, slope0=0.0, d1=1.0)
-        for tau in (np.zeros(3), np.ones(3)):
-            got, want = blend.eval(tau)[1], reference_quintic_eval(blend, tau)[1]
+        for positions in (np.zeros(3), np.full(3, 10.0)):
+            got = blend.eval(positions)[1]
+            want = reference_quintic_eval(blend, clamped_tau(blend, positions))[1]
             assert _same_bits(got, want)
 
 
@@ -724,31 +797,16 @@ class TestCurvatureCapsMatchMaskReference:
         assert _same_bits(np.array(got), reference_curvature_caps(mu_g, kappa_abs, v_des))
 
 
-class TestLateralReferenceContract:
-    FIRST = QuinticBlend(s0=0.0, s1=10.0, d0=0.0, slope0=0.0, d1=1.0)
-
-    @pytest.mark.parametrize("second", [
-        QuinticBlend(s0=-5.0, s1=-1.0, d0=1.0, slope0=0.0, d1=0.0),  # out of order
-        QuinticBlend(s0=9.0, s1=20.0, d0=1.0, slope0=0.0, d1=0.0),  # overlaps
-        QuinticBlend(s0=12.0, s1=12.0, d0=1.0, slope0=0.0, d1=0.0),  # empty
-        QuinticBlend(s0=15.0, s1=12.0, d0=1.0, slope0=0.0, d1=0.0),  # reversed
-        QuinticBlend(s0=math.nan, s1=20.0, d0=1.0, slope0=0.0, d1=0.0),
+class TestQuinticBlendContract:
+    @pytest.mark.parametrize("s0, s1", [
+        (12.0, 12.0),  # empty
+        (15.0, 12.0),  # reversed
+        (math.nan, 20.0),
+        (0.0, math.nan),
     ])
-    def test_rejects_blends_out_of_order_or_overlapping(self, second):
-        with pytest.raises(ValueError, match="s0 < s1 <= next s0"):
-            LateralReference(blends=(self.FIRST, second))
-
-    def test_touching_blends_are_accepted(self):
-        second = QuinticBlend(s0=10.0, s1=20.0, d0=1.0, slope0=0.0, d1=0.0)
-        assert LateralReference(blends=(self.FIRST, second)).blends[1] is second
-
-    @pytest.mark.parametrize("blend_count", [0, 1])
-    @pytest.mark.parametrize("positions", [[0.0, 2.0, 1.0], [0.0, math.nan, 2.0],
-                                           [math.nan]])
-    def test_eval_rejects_positions_that_are_not_ascending(self, blend_count, positions):
-        ref = LateralReference(blends=(self.FIRST,)[:blend_count])
-        with pytest.raises(ValueError, match="ascending"):
-            ref.eval(np.array(positions))
+    def test_rejects_an_empty_reversed_or_nan_span(self, s0, s1):
+        with pytest.raises(ValueError, match="s0 < s1"):
+            QuinticBlend(s0=s0, s1=s1, d0=1.0, slope0=0.0, d1=0.0)
 
 
 def blend_return_reference(s, d, slope, positions):
@@ -756,7 +814,7 @@ def blend_return_reference(s, d, slope, positions):
     ``RETURN_BACKSET`` behind the vehicle at ``s``: what the per-run basis stands in for."""
     blend = QuinticBlend(s - RETURN_BACKSET, s + RETURN_LENGTH - RETURN_BACKSET,
                          d - slope * RETURN_BACKSET, slope, 0.0)
-    return LateralReference(blends=(blend,)).eval(positions)
+    return blend.eval(positions)
 
 
 class TestReturnBasis:
@@ -795,14 +853,15 @@ class TestReturnBasis:
 
     @staticmethod
     def _count_builds(monkeypatch):
+        # Without an obstacle, the return path is the only one that builds a basis.
         grids = []
-        real = planner._return_basis
+        real = planner._quintic_basis
 
-        def counting(points):
-            grids.append(len(points))
-            return real(points)
+        def counting(tau):
+            grids.append(len(tau))
+            return real(tau)
 
-        monkeypatch.setattr(planner, "_return_basis", counting)
+        monkeypatch.setattr(planner, "_quintic_basis", counting)
         return grids
 
     def test_a_run_builds_the_basis_once(self, monkeypatch):
