@@ -3,21 +3,20 @@
 Each pass walks the horizon one grid segment at a time and every step
 depends on the previous speed, so the loops stay scalar Python. They run on
 Python floats: the planner hands them its |effective curvature| and its
-grip ``mu * g`` as lists, ``backward_pass`` returns lists, and
-``forward_pass`` appends to a list of speeds. Indexing a numpy array element by
-element would make every product, ``sqrt`` and comparison a numpy-scalar
-operation, which costs several times the same IEEE-754 double arithmetic on
-floats and gives the same bits. For the same reason ``min``/``max`` of two values are written
-as ``b if b < a else a``/``b if b > a else a``, the exact equivalents of the
-builtins (including which operand a tie or a NaN returns). The forward
-pass's commanded braking covers a prefix of the grid segments: those before
-the obstacle, over ascending positions.
+grip ``mu * g`` as lists, and both passes return new lists. Indexing a numpy
+array element by element would make every product, ``sqrt`` and comparison
+a numpy-scalar operation, which costs several times the same IEEE-754 double
+arithmetic on floats and gives the same bits. For the same reason
+``min``/``max`` of two values are written as ``b if b < a else a``/``b if b
+> a else a``, the exact equivalents of the builtins (including which operand
+a tie or a NaN returns). The forward pass's commanded braking covers a
+prefix of the grid segments: those before the obstacle, over ascending
+positions.
 
 The backward pass covers the whole horizon on every plan. The forward pass
-is resumable: it continues a plan's speeds from the last one computed up to
-a stop count, so a plan integrates only as far as it is read (see
-``planner.PlannedTrajectory``), and a speed has the same bits however the
-horizon is split into calls.
+starts from the current speed and stops at the points it is asked for, so a
+plan integrates only as far as it is read (see
+``planner.PlannedTrajectory``); each call stands alone.
 
 They live in their own module so ``planner`` can call them as
 ``_kernels.backward_pass`` and ``_kernels.forward_pass``:
@@ -71,12 +70,10 @@ PREBRAKE_LATERAL_SHARE = 0.98
 CAP_VIOLATION_TOL = 0.1
 
 
-def forward_pass(v, stop, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_until):
-    """Integrate the speed profile forward, appending to the speeds ``v`` in
-    place until it holds ``stop`` points, or the whole horizon if fewer.
-
-    ``v`` starts as ``[current speed]``; each call continues from its last
-    speed, so any sequence of stops gives the speeds of one call to the last.
+def forward_pass(v0, count, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, brake_until):
+    """Integrate the speed profile forward from the current speed ``v0``:
+    the speeds at the first ``count + 1`` grid points and ``a_long`` at the
+    first ``count`` (each at most the whole horizon), as new lists.
 
     Three regimes per segment: commanded violation braking (the first
     ``brake_until`` segments) sheds speed at bounded lateral/brake shares of
@@ -86,41 +83,60 @@ def forward_pass(v, stop, v_bound, v_cap, kappa_abs, mu_g, ds, f_lat, f_brake, b
     braking room never vanishes while riding the cap); otherwise the profile
     accelerates toward the envelope. ``v_bound`` and ``v_cap`` are the lists
     ``backward_pass`` returns, ``kappa_abs`` and ``mu_g`` the lists it took.
+
+    ``a_long`` is the one-segment difference of ``v**2`` (the last grid point
+    repeats the one before it), clipped to +-mu_g at its point: the plant's
+    longitudinal demand, which it limits only at the true grip. The clip is
+    ``np.clip``'s on floats: ``np.maximum(x, y)`` is ``x if x > y else y``
+    and ``np.minimum`` ``x if x < y else y``, except that a NaN ``x`` is
+    returned, so either operand's NaN and a tie's signed zero come out as
+    numpy's.
     """
     ds = float(ds)
     f_lat = float(f_lat)
     f_brake = float(f_brake)
-    vi = v[-1]
+    den = 2.0 * ds
     n = len(v_bound)
-    for i in range(len(v) - 1, (stop if stop < n else n) - 1):
-        vi2 = vi * vi
-        lat_demand = vi2 * kappa_abs[i]
+    last = n - 1
+    vi = v0
+    speeds = [vi]
+    a_long = []
+    for i in range(count if count < n else n):
         m = mu_g[i]
-        nxt = v_bound[i + 1]
-        commanded = i < brake_until
-        if commanded or vi > v_cap[i] + CAP_VIOLATION_TOL:
-            share = f_lat * m
-            lat = share if share < lat_demand else lat_demand
-            left2 = m * m - lat * lat
-            left = math.sqrt(left2) if left2 > 0.0 else 0.0
-            brake = f_brake * m
-            brake = left if left < brake else brake
-            vn2 = vi2 - 2.0 * brake * ds
-            vi = math.sqrt(vn2) if vn2 > 0.0 else 0.0
-            if not commanded and vi < nxt:
-                vi = nxt
-        elif vi > nxt:
-            share = PREBRAKE_LATERAL_SHARE * m
-            lat = share if share < lat_demand else lat_demand
-            left2 = m * m - lat * lat
-            brake = math.sqrt(left2) if left2 > 0.0 else 0.0
-            vn2 = vi2 - 2.0 * brake * ds
-            vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
-            vi = vn if vn > nxt else nxt
-        else:
-            lat = m if m < lat_demand else lat_demand
-            left2 = m * m - lat * lat
-            accel = math.sqrt(left2) if left2 > 0.0 else 0.0
-            vn = math.sqrt(vi2 + 2.0 * accel * ds)
-            vi = vn if vn < nxt else nxt
-        v.append(vi)
+        if i < last:
+            vi2 = vi * vi
+            lat_demand = vi2 * kappa_abs[i]
+            nxt = v_bound[i + 1]
+            commanded = i < brake_until
+            if commanded or vi > v_cap[i] + CAP_VIOLATION_TOL:
+                share = f_lat * m
+                lat = share if share < lat_demand else lat_demand
+                left2 = m * m - lat * lat
+                left = math.sqrt(left2) if left2 > 0.0 else 0.0
+                brake = f_brake * m
+                brake = left if left < brake else brake
+                vn2 = vi2 - 2.0 * brake * ds
+                vi = math.sqrt(vn2) if vn2 > 0.0 else 0.0
+                if not commanded and vi < nxt:
+                    vi = nxt
+            elif vi > nxt:
+                share = PREBRAKE_LATERAL_SHARE * m
+                lat = share if share < lat_demand else lat_demand
+                left2 = m * m - lat * lat
+                brake = math.sqrt(left2) if left2 > 0.0 else 0.0
+                vn2 = vi2 - 2.0 * brake * ds
+                vn = math.sqrt(vn2) if vn2 > 0.0 else 0.0
+                vi = vn if vn > nxt else nxt
+            else:
+                lat = m if m < lat_demand else lat_demand
+                left2 = m * m - lat * lat
+                accel = math.sqrt(left2) if left2 > 0.0 else 0.0
+                vn = math.sqrt(vi2 + 2.0 * accel * ds)
+                vi = vn if vn < nxt else nxt
+            speeds.append(vi)
+            a = (vi * vi - vi2) / den
+        # At the last grid point ``a`` is still the segment before it.
+        lo = -m
+        a_lo = a if a > lo or a != a else lo
+        a_long.append(a_lo if a_lo < m or a_lo != a_lo else m)
+    return speeds, a_long

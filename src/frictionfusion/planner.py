@@ -124,21 +124,19 @@ class PlannerMemory:
 
 @dataclass(frozen=True)
 class PlannedTrajectory:
-    """Grid-sampled plan: lateral target, velocity envelope and the speeds
-    integrated so far.
+    """Grid-sampled plan: lateral target, velocity envelope and the current
+    speed ``v0`` the forward pass starts from.
 
     ``plan`` runs the backward pass over the whole horizon and stops there:
     ``v_bw``, ``v_cap``, ``kappa_abs`` (|effective curvature|) and ``mu_g``
     (grip ``mu * g``) are the envelope as lists of floats, with the circle
-    ``shares`` and the ``brake_until`` segments the forward pass reads.
-    ``speeds`` starts as ``[current speed]`` and is the plan's own list (a
-    ``dataclasses.replace`` copy that changes the envelope needs a new one):
-    the forward pass extends it in place only as far as the plan is read, and
-    a speed once computed never changes. ``accelerations(count)`` finishes the
-    first points for the plant; ``v`` and ``a_long`` finish the whole horizon
-    on first read, as numpy arrays with the same bits. The plan hands the
-    plant ``a_long`` and the effective curvature only: the plant's one limit
-    on the demand is the true grip (``simulator.step``).
+    ``shares`` and the ``brake_until`` segments the forward pass reads. A
+    plan is a value: each read runs the forward pass from ``v0`` over the
+    points it asks for, and changes nothing. ``accelerations(count)`` gives
+    the first points for the plant; ``v`` and ``a_long`` are the whole
+    horizon, computed on first read, as numpy arrays with the same bits. The
+    plan hands the plant ``a_long`` and the effective curvature only: the
+    plant's one limit on the demand is the true grip (``simulator.step``).
 
     ``feasible`` is False when the friction-circle limits derived from the
     estimate could not honor the objective and the plan is the flagged
@@ -147,7 +145,6 @@ class PlannedTrajectory:
 
     s_anchor: float
     ds: float
-    positions: np.ndarray
     d_ref: np.ndarray
     kappa_eff: np.ndarray
     kappa_path: np.ndarray
@@ -157,26 +154,24 @@ class PlannedTrajectory:
     mu_g: list
     shares: tuple
     brake_until: int
-    speeds: list
+    v0: float
     feasible: bool
     dodge_scale: float = 1.0
 
+    def _forward(self, count):
+        return _kernels.forward_pass(self.v0, count, self.v_bw, self.v_cap, self.kappa_abs,
+                                     self.mu_g, self.ds, *self.shares, self.brake_until)
+
     def accelerations(self, count):
-        """``a_long`` at the first ``count`` grid points (at most the horizon),
-        as a list, integrating the speeds it needs: the plant's longitudinal
-        demand, which it limits only at the true grip, keeping direction."""
-        n = len(self.mu_g)
-        count = count if count < n else n
-        stop = count + 1 if count < n else n
-        if len(self.speeds) < stop:
-            _kernels.forward_pass(self.speeds, stop, self.v_bw, self.v_cap, self.kappa_abs,
-                                  self.mu_g, self.ds, *self.shares, self.brake_until)
-        return _accelerations(self.speeds, self.mu_g, self.ds, count)
+        """``a_long`` at the first ``count`` grid points (at most the horizon), as a
+        list: the plant's longitudinal demand, which it limits only at the true
+        grip, keeping direction."""
+        return self._forward(count)[1]
 
     @functools.cached_property
     def _full(self):
-        a_long = self.accelerations(len(self.mu_g))
-        return np.array(self.speeds), np.array(a_long)
+        speeds, a_long = self._forward(len(self.mu_g))
+        return np.array(speeds), np.array(a_long)
 
     @property
     def v(self):
@@ -187,36 +182,6 @@ class PlannedTrajectory:
     def a_long(self):
         """Planned longitudinal acceleration at every grid point."""
         return self._full[1]
-
-
-def _accelerations(v, mu_g, ds, count):
-    """``a_long`` at the first ``count`` points of the speeds ``v`` on the grip
-    ``mu_g``, as a list.
-
-    ``a_long`` is the one-segment difference of ``v**2`` (the last grid point
-    repeats the one before it), clipped to +-mu_g. Nothing here bounds the
-    lateral demand: the plant's one limit is the true grip, which keeps the
-    demand's direction. The operations are
-    numpy's on the whole arrays, in the same order, on floats:
-    ``np.maximum(x, y)`` is ``x if x > y else y`` and ``np.minimum`` ``x if x
-    < y else y``, except that a NaN ``x`` is returned, so either operand's NaN
-    and a tie's signed zero come out as numpy's. ``v`` holds at least
-    ``count + 1`` speeds, or all of them when ``count`` is the horizon.
-    """
-    last = len(mu_g) - 1
-    den = 2.0 * ds
-    a_long = [0.0] * count
-    for j in range(count):
-        k = j if j < last else last - 1
-        a = (v[k + 1] * v[k + 1] - v[k] * v[k]) / den
-        m = mu_g[j]
-        lo = -m
-        if not (a > lo or a != a):
-            a = lo
-        if not (a < m or a != a):
-            a = m
-        a_long[j] = a
-    return a_long
 
 
 def _dodge_shape(blend, s_obs, positions):
@@ -281,8 +246,8 @@ def plan(state, scenario, mu_hat, grid, memory=None):
 
     The branches only choose the envelope (reference and backward pass), the
     circle shares, the brake region, feasibility, the concession scale and
-    the dodge memory. The plan holds the envelope; its speeds and
-    accelerations are integrated only as far as they are read.
+    the dodge memory. The plan holds the envelope and the current speed; its
+    speeds and accelerations are integrated only as far as they are read.
     """
     mu = np.maximum(np.asarray(mu_hat, dtype=np.float64).reshape(-1), 0.0)
     pts = grid.points
@@ -379,7 +344,6 @@ def plan(state, scenario, mu_hat, grid, memory=None):
     return PlannedTrajectory(
         s_anchor=state.s,
         ds=ds,
-        positions=positions,
         d_ref=d_ref,
         kappa_eff=kappa_eff,
         kappa_path=kappa_path,
@@ -389,7 +353,7 @@ def plan(state, scenario, mu_hat, grid, memory=None):
         mu_g=mg,
         shares=shares,
         brake_until=brake_until,
-        speeds=[float(state.v)],
+        v0=float(state.v),
         feasible=bool(feasible),
         dodge_scale=scale,
     )

@@ -26,7 +26,6 @@ from frictionfusion.planner import (
     PlannedTrajectory,
     PlannerMemory,
     QuinticBlend,
-    _accelerations,
     _dodge_shape,
     _quintic_basis,
     _quintic_shape,
@@ -121,7 +120,8 @@ class TestPlanTurn:
         traj = plan(VehicleState(s=0.0, d=0.0, v=12.0, t=0.0), scenario,
                     np.full(51, 0.4), grid)
         corner = math.sqrt(0.4 * GRAVITY * 20.0)
-        in_turn = (traj.positions >= 15.0) & (traj.positions <= 15.0 + 10 * math.pi)
+        positions = traj.s_anchor + grid.points
+        in_turn = (positions >= 15.0) & (positions <= 15.0 + 10 * math.pi)
         assert (traj.v[in_turn] ** 2 * 0.05 <= 0.4 * GRAVITY + 1e-9).all()
         assert traj.v[in_turn].max() == pytest.approx(corner, abs=1e-6)
         assert traj.feasible
@@ -131,7 +131,7 @@ class TestPlanTurn:
         grid = SGrid()
         traj = plan(VehicleState(s=0.0, d=0.0, v=12.0, t=0.0), scenario,
                     np.full(51, 0.4), grid)
-        entry = int(np.searchsorted(traj.positions, 15.0))
+        entry = int(np.searchsorted(traj.s_anchor + grid.points, 15.0))
         assert traj.v[entry] < 12.0
         assert traj.v[0] == 12.0
         assert (traj.a_long[:entry] <= 1e-9).all()
@@ -142,7 +142,8 @@ class TestPlanTurn:
         traj = plan(VehicleState(s=0.0, d=0.0, v=12.0, t=0.0), scenario,
                     np.full(51, 0.4), grid)
         oracle = fine_step_corner_speed(0.4, 20.0)
-        mid_turn = (traj.positions >= 20.0) & (traj.positions <= 40.0)
+        positions = traj.s_anchor + grid.points
+        mid_turn = (positions >= 20.0) & (positions <= 40.0)
         np.testing.assert_allclose(traj.v[mid_turn], oracle, rtol=2e-2)
 
 
@@ -154,7 +155,7 @@ class TestPlanDodge:
                     np.full(51, 0.6), grid)
         assert not traj.feasible
         assert traj.dodge_scale < 1.0
-        approach = traj.positions < 20.0
+        approach = traj.s_anchor + grid.points < 20.0
         assert (traj.a_long[approach] < 0.0).all()
         # The commanded braking stops at the obstacle: from its grid point on,
         # the plan speeds up or holds.
@@ -169,7 +170,7 @@ class TestPlanDodge:
         traj = plan(VehicleState(s=0.0, d=0.0, v=20.0, t=0.0), scenario,
                     np.full(51, 1.0), grid)
         assert traj.feasible
-        at_obstacle = int(np.searchsorted(traj.positions, 20.0))
+        at_obstacle = int(np.searchsorted(traj.s_anchor + grid.points, 20.0))
         assert traj.d_ref[at_obstacle] == pytest.approx(1.5, abs=1e-9)
 
     def test_memory_commits_dodge_geometry(self):
@@ -380,37 +381,29 @@ class TestVelocityPassesMatchNumpyScalarReference:
             v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
         else:
             v_bound = v_cap[::-1].copy()
-        got = [float(v0)]
-        _kernels.forward_pass(got, len(v_cap), v_bound.tolist(), v_cap.tolist(),
-                              kappa_abs.tolist(), mu_g.tolist(), ds, f_lat, f_brake, brake_until)
+        speeds, a_long = _kernels.forward_pass(
+            float(v0), len(v_cap), v_bound.tolist(), v_cap.tolist(), kappa_abs.tolist(),
+            mu_g.tolist(), ds, f_lat, f_brake, brake_until)
         brake_mask = np.arange(len(v_cap)) < brake_until  # the prefix as a mask
         want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
                                       f_lat, f_brake)
-        assert _same_bits(np.array(got), want)
+        assert type(speeds) is list and type(a_long) is list
+        assert _same_bits(np.array(speeds), want)
+        assert _same_bits(np.array(a_long), reference_acceleration_bounds(want, mu_g, ds))
 
     @settings(max_examples=200, deadline=None)
-    @given(pass_inputs(), st.lists(st.integers(0, 220), max_size=6))
-    def test_forward_pass_split_at_any_stops_is_bit_identical(self, inputs, stops):
+    @given(pass_inputs(), st.integers(0, 220))
+    def test_a_read_of_any_count_is_the_start_of_the_full_read(self, inputs, count):
         kappa_abs, mu_g, v_cap, brake_until, ds, v0, shares = inputs
         n = len(v_cap)
         v_bound = reference_backward_pass(v_cap, kappa_abs, mu_g, ds)
         args = (v_bound.tolist(), v_cap.tolist(), kappa_abs.tolist(), mu_g.tolist(), ds,
                 *shares, brake_until)
-        whole, split = [float(v0)], [float(v0)]
-        _kernels.forward_pass(whole, n, *args)
-        # Stops in any order: below what is computed (a no-op), inside, past the end.
-        computed = 1
-        for stop in stops:
-            _kernels.forward_pass(split, stop, *args)
-            computed = max(computed, min(stop, n))
-            assert len(split) == computed
-            assert _same_bits(np.array(split), np.array(whole[:computed]))
-        _kernels.forward_pass(split, n, *args)
-        brake_mask = np.arange(n) < brake_until
-        want = reference_forward_pass(v0, v_bound, v_cap, kappa_abs, mu_g, ds, brake_mask,
-                                      *shares)
-        assert _same_bits(np.array(split), np.array(whole))
-        assert _same_bits(np.array(split), want)
+        speeds, a_long = _kernels.forward_pass(float(v0), n, *args)
+        # Counts below, at and past the horizon.
+        got_speeds, got_a_long = _kernels.forward_pass(float(v0), count, *args)
+        assert _same_bits(np.array(got_speeds), np.array(speeds[:min(count + 1, n)]))
+        assert _same_bits(np.array(got_a_long), np.array(a_long[:min(count, n)]))
 
 
 def _plan_cases():
@@ -430,33 +423,60 @@ def _step_bits(state, traj, profile):
     return np.array([end.s, end.d, end.v, end.t, end.d_rate, lam, *rows]).tobytes()
 
 
+def _counted_passes(monkeypatch):
+    """The ``count`` each forward pass is asked for from here on, in call order."""
+    counts, real = [], _kernels.forward_pass
+
+    def counting_pass(v0, count, *args):
+        counts.append(count)
+        return real(v0, count, *args)
+
+    monkeypatch.setattr(_kernels, "forward_pass", counting_pass)
+    return counts
+
+
 class TestPlanFinishedWhereRead:
-    """A plan integrates its speeds only as far as it is read; what it gives
-    does not depend on what was read before."""
+    """A read integrates a plan only as far as it asks; what it gives does not
+    depend on what was read before."""
 
     @pytest.mark.parametrize("case", list(_plan_cases()), ids=lambda case: str(case[3].ds))
-    def test_reads_in_any_order_give_the_same_bits(self, case):
+    def test_reads_in_any_order_give_the_same_bits(self, case, monkeypatch):
         state, scenario, mu_hat, grid = case
+        counts = _counted_passes(monkeypatch)
         want = None
         for order in itertools.permutations(("v", "a_long", "step")):
             traj = plan(state, scenario, mu_hat, grid)
-            assert len(traj.speeds) == 1
+            assert counts == []
             got = {name: _step_bits(state, traj, scenario.profile) if name == "step"
                    else getattr(traj, name).tobytes() for name in order}
-            assert len(traj.speeds) == grid.n_points
+            # One full-horizon pass for v and a_long, one short one for the step.
+            assert len(counts) == 2 and counts.count(grid.n_points) == 1
+            counts.clear()
             if want is None:
                 want = got
                 assert traj.brake_until > 0 or scenario.obstacle is None
             assert got == want, order
 
-    def test_step_extends_a_plan_read_in_part(self):
+    def test_a_read_in_part_changes_no_later_read(self, monkeypatch):
         state, scenario, mu_hat, grid = next(_plan_cases())
         whole = plan(state, scenario, mu_hat, grid)
         want = _step_bits(state, whole, scenario.profile), whole.v.tobytes()
         traj = plan(state, scenario, mu_hat, grid)
-        traj.accelerations(1)
-        assert len(traj.speeds) == 2
+        counts = _counted_passes(monkeypatch)
+        assert len(traj.accelerations(1)) == 1 and counts == [1]
         assert (_step_bits(state, traj, scenario.profile), traj.v.tobytes()) == want
+
+    def test_a_copy_with_another_envelope_leaves_the_plan_alone(self):
+        # Read in part, then a copy with half the envelope read in full: each
+        # gives what a fresh plan gives.
+        args = (VehicleState(s=5.0, d=0.0, v=12.0, t=0.5), turn_scenario(),
+                np.full(51, 0.4), SGrid())
+        a = plan(*args)
+        a.accelerations(3)
+        b = dataclasses.replace(a, v_bw=[0.5 * x for x in a.v_bw])
+        b_v = b.v.tobytes()
+        assert a.v.tobytes() == plan(*args).v.tobytes()
+        assert b_v == dataclasses.replace(plan(*args), v_bw=b.v_bw).v.tobytes()
 
     def test_the_guard_reads_past_a_prefix_that_falls_short(self, monkeypatch):
         # The bound always covers the interval, so cut the first prefix short.
@@ -475,15 +495,13 @@ class TestPlanFinishedWhereRead:
 
     @pytest.mark.parametrize("ds", [1.0, 0.5, 0.25])
     def test_one_forward_pass_per_replan_within_the_bound(self, ds, monkeypatch):
-        calls, intervals = [], []
-        real_pass, real_step = _kernels.forward_pass, simulator.step
-        monkeypatch.setattr(_kernels, "forward_pass",
-                            lambda *args: calls.append(1) or real_pass(*args))
+        counts, intervals = _counted_passes(monkeypatch), []
+        real_step = simulator.step
 
         def recording_step(state, traj, profile, dt, substeps, rows):
-            calls.clear()
+            counts.clear()
             result = real_step(state, traj, profile, dt, substeps, rows)
-            intervals.append((state, traj, dt, substeps, len(calls)))
+            intervals.append((state, traj, dt, substeps, list(counts)))
             return result
 
         monkeypatch.setattr(simulator, "step", recording_step)
@@ -498,13 +516,14 @@ class TestPlanFinishedWhereRead:
                                   grid=SGrid(ds=ds)).replans
                     assert len(intervals) == len(replans) > 9
                     for state, traj, dt, substeps, passes in intervals:
-                        assert passes == 1
+                        assert len(passes) == 1
                         # The speed rises by at most max(mu_g) * dt a step, so
                         # the demands lie at or before s + reach.
                         grip = max(traj.mu_g)
                         reach = dt * sum(state.v + k * grip * dt for k in range(substeps - 1))
                         bound = math.floor((state.s + reach - traj.s_anchor) / ds) + 3
-                        assert 2 < len(traj.speeds) <= bound
+                        # The pass integrates count + 1 speeds, at most the horizon.
+                        assert 2 < min(passes[0] + 1, len(traj.mu_g)) <= bound
                     intervals.clear()
 
 
@@ -746,45 +765,55 @@ class TestQuinticBlendMatchesReference:
             assert _same_bits(got, want)
 
 
-@st.composite
-def speeds_and_grip(draw):
-    n = draw(st.integers(2, 201))
-    v = draw(hnp.arrays(np.float64, n, elements=st.one_of(
-        st.just(0.0), st.just(12.0), _floats(0.0, 40.0))))
-    mu_g = draw(hnp.arrays(np.float64, n, elements=st.one_of(
-        st.just(0.0), _floats(1e-3, 1.2 * GRAVITY))))
-    ds = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-    return v, mu_g, ds
+def _flat_pass(v0, v_bound, v_cap, mu_g, ds):
+    """The whole forward pass on a straight, without commanded braking."""
+    n = len(mu_g)
+    return _kernels.forward_pass(v0, n, v_bound, v_cap, [0.0] * n, mu_g, ds,
+                                 CURVE_LATERAL_SHARE, CURVE_BRAKE_SHARE, 0)
 
 
 class TestAccelerationsMatchClipReference:
+    """The pass's ``a_long`` is ``np.clip`` of the difference of its own speeds."""
+
     @settings(max_examples=300, deadline=None)
-    @given(speeds_and_grip(), st.data())
-    def test_prefix_and_full_arrays_are_bit_identical(self, case, data):
-        v, mu_g, ds = case
-        n = len(v)
-        a_long = reference_acceleration_bounds(v, mu_g, ds)
-        assert _same_bits(np.array(_accelerations(v.tolist(), mu_g.tolist(), ds, n)), a_long)
-        # A prefix reads one speed past its last point, and nothing further.
+    @given(pass_inputs(), st.data())
+    def test_prefix_and_full_arrays_are_bit_identical(self, inputs, data):
+        kappa_abs, mu_g, v_cap, brake_until, ds, v0, shares = inputs
+        n = len(v_cap)
+        # A bound off the envelope lets the speed jump past the grip, where the clip binds.
+        args = (v_cap[::-1].tolist(), v_cap.tolist(), kappa_abs.tolist(), mu_g.tolist(), ds,
+                *shares, brake_until)
+        speeds, a_long = _kernels.forward_pass(float(v0), n, *args)
+        want = reference_acceleration_bounds(np.array(speeds), mu_g, ds)
+        assert _same_bits(np.array(a_long), want)
         count = data.draw(st.integers(0, n - 1))
-        prefix = _accelerations(v[:count + 1].tolist(), mu_g.tolist(), ds, count)
-        assert _same_bits(np.array(prefix), a_long[:count])
+        prefix = _kernels.forward_pass(float(v0), count, *args)[1]
+        assert _same_bits(np.array(prefix), want[:count])
 
     def test_no_grip_clips_to_positive_zero(self):
-        v = np.array([10.0, 8.0, 8.0, 9.0])
-        mu_g = np.zeros(4)
-        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 1.0, 4))
-        assert _same_bits(got, reference_acceleration_bounds(v, mu_g, 1.0))
-        assert not np.signbit(got).any()
+        # Over no grip the speed jumps up past a violated cap and holds; the last
+        # point repeats the braking before it. Each of the three clips to +0.0.
+        mu_g = [0.0, 0.0, 5.0, 5.0, 0.0]
+        speeds, a_long = _flat_pass(10.0, [10.0, 12.0, 12.0, 8.0, 8.0],
+                                    [0.0, 30.0, 30.0, 30.0, 30.0], mu_g, 1.0)
+        assert speeds[:3] == [10.0, 12.0, 12.0] and a_long[3] < 0.0
+        got = np.array(a_long)
+        assert _same_bits(got, reference_acceleration_bounds(np.array(speeds),
+                                                             np.array(mu_g), 1.0))
+        no_grip = got[[0, 1, 4]]
+        assert (no_grip == 0.0).all() and not np.signbit(no_grip).any()
 
     @pytest.mark.parametrize("where", ["speed", "grip"])
     def test_nan_from_either_operand(self, where):
-        v, mu_g = np.array([10.0, 8.0, 8.0, 9.0]), np.full(4, 5.0)
-        (v if where == "speed" else mu_g)[[1, 3]] = [math.nan, -math.nan]
-        got = np.array(_accelerations(v.tolist(), mu_g.tolist(), 0.5, 4))
-        want = reference_acceleration_bounds(v, mu_g, 0.5)
-        assert _same_bits(got, want)
-        assert np.isnan(want).sum() == (4 if where == "speed" else 2)
+        v0, mu_g = 10.0, [5.0] * 4
+        if where == "speed":
+            v0 = -math.nan
+        else:
+            mu_g[1], mu_g[3] = math.nan, -math.nan
+        speeds, a_long = _flat_pass(v0, [10.0, 8.0, 8.0, 9.0], [30.0] * 4, mu_g, 0.5)
+        want = reference_acceleration_bounds(np.array(speeds), np.array(mu_g), 0.5)
+        assert _same_bits(np.array(a_long), want)
+        assert np.isnan(want).sum() == (1 if where == "speed" else 2)
 
 
 class TestCurvatureCapsMatchMaskReference:

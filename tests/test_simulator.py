@@ -23,14 +23,14 @@ from frictionfusion.simulator import (
 from helpers import load_workloads, reference_curvature_at, repin_message
 
 
-def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
-              mu_g=20.0, speeds=None):
-    """A plan on grid points from s = 0, built from complete speeds and the
-    grip ``mu_g`` (mu * g) at every point.
+def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0, speeds=None):
+    """A plan on grid points from s = 0 whose forward pass follows ``speeds``:
+    they are its envelope and its caps, and a grip ``mu_g`` (mu * g) of 20
+    at every point leaves room for every demand these tests ask for.
 
     By default ``v**2`` is linear in s from ``v`` at ``a_long`` (down to a
-    stop), so the plan's ``a_long`` is ``a_long`` to rounding while
-    ``|a_long| < mu_g``; a NaN ``a_long`` gives NaN speeds.
+    stop), so the plan's ``a_long`` is ``a_long`` to rounding; a NaN
+    ``a_long`` gives NaN speeds.
     """
     if speeds is None:
         squares = [v * v + 2.0 * a_long * ds * j for j in range(n)]
@@ -38,32 +38,49 @@ def flat_plan(n=51, ds=1.0, v=10.0, a_long=0.0, kappa_eff=0.0, kappa_path=0.0,
     return PlannedTrajectory(
         s_anchor=0.0,
         ds=ds,
-        positions=np.arange(n) * ds,
         d_ref=np.zeros(n),
         kappa_eff=np.full(n, float(kappa_eff)),
         kappa_path=np.full(n, float(kappa_path)),
         v_bw=list(speeds),
         v_cap=list(speeds),
         kappa_abs=[abs(kappa_eff)] * n,
-        mu_g=[float(mu_g)] * n,
+        mu_g=[20.0] * n,
         shares=(0.0, 0.0),
         brake_until=0,
-        speeds=list(speeds),
+        v0=speeds[0],
         feasible=True,
     )
+
+
+class DemandPlan:
+    """What ``step`` reads of a plan, on grid points from s = 0, with the demand
+    ``a_long`` given outright at every point: one that no forward pass on the
+    plan's grip ``mu_g`` gives."""
+
+    def __init__(self, a_long, kappa, mu_g, n=51, ds=1.0):
+        self.s_anchor, self.ds = 0.0, ds
+        self.d_ref = np.zeros(n)
+        self.kappa_eff = self.kappa_path = np.full(n, kappa)
+        self.mu_g = [mu_g] * n
+        self._a_long = [a_long] * n
+
+    def accelerations(self, count):
+        return self._a_long[:count]
 
 
 class TestFlatPlan:
     @pytest.mark.parametrize("v, a_long", [(10.0, 0.0), (10.0, -4.0), (12.5, 1.5)])
     def test_demands_are_the_ones_asked_for(self, v, a_long):
         traj = flat_plan(v=v, a_long=a_long)
-        assert traj.v[0] == v
+        assert traj.v.tolist() == traj.v_bw and traj.v[0] == v
         np.testing.assert_allclose(traj.a_long[:10], a_long, rtol=0.0, atol=1e-12)
 
     def test_speeds_down_to_a_stop_and_nan(self):
         stopping = flat_plan(speeds=[math.sqrt(10.0)] + [0.0] * 50)
+        assert stopping.v.tolist() == stopping.v_bw
         assert stopping.a_long[0] == pytest.approx(-5.0, abs=1e-12)
         assert (stopping.a_long[1:] == 0.0).all()
+        assert np.isnan(flat_plan(a_long=math.nan).v).all()
         assert np.isnan(flat_plan(a_long=math.nan).a_long).all()
 
 
@@ -104,8 +121,8 @@ class TestStep:
         mu_gt = 0.8
         kappa = 5.0 / 100.0
         state = VehicleState(s=0.0, d=0.0, v=10.0, t=0.0)
-        plan_ = flat_plan(v=10.0, a_long=-3.0, kappa_eff=kappa, kappa_path=kappa, mu_g=4.0)
-        a_long = plan_.a_long[0]
+        plan_ = DemandPlan(a_long=-3.0, kappa=kappa, mu_g=4.0)
+        a_long = plan_.accelerations(1)[0]
         assert math.sqrt(4.0**2 - a_long**2) < 10.0**2 * kappa
         demand = math.hypot(a_long, 10.0**2 * kappa)
         assert demand <= mu_gt * GRAVITY
@@ -169,8 +186,8 @@ class TestInterval:
         real = simulator.plan
 
         def nan_plan(*args, **kwargs):
-            traj = real(*args, **kwargs)  # NaN speeds give a NaN a_long everywhere
-            return dataclasses.replace(traj, speeds=[math.nan] * len(traj.mu_g))
+            traj = real(*args, **kwargs)  # a NaN speed gives a NaN a_long where it starts
+            return dataclasses.replace(traj, v0=math.nan)
 
         monkeypatch.setattr(simulator, "plan", nan_plan)
         with pytest.raises(ValueError, match="state must be finite with speed >= 0"):
