@@ -168,12 +168,12 @@ def _parse(argv):
     for error in errors:
         _check(("errors" if matrix else "error",), resolve_error, error)
     if rc.out is not None:
-        _check_out(rc.out)
+        _check(("out",), _check_out, rc.out)
     return rc, ((scenarios, configs, errors) if matrix else None)
 
 
 def _check_out(out):
-    """Raise a UsageError unless ``out`` is absent or an empty directory."""
+    """Raise a ValueError unless ``out`` is absent or an empty directory."""
     try:
         if next(Path(out).iterdir(), None) is None:
             return
@@ -182,7 +182,7 @@ def _check_out(out):
         return
     except OSError as exc:  # a file, or a directory that cannot be listed
         cause = exc.strerror
-    raise UsageError(f"--out: {out}: {cause}; give an absent or empty directory")
+    raise ValueError(f"{out}: {cause}; give an absent or empty directory")
 
 
 def parse_args(argv):
@@ -259,17 +259,18 @@ def emit_traces(result, rc):
         grid_pts = result.grid.points
         width = len(str(len(result.replans) - 1))
         for index, rec in enumerate(result.replans):
-            mu_gt = result.scenario.profile.shifted(-rec.s).mu_on(grid_pts)
-            if rec.fused is not None:
+            (mu_gt,) = result.scenario.profile.shifted(-rec.s).on_grid(result.grid, "mu")
+            est = rec.estimate
+            if est.fused is not None:
                 # The GP observed on the series' own (1 m) grid: each row shows the
                 # observation at the last of its points at or before s (at ds = 1, its own).
-                held = np.searchsorted(rec.series.grid.points, grid_pts + 1e-9, side="right") - 1
-                gp_cols = (rec.series.mu_prime[held], rec.series.margin[held],
-                           rec.fused.mean, rec.fused.std)
+                held = np.searchsorted(est.series.grid.points, grid_pts + 1e-9, side="right") - 1
+                gp_cols = (est.series.mu_prime[held], est.series.margin[held],
+                           est.fused.mean, est.fused.std)
             else:  # no fusion: the estimate is its own input and mean, with no spread
-                zeros = np.zeros_like(rec.mu_hat)
-                gp_cols = (rec.mu_hat, zeros, rec.mu_hat, zeros)
-            cols = (grid_pts, *gp_cols, rec.mu_hat, mu_gt)
+                zeros = np.zeros_like(est.mu_hat)
+                gp_cols = (est.mu_hat, zeros, est.mu_hat, zeros)
+            cols = (grid_pts, *gp_cols, est.mu_hat, mu_gt)
             cells = [_column(c.tolist()) for c in cols]
             lines = ["s,mu_prime,margin,post_mean,post_std,mu_hat,mu_gt",
                      *map(",".join, zip(*cells))]
@@ -322,14 +323,17 @@ def run_matrix(scenarios, configs, error_modes, base=None):
 
     Per-run outputs land in ``<out>/<scenario>_<config>_<error>/`` when the
     base config has an output directory. An empty selection, one that repeats
-    a value, or an error mode ``resolve_error`` rejects is a ValueError before
-    any run. A run that fails with a ValueError, FactorizationError or OSError
-    is reported on stderr and gets a ``failed: <Type>`` row; any other
-    exception propagates.
+    a value, an error mode ``resolve_error`` rejects, or an output directory
+    that is neither absent nor empty is a ValueError before any run. A run
+    that fails with a ValueError, FactorizationError or OSError is reported
+    on stderr and gets a ``failed: <Type>`` row; any other exception
+    propagates.
     """
     for values, same in ((scenarios, None), (configs, None), (error_modes, resolve_error)):
         _check_selection(values, same)
     base = base if base is not None else RunConfig()
+    if base.out is not None:
+        _check_out(base.out)
     cells = []
     for scenario in scenarios:
         for config in configs:

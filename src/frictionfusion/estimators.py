@@ -9,6 +9,7 @@ class means/margins with the local estimate through the GP pipeline.
 import bisect
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,14 +52,15 @@ class FrictionProfile:
                 raise ValueError(f"mu values must lie in [{SNOW_ICE.mu_min}, 1.2], got {mu}")
         starts, mus = (np.array(column, dtype=np.float64) for column in zip(*segs))
         classes = [classify(mu) for _, mu in segs]
-        table = {name: np.array([getattr(c, name) for c in classes]) for name in CLASS_STATS}
+        table = {"mu": mus,
+                 **{name: np.array([getattr(c, name) for c in classes]) for name in CLASS_STATS}}
         for column in table.values():
             column.flags.writeable = False
-        self._set(starts, mus, table)
+        self._set(starts, MappingProxyType(table))
 
-    def _set(self, start_array, mu_array, class_table):
-        """Check the starts and set every field; the mu values are checked
-        already, and ``class_table`` holds their surface-class statistics."""
+    def _set(self, start_array, table):
+        """Check the starts and set every field; ``table`` holds the checked
+        mu values and their surface-class statistics, one row per segment."""
         starts = tuple(start_array.tolist())
         if not all(map(math.isfinite, starts)):
             raise ValueError(f"segment starts must be finite, got {starts}")
@@ -66,13 +68,12 @@ class FrictionProfile:
             raise ValueError("segment starts must be strictly increasing")
         if starts[0] >= 0.0:
             raise ValueError("first segment must start at negative s")
-        object.__setattr__(self, "segments", tuple(zip(starts, mu_array.tolist())))
+        object.__setattr__(self, "segments", tuple(zip(starts, table["mu"].tolist())))
         # Lookup tables, built once: not dataclass fields, so equality,
         # hashing and repr still see only ``segments``.
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_start_array", start_array)
-        object.__setattr__(self, "_mu_array", mu_array)
-        object.__setattr__(self, "_class_table", class_table)
+        object.__setattr__(self, "_table", table)
 
     def mu_at(self, s):
         """Friction of the segment containing s."""
@@ -96,19 +97,22 @@ class FrictionProfile:
             raise ValueError(f"profile undefined below s={self._starts[0]}")
         return self._start_array.searchsorted(arr, side="right") - 1
 
-    def grid_index(self, grid):
-        """``segment_index`` of a grid's points, which need no check: they are
-        finite and >= 0 (``SGrid``), and every profile starts below 0."""
-        return self._start_array.searchsorted(grid.points, side="right") - 1
+    def on_grid(self, grid, *columns):
+        """One new array per name in ``columns`` ("mu" or a ``CLASS_STATS``
+        name): the segment's value at each point of ``grid``. The points need
+        no check: they are finite and >= 0 (``SGrid``), and every profile
+        starts below 0."""
+        idx = self._start_array.searchsorted(grid.points, side="right") - 1
+        return tuple(self._table[name][idx] for name in columns)
 
     def mu_on(self, positions):
-        return self._mu_array[self.segment_index(positions)]
+        return self._table["mu"][self.segment_index(positions)]
 
     def shifted(self, offset):
         """Profile expressed in a frame displaced by ``offset`` meters."""
         profile = object.__new__(FrictionProfile)
-        # Same mu values: no re-check, and the same class table.
-        profile._set(self._start_array + offset, self._mu_array, self._class_table)
+        # Same mu values: no re-check, and the same table.
+        profile._set(self._start_array + offset, self._table)
         return profile
 
 
@@ -125,7 +129,7 @@ class SurfaceClass:
 DRY = SurfaceClass("dry", mu_min=0.6, mean=0.8, margin=0.2)
 WET = SurfaceClass("wet", mu_min=0.4, mean=0.5, margin=0.1)
 SNOW_ICE = SurfaceClass("snow_ice", mu_min=0.1, mean=0.25, margin=0.15)
-# The statistics a FrictionProfile tables per segment.
+# The class statistics a FrictionProfile tables per segment, beside its mu.
 CLASS_STATS = ("mu_min", "mean", "margin")
 
 
@@ -143,17 +147,6 @@ def classify(mu_gt_value):
     if mu_gt_value >= WET.mu_min:
         return WET
     return SNOW_ICE
-
-
-def _class_stats(profile, grid, *names):
-    """Surface class statistics at each point of ``grid``, read from the
-    profile's class table.
-
-    Returns one array per attribute name in ``names``, e.g. ``"mu_min"``;
-    each is its own 1-D array, not a view of the per-segment table.
-    """
-    idx = profile.grid_index(grid)
-    return tuple(profile._class_table[name][idx] for name in names)
 
 
 class LocalEstimator:
@@ -261,9 +254,9 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
     loc = local_estimate(profile, lambda_t, estimator)
     available = loc is not None
 
-    if config.kind == "gt":
-        return EstimateReport(mu_hat=profile._mu_array[profile.grid_index(grid)],
-                              local_available=available)
+    if config.kind in ("gt", "p"):  # the true mu, or its class minimum
+        (mu_hat,) = profile.on_grid(grid, "mu" if config.kind == "gt" else "mu_min")
+        return EstimateReport(mu_hat=mu_hat, local_available=available)
 
     if config.kind == "l":
         if estimator.last_available is None:
@@ -271,12 +264,8 @@ def emulate(config, profile, grid, lambda_t, estimator, memo=None):
         mu_hat = np.full(grid.n_points, estimator.last_available - MAX_LOCAL_ERROR)
         return EstimateReport(mu_hat=mu_hat, local_available=available)
 
-    if config.kind == "p":
-        (mu_hat,) = _class_stats(profile, grid, "mu_min")
-        return EstimateReport(mu_hat=mu_hat, local_available=available)
-
     observed = grid.observation_grid
-    mean, margin = _class_stats(profile, observed, "mean", "margin")
+    mean, margin = profile.on_grid(observed, "mean", "margin")
     key = (observed, mean.tobytes(), margin.tobytes(), loc, config.local_reach,
            config.prior, grid)
     memo = FusionState() if memo is None else memo

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FrictionProfile, FusionState, LocalEstimator, classify, emulate
+from .estimators import (EstimateReport, FrictionProfile, FusionState, LocalEstimator,
+                         classify, emulate)
 from .fusion import SGrid
 from .planner import GRAVITY, PlannerMemory, plan
 
@@ -199,8 +200,8 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     last step's demand.
     """
     _check_sim_dt(dt)
-    if not substeps >= 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    if not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise ValueError(f"substeps must be a whole number >= 1, got {substeps}")
     kappa_eff, kappa_path, d_ref = (
         col.tolist() for col in (trajectory.kappa_eff, trajectory.kappa_path, trajectory.d_ref))
     anchor, ds, last = trajectory.s_anchor, trajectory.ds, len(d_ref) - 1
@@ -243,22 +244,18 @@ def step(state, trajectory, profile, dt, substeps=1, rows=None):
     return VehicleState(s=s, d=d, v=v, t=t, d_rate=d_rate), lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplanRecord:
-    """Per-replan snapshot: estimate, availability, plan feasibility.
-
-    ``series`` and ``fused`` are set for the fused configuration only.
-    """
+    """Per-replan snapshot: the ``EstimateReport`` the replan planned on, the
+    plan's feasibility and the estimate's share of the true friction under
+    the vehicle."""
 
     t: float
     s: float
     lambda_t: float
-    local_available: bool
+    estimate: EstimateReport
     feasible: bool
     utilization: float
-    mu_hat: np.ndarray
-    series: object = None
-    fused: object = None
 
 
 @dataclass
@@ -328,12 +325,9 @@ def run(scenario, config, local_error=0.0, replan_dt=REPLAN_DT, sim_dt=SIM_DT, g
             t=len(replans) * replan_dt,
             s=state.s,
             lambda_t=lam,
-            local_available=report.local_available,
+            estimate=report,
             feasible=trajectory.feasible,
             utilization=report.mu_hat[0] / mu_gt0,
-            mu_hat=report.mu_hat,
-            series=report.series,
-            fused=report.fused,
         ))
 
         first, prev = len(rows), state

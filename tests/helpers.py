@@ -4,8 +4,8 @@ processes.
 The GP oracles here are intentionally naive: a scalar kernel, and the
 explicit inverse of the regularized Gram matrix with dense linear algebra,
 exercising none of the production code paths beyond the kernel definition
-itself. The lookup oracles are the implementations that ``_class_stats`` and
-the path's table replaced. The plant, planner and run loop have no copy here:
+itself. The lookup oracles are the implementations that ``FrictionProfile.on_grid``
+and the path's table replaced. The plant, planner and run loop have no copy here:
 pinned digests hold their bits and invariants their behaviour (see
 ``test_simulator.TestPinnedCorpus``).
 """

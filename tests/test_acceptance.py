@@ -19,7 +19,7 @@ from frictionfusion import (
 )
 from frictionfusion.cli import run_matrix
 from frictionfusion.estimators import LocalEstimator, classify, emulate
-from frictionfusion.fusion import Z_95, assemble_input
+from frictionfusion.fusion import DEFAULT_LOCAL_REACH, Z_95, assemble_input
 from helpers import naive_posterior, random_gp_case, random_profile
 
 GRID = SGrid()
@@ -30,7 +30,7 @@ GRID = SGrid()
 # of the blending was measured empirically (compound transition pull dies
 # out by 12.2 m, local spillover by 7 m past the threshold).
 TRANSITION_EXCLUSION = 13.0
-LOCAL_EXCLUSION = 5.0 + 8.0
+LOCAL_EXCLUSION = DEFAULT_LOCAL_REACH + 8.0
 
 
 def _report(num, name):
@@ -127,7 +127,7 @@ def test_criterion_6_utilization_analogue():
             assert abs((1.0 - rec.utilization) - 0.40) <= 1e-9
     l_result = run(scenario, Configuration("l"), local_error=-0.025)
     available = [r for r in l_result.replans
-                 if r.local_available and window[0] <= r.s <= window[1]]
+                 if r.estimate.local_available and window[0] <= r.s <= window[1]]
     assert available
     for rec in available:
         assert abs((1.0 - rec.utilization) - 0.05) <= 1e-9
@@ -165,7 +165,7 @@ def test_criterion_7_conservatism_suite():
             # The last grid point before the overlay boundary blends with
             # the predictive class data, so the local allowance applies
             # where the local samples dominate.
-            near = pts < 5.0 - 1.5
+            near = pts < DEFAULT_LOCAL_REACH - 1.5
             assert (mu_f[near] - (truth[near] + 0.025)).max() <= tol
             far = (pts >= LOCAL_EXCLUSION) & interior
             far_points_tested += int(far.sum())

@@ -224,7 +224,8 @@ class TestEmitTraces:
         for path, rec in zip(sorted(tmp_path.glob("estimate_*.csv"))[:10], result.replans):
             rows = np.loadtxt(path, delimiter=",", skiprows=1)
             np.testing.assert_array_equal(rows[:, 0], np.arange(101) * 0.5)
-            for column, observed in ((1, rec.series.mu_prime), (2, rec.series.margin)):
+            series = rec.estimate.series
+            for column, observed in ((1, series.mu_prime), (2, series.margin)):
                 want = np.repeat([float(f"{x:.9g}") for x in observed], 2)[:101]
                 np.testing.assert_array_equal(rows[:, column], want)
 
@@ -266,9 +267,11 @@ class TestEmitTraces:
         result = run(turn_scenario(), Configuration("gt"))
         trace = dict(result.trace, d=result.trace["d"].copy())
         trace["d"][2] = np.nan
-        mu_hat = result.replans[1].mu_hat.copy()
+        rec = result.replans[1]
+        mu_hat = rec.estimate.mu_hat.copy()
         mu_hat[3] = np.nan
-        replans = [result.replans[0], dataclasses.replace(result.replans[1], mu_hat=mu_hat)]
+        estimate = dataclasses.replace(rec.estimate, mu_hat=mu_hat)
+        replans = [result.replans[0], dataclasses.replace(rec, estimate=estimate)]
         nan_result = dataclasses.replace(result, trace=trace, replans=replans)
         emit_traces(nan_result, RunConfig(out=str(tmp_path), dump_estimates=True))
 
@@ -334,6 +337,19 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="selected more than once"):
             run_matrix(*selection, base=RunConfig(out=str(tmp_path)))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, cause", [("", "already holds files"),
+                                            ("summary.csv", "Not a directory")],
+                             ids=["holds files", "a file"])
+    def test_an_out_that_is_not_empty_is_refused_before_any_run(self, out, cause, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli, "execute", lambda rc: pytest.fail("a run started"))
+        (tmp_path / "summary.csv").write_text("kept\n")
+        with pytest.raises(ValueError, match=cause):
+            run_matrix(["collision"], ["p"], ["worst-under"],
+                       base=RunConfig(out=str(tmp_path / out)))
+        assert list(tmp_path.iterdir()) == [tmp_path / "summary.csv"]
+        assert (tmp_path / "summary.csv").read_text() == "kept\n"
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from frictionfusion.estimators import (
     classify,
     emulate,
     local_estimate,
-    _class_stats,
     resolve_error,
 )
 from frictionfusion.fusion import SGrid, assemble_input, calibrate_prior, fuse
@@ -108,9 +107,12 @@ class TestFrictionProfile:
             got = profile.shifted(np.float64(offset))
             want = FrictionProfile(tuple((s + offset, mu) for s, mu in profile.segments))
             assert got == want and repr(got) == repr(want)
-            for name in ("_starts", "_start_array", "_mu_array"):
+            for name in ("_starts", "_start_array"):
                 assert np.asarray(getattr(got, name)).tobytes() == \
                     np.asarray(getattr(want, name)).tobytes()
+            assert list(got._table) == list(want._table)
+            for name, column in want._table.items():
+                assert got._table[name].tobytes() == column.tobytes()
 
     @pytest.mark.parametrize("offset, message", [
         (2e6, "negative"), (-1e17, "strictly increasing"), (math.nan, "finite"),
@@ -123,7 +125,7 @@ class TestFrictionProfile:
 
 
 class TestClassTable:
-    """The per-segment class table built with the profile."""
+    """The per-segment table built with the profile: mu and its class statistics."""
 
     def _profiles(self, seed, count=20):
         workloads = load_workloads()
@@ -134,16 +136,33 @@ class TestClassTable:
 
     def test_equals_classify_per_segment(self):
         for profile in self._profiles(3):
+            table = profile._table
+            assert list(table) == ["mu", *CLASS_STATS]
+            assert table["mu"].tolist() == [mu for _, mu in profile.segments]
             classes = [classify(mu) for _, mu in profile.segments]
             for name in CLASS_STATS:
-                column = profile._class_table[name]
-                assert column.tolist() == [getattr(c, name) for c in classes]
+                assert table[name].tolist() == [getattr(c, name) for c in classes]
+            for column in table.values():
                 assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_shared_by_shifted_copies(self):
         profile = self._profiles(4, count=1)[1]
         shifted = profile.shifted(-12.5).shifted(3.0)
-        assert shifted._class_table is profile._class_table
+        assert shifted._table is profile._table
+
+    def test_no_column_can_be_written(self):
+        # Every shifted copy shares the table, so a write through one would
+        # change the road under all of them.
+        profile = self._profiles(6, count=1)[1]
+        shifted = profile.shifted(-40.0)
+        for name in ("mu", *CLASS_STATS):
+            column = shifted._table[name]
+            before = column.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+            with pytest.raises(TypeError):
+                shifted._table[name] = column.copy()
+            assert profile._table[name] is column and column.tobytes() == before
 
     def test_class_stats_match_the_per_segment_classification(self):
         # Read on grids, with the grid's first point at, just below and just
@@ -154,10 +173,11 @@ class TestClassTable:
             shifts = [-rng.uniform(0.0, 100.0), *(-_around_starts(profile))]
             for prof in (profile, *(profile.shifted(offset) for offset in shifts)):
                 for grid in grids:
-                    assert prof.grid_index(grid).tobytes() == \
-                        prof.segment_index(grid.points).tobytes()
+                    (mu,) = prof.on_grid(grid, "mu")
+                    assert mu.tobytes() == prof.mu_on(grid.points).tobytes()
+                    assert mu.ndim == 1 and mu.base is None
                     for names in (("mu_min",), ("mean", "margin")):
-                        got = _class_stats(prof, grid, *names)
+                        got = prof.on_grid(grid, *names)
                         want = reference_class_stats(prof, grid.points, *names)
                         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
                         assert all(a.ndim == 1 and a.base is None for a in got)
@@ -419,13 +439,13 @@ def fuse_calls(monkeypatch):
 def _nudged(name):
     """A variant whose class statistic ``name`` reads 0.01 higher."""
     def vary(monkeypatch):
-        real = estimators._class_stats
+        real = FrictionProfile.on_grid
 
-        def stats(profile, grid, *names):
-            columns = real(profile, grid, *names)
-            return tuple(c + 0.01 if n == name else c for n, c in zip(names, columns))
+        def on_grid(profile, grid, *columns):
+            values = real(profile, grid, *columns)
+            return tuple(v + 0.01 if n == name else v for n, v in zip(columns, values))
 
-        monkeypatch.setattr(estimators, "_class_stats", stats)
+        monkeypatch.setattr(FrictionProfile, "on_grid", on_grid)
         return {}
     return vary
 

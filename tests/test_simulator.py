@@ -172,8 +172,9 @@ class TestInterval:
 
     def test_fewer_than_one_substep_rejected(self):
         scenario, state, traj = self._plan()
-        with pytest.raises(ValueError, match="substeps"):
-            step(state, traj, scenario.profile, 0.01, 0)
+        for substeps in (0, 2.5, math.inf):
+            with pytest.raises(ValueError, match="substeps"):
+                step(state, traj, scenario.profile, 0.01, substeps)
 
     def test_nan_demand_fails_at_the_first_step(self):
         scenario, state, _ = self._plan()
@@ -239,7 +240,7 @@ def _run_bits(result):
     for value in dataclasses.astuple(result.metrics):
         yield (float.hex(value) if isinstance(value, float) else value).encode()
     for rec in result.replans:
-        yield rec.mu_hat.tobytes() + (b"T" if rec.feasible else b"F")
+        yield rec.estimate.mu_hat.tobytes() + (b"T" if rec.feasible else b"F")
         yield float.hex(rec.utilization).encode()
 
 
@@ -377,7 +378,8 @@ class TestPinnedCorpus:
             if kind == "gt":
                 for rec in result.replans:
                     np.testing.assert_array_equal(
-                        rec.mu_hat, result.scenario.profile.shifted(-rec.s).mu_on(points))
+                        rec.estimate.mu_hat,
+                        result.scenario.profile.shifted(-rec.s).mu_on(points))
 
     def test_least_violating_dodges_on_and_off_the_full_blend(self, corpus):
         on_full = {abs(state.d - full_blend.offset_at(state.s)) <= REBASE_DEVIATION
@@ -587,7 +589,8 @@ class TestFusedMemo:
                              grid=fusion.SGrid(ds=ds))
                 held, misses = [], 0
                 for rec in result.replans:
-                    key = (rec.series.mu_prime.tobytes(), rec.series.margin.tobytes())
+                    series = rec.estimate.series
+                    key = (series.mu_prime.tobytes(), series.margin.tobytes())
                     if key in held:
                         held.remove(key)
                     else:
@@ -608,7 +611,7 @@ class TestFusedMemo:
 
         monkeypatch.setattr(fusion, "posterior", counting)
         first = run(turn_scenario(), Configuration("f"), local_error=0.025)
-        distinct = {(r.series.mu_prime.tobytes(), r.series.margin.tobytes())
+        distinct = {(r.estimate.series.mu_prime.tobytes(), r.estimate.series.margin.tobytes())
                     for r in first.replans}
         assert len(first.replans) > len(distinct) == 2
         assert len(calls) == 2
@@ -643,7 +646,7 @@ class TestRetainedMemory:
         result = run(turn_scenario(), Configuration(kind), local_error=0.025)
         arrays = list(_reachable_arrays(result.replans, set()))
         # The walk reaches every record (memo hits share their arrays).
-        assert {id(r.mu_hat) for r in result.replans} <= {id(a) for a in arrays}
+        assert {id(r.estimate.mu_hat) for r in result.replans} <= {id(a) for a in arrays}
         assert [a.shape for a in arrays if a.ndim != 1] == []
 
 
@@ -689,7 +692,7 @@ class TestTurnRuns:
 
     def test_local_becomes_available_when_cornering_starts(self):
         result = run(turn_scenario(), Configuration("l"), local_error=0.025)
-        first = next(r for r in result.replans if r.local_available)
+        first = next(r for r in result.replans if r.estimate.local_available)
         assert 14.0 <= first.s <= 18.0
 
     def test_vehicle_that_stops_short_times_out(self):
@@ -812,5 +815,5 @@ class TestUtilization:
             mate = l_by_t.get(rec.t)
             if mate is None or not (window[0] <= rec.s <= window[1]):
                 continue
-            if rec.local_available and mate.local_available:
+            if rec.estimate.local_available and mate.estimate.local_available:
                 assert 1.0 + 1e-9 >= rec.utilization >= mate.utilization - 1e-9
